@@ -33,15 +33,11 @@ from .tuning import (ReductionReport, SweepResult, SweepSpec, mode_windows,
                      percent_reduction, sweep_resistance)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], columns) -> None:
+    rows = np.column_stack(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 
 
 def _write_json(path: str, obj) -> None:
@@ -59,13 +55,9 @@ def write_modes_csv(path: str, model: ModalModel) -> None:
     header = ["mode", "freq_hz"]
     header += [f"theta_p{i + 1}" for i in range(k)]
     header += [f"cap_p{i + 1}_farad" for i in range(k)]
-    rows = []
-    for r in range(model.n_modes):
-        row = [float(r + 1), model.frequencies_hz[r]]
-        row += [model.coupling[r, i] for i in range(k)]
-        row += [model.capacitances[i] for i in range(k)]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    n = model.n_modes
+    _write_csv(path, header, [np.arange(1, n + 1), model.frequencies_hz, model.coupling,
+                              np.tile(model.capacitances, (n, 1))])
 
 
 def write_frf_csv(path: str, result: FrfResult) -> None:
@@ -73,22 +65,18 @@ def write_frf_csv(path: str, result: FrfResult) -> None:
     header = ["freq_hz", "disp_re", "disp_im", "vel_re", "vel_im", "|vel|"]
     for i in range(k):
         header += [f"v{i + 1}_re", f"v{i + 1}_im"]
-    rows = []
-    for j in range(result.frequencies_hz.size):
-        row = [result.frequencies_hz[j],
-               result.displacement[j].real, result.displacement[j].imag,
-               result.velocity[j].real, result.velocity[j].imag,
-               abs(result.velocity[j])]
-        for i in range(k):
-            row += [result.voltages[j, i].real, result.voltages[j, i].imag]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    volts = result.voltages
+    _write_csv(path, header, [result.frequencies_hz,
+                              result.displacement.real, result.displacement.imag,
+                              result.velocity.real, result.velocity.imag,
+                              np.abs(result.velocity),
+                              np.stack((volts.real, volts.imag), axis=-1).reshape(len(volts), -1)])
 
 
 def write_sweep_csv(path: str, sweep_result: SweepResult) -> None:
-    rows = zip(sweep_result.r_values, sweep_result.objective_values,
-               sweep_result.peak_freqs_hz)
-    _write_csv(path, ["resistance_ohm", "peak_velocity_ms_per_n", "peak_freq_hz"], rows)
+    _write_csv(path, ["resistance_ohm", "peak_velocity_ms_per_n", "peak_freq_hz"],
+               [sweep_result.r_values, sweep_result.objective_values,
+                sweep_result.peak_freqs_hz])
 
 
 def _report_entries(report: ReductionReport) -> list[dict]:
@@ -126,18 +114,6 @@ def _metadata(config: ScenarioConfig, model: ModalModel) -> dict:
     return meta
 
 
-def _oc_topology(mode: str, k: int) -> ShuntTopology:
-    if mode == "connected":
-        return ShuntTopology.connected(ImpedanceLaw.open())
-    return ShuntTopology.separated([ImpedanceLaw.open()] * k)
-
-
-def _uniform_topology(mode: str, k: int, ohms: float) -> ShuntTopology:
-    if mode == "connected":
-        return ShuntTopology.connected(ImpedanceLaw.resistor(ohms))
-    return ShuntTopology.separated([ImpedanceLaw.resistor(ohms)] * k)
-
-
 def _run_topology(config: ScenarioConfig, model: ModalModel, mode: str,
                   sweep: SweepSpec, threads: int):
     """Sweep one topology, then evaluate its OC baseline and optimum FRFs."""
@@ -146,14 +122,13 @@ def _run_topology(config: ScenarioConfig, model: ModalModel, mode: str,
     sweep_result = sweep_resistance(model, config.force, config.target, grid,
                                     sweep, topology_mode=mode, threads=threads)
     run = frf_connected if mode == "connected" else frf_separated
-    frf_oc = run(model, _oc_topology(mode, k), config.force, config.target,
-                 grid, threads=threads)
-    frf_opt = run(model, _uniform_topology(mode, k, sweep_result.r_opt),
-                  config.force, config.target, grid, threads=threads)
+    oc = ShuntTopology.uniform(mode, k, ImpedanceLaw.open())
+    opt = ShuntTopology.uniform(mode, k, ImpedanceLaw.resistor(sweep_result.r_opt))
+    frf_oc = run(model, oc, config.force, config.target, grid, threads=threads)
+    frf_opt = run(model, opt, config.force, config.target, grid, threads=threads)
     windows = mode_windows(model, sweep.report_modes, grid)
-    resist = [sweep_result.r_opt] * (1 if mode == "connected" else k)
     report = percent_reduction(frf_oc, frf_opt, windows, topology=mode,
-                               resistances=resist)
+                               resistances=[law.ohms for law in opt.loads])
     return sweep_result, frf_oc, frf_opt, report
 
 

@@ -7,11 +7,11 @@ surface:
 
     theta[r, k] = -e31 * ((hp + hs)/2 - z0) * integral(lap(shape_r), footprint_k)
 
-Two evaluation paths exist. The closed form exploits the separable
-basis: the Laplacian integral reduces to first-derivative differences
-across the footprint times 1D integrals of the opposite-axis functions,
-both available exactly. The quadrature path integrates the Laplacian
-numerically and exists as an independent cross-check.
+The closed form exploits the separable basis: the Laplacian integral
+reduces to first-derivative differences across the footprint times 1D
+integrals of the opposite-axis functions, both available exactly. The
+test oracles integrate the Laplacian by quadrature as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -64,30 +64,6 @@ def coupling_matrix(model: ModalModel) -> np.ndarray:
     if not model.patches:
         return np.zeros((model.n_modes, 0))
     return np.column_stack([coupling_vector(model, p) for p in model.patches])
-
-
-def coupling_matrix_quadrature(model: ModalModel, order: int = 24) -> np.ndarray:
-    """Quadrature evaluation of the coupling matrix (independent cross-check)."""
-    spec, plate = model.basis, model.plate
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    cols = []
-    for patch in model.patches:
-        xm, xh = 0.5 * (patch.x2 + patch.x1), 0.5 * (patch.x2 - patch.x1)
-        ym, yh = 0.5 * (patch.y2 + patch.y1), 0.5 * (patch.y2 - patch.y1)
-        xs = xm + xh * nodes
-        ys = ym + yh * nodes
-        bx0 = basis.eval_matrix(spec.n_x, plate.length_a, xs, 0)
-        bx2 = basis.eval_matrix(spec.n_x, plate.length_a, xs, 2)
-        by0 = basis.eval_matrix(spec.n_y, plate.width_b, ys, 0)
-        by2 = basis.eval_matrix(spec.n_y, plate.width_b, ys, 2)
-        wx = weights * xh
-        wy = weights * yh
-        lap = (np.einsum("q,qi,p,pj->ij", wx, bx2, wy, by0)
-               + np.einsum("q,qi,p,pj->ij", wx, bx0, wy, by2)).reshape(-1)
-        cols.append(-patch.e31_bar * _lever_arm(plate, patch) * (lap @ model.mode_coeffs))
-    if not cols:
-        return np.zeros((model.n_modes, 0))
-    return np.column_stack(cols)
 
 
 def with_coupling(model: ModalModel) -> ModalModel:

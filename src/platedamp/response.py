@@ -1,11 +1,18 @@
 """Steady-state harmonic response of the shunted electromechanical plate.
 
-For a separated topology each patch feeds its own load; eliminating the
-modal coordinates leaves a dense K x K complex system in the patch
-voltages whose off-diagonals carry the structure-mediated interaction
-between patches. For a connected topology all patches share one node
-and one load, collapsing the unknown to a single voltage. The two paths
-are coded independently and must agree for a single patch.
+Every response is one linear solve repeated over frequency: the modal
+equations with the patch-voltage circuit eliminated. The circuit is a
+set of voltage nodes, each with a coupling column, a capacitance and a
+load. Separated wiring has one node per patch; connected wiring has a
+single node carrying the summed coupling and capacitance, whose voltage
+every patch sees; the purely mechanical response has no node. Eliminating
+the modal coordinates leaves a dense complex system in the node voltages
+whose off-diagonals carry the structure-mediated interaction.
+
+One block kernel builds and solves that system for a block of
+frequencies at once. Grids are cut into consecutive blocks of
+BLOCK_POINTS (the last one shorter) and threads only hand out whole
+blocks, so results are bitwise independent of the thread count.
 
 Open and short circuits are numerical surrogates (1e9 and 1e-3 ohm)
 rather than separate code paths; their adequacy is covered by tests.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +34,8 @@ SHORT_OHMS = 1e-3
 
 MIN_RETAINED_MODES = 25
 RETAIN_BAND_FACTOR = 4.0
+
+BLOCK_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,8 @@ class ImpedanceLaw:
     def short(cls) -> "ImpedanceLaw":
         return cls("short", ohms=SHORT_OHMS)
 
-    def impedance(self, omega: float) -> complex:
+    def impedance(self, omega):
+        """Branch impedance in ohms; broadcasts over an array of omega."""
         if self.kind == "resistor":
             return complex(self.ohms)
         if self.kind == "series_rl":
@@ -94,6 +105,11 @@ class ShuntTopology:
     @classmethod
     def connected(cls, load: ImpedanceLaw) -> "ShuntTopology":
         return cls("connected", (load,))
+
+    @classmethod
+    def uniform(cls, mode: str, k: int, law: ImpedanceLaw) -> "ShuntTopology":
+        """``law`` on each of ``k`` patches, or on the one common node."""
+        return cls(mode, (law,) * (1 if mode == "connected" else k))
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,94 @@ def _check_coupled(model: ModalModel):
         raise DomainError("model has no coupling data; run electromech.with_coupling first")
 
 
+def _parallel_map(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]``, spread over ``threads`` worker threads."""
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+class _Nodes(NamedTuple):
+    """Voltage nodes of one wiring: ``incidence`` (K, m) maps node voltages
+    to the K patches; ``theta`` (n, m) and ``caps`` (m,) are the summed
+    coupling columns and capacitances of each node's patches."""
+
+    incidence: np.ndarray
+    theta: np.ndarray
+    caps: np.ndarray
+    loads: tuple
+
+
+class _Kernel:
+    """The block kernel: retained modes of one model, driven at the force
+    point and read at the target, solved against any wiring's nodes."""
+
+    def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
+                 n_modes: int | None):
+        n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
+        self.model = model
+        self.n = n
+        self.omega_n = model.frequencies[:n]
+        self.zeta = model.damping_ratios[:n]
+        self.phi0 = model.mode_shapes_at(force.x, force.y)[:n]
+        self.phit = None if target is None else model.mode_shapes_at(target[0], target[1])[:n]
+
+    def nodes(self, topology: ShuntTopology | None) -> _Nodes:
+        """One node per patch (separated), one node for all patches
+        (connected), or none (``None``: the purely mechanical response)."""
+        k = len(self.model.patches)
+        if topology is None:
+            return _Nodes(np.zeros((k, 0)), np.zeros((self.n, 0)), np.zeros(0), ())
+        _check_coupled(self.model)
+        if topology.mode == "connected":
+            incidence = np.ones((k, 1))
+        elif len(topology.loads) == k:
+            incidence = np.eye(k)
+        else:
+            raise DomainError(f"expected {k} loads, got {len(topology.loads)}")
+        return _Nodes(incidence, self.model.coupling[:self.n] @ incidence,
+                      self.model.capacitances @ incidence, topology.loads)
+
+    def system(self, omega: np.ndarray, nodes: _Nodes):
+        """Voltage-space systems A (F, m, m) and b (F, m) per newton of
+        force, plus the modal inverse 1 / (omega_r^2 - omega^2 + 2j zeta_r
+        omega_r omega) of shape (F, n), for a block of F frequencies."""
+        w = omega[:, None]
+        inv = 1.0 / (self.omega_n**2 - w**2 + 2j * self.zeta * self.omega_n * w)
+        jw = 1j * omega
+        theta = nodes.theta
+        A = jw[:, None, None] * ((theta.T[None] * inv[:, None, :]) @ theta)
+        for i, (law, cap) in enumerate(zip(nodes.loads, nodes.caps)):
+            z = law.impedance(omega)
+            if np.any(z == 0):
+                raise SolverError("zero branch impedance; use the short surrogate instead")
+            A[:, i, i] += 1.0 / z + jw * cap
+        b = -jw[:, None] * ((self.phi0 * inv) @ theta)
+        return A, b, inv
+
+    def block(self, omega: np.ndarray, nodes: _Nodes):
+        """Displacement (F,) and node voltages (F, m) per newton."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises below
+            A, b, inv = self.system(omega, nodes)
+            v = solve_voltages(A, b) if nodes.loads else b
+            disp = ((self.phi0 + v @ nodes.theta.T) * inv) @ self.phit
+        if not (np.isfinite(disp).all() and np.isfinite(v).all()):
+            raise SolverError("non-finite response; an undamped mode may lie on the grid")
+        return disp, v
+
+    def run(self, freqs_hz: np.ndarray, topology: ShuntTopology | None, threads: int = 1):
+        """Displacement (F,) and patch voltages (F, K) per newton over a
+        grid, evaluated in consecutive blocks of BLOCK_POINTS."""
+        nodes = self.nodes(topology)
+        omega = 2.0 * np.pi * freqs_hz
+        parts = _parallel_map(lambda i: self.block(omega[i:i + BLOCK_POINTS], nodes),
+                              range(0, omega.size, BLOCK_POINTS), threads)
+        disp = np.concatenate([d for d, _ in parts])
+        volts = np.concatenate([v for _, v in parts]) @ nodes.incidence.T
+        return disp, volts
+
+
 def assemble_circuit_system(omega: float, model: ModalModel, loads, force: HarmonicForce,
                             n_modes: int | None = None):
     """Voltage-space system (A, b) for a separated topology at one frequency.
@@ -144,72 +248,40 @@ def assemble_circuit_system(omega: float, model: ModalModel, loads, force: Harmo
     A's diagonal carries the branch admittance 1/Z_k + j*omega*C_k plus
     the self term of the structure-mediated interaction; off-diagonals
     are symmetric in the two patch indices. b is linear in the force.
+    This is the kernel's system at a single frequency.
     """
-    _check_coupled(model)
-    k = len(model.patches)
-    if len(loads) != k:
-        raise DomainError(f"expected {k} loads, got {len(loads)}")
-    n = model.n_modes if n_modes is None else min(n_modes, model.n_modes)
-    theta = model.coupling[:n, :]
-    omega_n = model.frequencies[:n]
-    zeta = model.damping_ratios[:n]
-    phi0 = model.mode_shapes_at(force.x, force.y)[:n]
-
-    denom = omega_n**2 - omega**2 + 2j * zeta * omega_n * omega
-    inv = 1.0 / denom
-    jw = 1j * omega
-
-    A = jw * (theta * inv[:, None]).T @ theta
-    for i, law in enumerate(loads):
-        z = law.impedance(omega)
-        if z == 0:
-            raise SolverError("zero branch impedance; use the short surrogate instead")
-        A[i, i] += 1.0 / z + jw * model.capacitances[i]
-    b = -jw * force.amplitude * (theta.T @ (phi0 * inv))
-    return A, b
+    kernel = _Kernel(model, force, None, None, model.n_modes if n_modes is None else n_modes)
+    A, b, _ = kernel.system(np.array([omega], dtype=float),
+                            kernel.nodes(ShuntTopology.separated(loads)))
+    return A[0], force.amplitude * b[0]
 
 
 def solve_voltages(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense complex solve with a residual guard (no explicit inverse)."""
-    if A.shape[0] == 0:
-        return np.zeros(0, dtype=complex)
+    """Dense complex solve with a residual guard (no explicit inverse).
+
+    Solves one system, A (K, K) with b (K,), or a stack, A (F, K, K)
+    with b (F, K). Raises SolverError when a system is singular or its
+    residual is not below 1e-10 * |b|, which a NaN residual never is.
+    """
+    if b.shape[-1] == 0:
+        return np.zeros(b.shape, dtype=complex)
     try:
-        v = np.linalg.solve(A, b)
+        v = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SolverError("singular circuit system (topology/frequency degeneracy)") from exc
-    resid = np.linalg.norm(A @ v - b)
-    if resid > 1e-10 * max(np.linalg.norm(b), 1e-300):
+    resid = np.linalg.norm((A @ v[..., None])[..., 0] - b, axis=-1)
+    tol = 1e-10 * np.maximum(np.linalg.norm(b, axis=-1), 1e-300)
+    if not np.all(resid <= tol):
         raise SolverError("circuit solve residual exceeds tolerance")
     return v
 
 
-def _modal_pieces(model: ModalModel, force: HarmonicForce, target, n: int):
-    phi0 = model.mode_shapes_at(force.x, force.y)[:n]
-    phit = model.mode_shapes_at(target[0], target[1])[:n]
-    return model.frequencies[:n], model.damping_ratios[:n], phi0, phit
-
-
-def _chunked(worker, grid_hz: np.ndarray, shapes, threads: int):
-    """Run ``worker(indices)`` over the grid, optionally across threads.
-
-    Each frequency is computed by the identical fixed-size code path, so
-    results are bitwise independent of the chunking.
-    """
-    out = [np.zeros((grid_hz.size, *s), dtype=complex) for s in shapes]
-
-    def run(idx):
-        for i in idx:
-            for arr, val in zip(out, worker(i)):
-                arr[i] = val
-
-    indices = np.arange(grid_hz.size)
-    if threads <= 1:
-        run(indices)
-    else:
-        chunks = np.array_split(indices, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, chunks))
-    return out
+def _frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,
+         target, grid_hz, threads: int, n_modes: int | None) -> FrfResult:
+    grid_hz = np.asarray(grid_hz, dtype=float)
+    disp, volts = _Kernel(model, force, target, grid_hz, n_modes).run(grid_hz, topology, threads)
+    vel = 1j * 2.0 * np.pi * grid_hz * disp
+    return FrfResult(grid_hz.copy(), disp, vel, volts)
 
 
 def frf_separated(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
@@ -217,93 +289,28 @@ def frf_separated(model: ModalModel, topology: ShuntTopology, force: HarmonicFor
     """FRF with each patch on its own load."""
     if topology.mode != "separated":
         raise DomainError("frf_separated requires a separated topology")
-    _check_coupled(model)
-    if len(topology.loads) != len(model.patches):
-        raise DomainError(f"expected {len(model.patches)} loads, got {len(topology.loads)}")
-    grid_hz = np.asarray(grid_hz, dtype=float)
-    n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
-    omega_n, zeta, phi0, phit = _modal_pieces(model, force, target, n)
-    theta = model.coupling[:n, :]
-    k = len(model.patches)
-    f0 = force.amplitude
-
-    def worker(i):
-        omega = 2.0 * np.pi * grid_hz[i]
-        denom = omega_n**2 - omega**2 + 2j * zeta * omega_n * omega
-        inv = 1.0 / denom
-        if k:
-            A, b = assemble_circuit_system(omega, model, topology.loads, force, n)
-            v = solve_voltages(A, b)
-            modal = (f0 * phi0 + theta @ v) * inv
-        else:
-            v = np.zeros(0, dtype=complex)
-            modal = f0 * phi0 * inv
-        disp = phit @ modal
-        return disp / f0, v / f0
-
-    disp, volts = _chunked(worker, grid_hz, [(), (k,)], threads)
-    vel = 1j * 2.0 * np.pi * grid_hz * disp
-    return FrfResult(grid_hz.copy(), disp, vel, volts)
+    return _frf(model, topology, force, target, grid_hz, threads, n_modes)
 
 
 def frf_connected(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
                   target, grid_hz, threads: int = 1, n_modes: int | None = None) -> FrfResult:
     """FRF with all patches wired to one common node and a single load.
 
-    The shared node sums capacitances and couplings, so the voltage
-    solve is scalar. Coded independently of the separated path.
+    The kernel sees a single node carrying the summed coupling and
+    capacitance; every patch reports that node's voltage.
     """
     if topology.mode != "connected":
         raise DomainError("frf_connected requires a connected topology")
     _check_coupled(model)
     if not model.patches:
         raise DomainError("connected topology requires at least one patch")
-    grid_hz = np.asarray(grid_hz, dtype=float)
-    n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
-    omega_n, zeta, phi0, phit = _modal_pieces(model, force, target, n)
-    theta_sum = model.coupling[:n, :].sum(axis=1)
-    cap_sum = float(model.capacitances.sum())
-    law = topology.loads[0]
-    k = len(model.patches)
-    f0 = force.amplitude
-
-    def worker(i):
-        omega = 2.0 * np.pi * grid_hz[i]
-        denom = omega_n**2 - omega**2 + 2j * zeta * omega_n * omega
-        inv = 1.0 / denom
-        jw = 1j * omega
-        z = law.impedance(omega)
-        if z == 0:
-            raise SolverError("zero branch impedance; use the short surrogate instead")
-        gain = 1.0 / z + jw * cap_sum + jw * np.sum(theta_sum**2 * inv)
-        v = -jw * f0 * np.sum(theta_sum * phi0 * inv) / gain
-        modal = (f0 * phi0 + v * theta_sum) * inv
-        disp = phit @ modal
-        return disp / f0, np.full(k, v) / f0
-
-    disp, volts = _chunked(worker, grid_hz, [(), (k,)], threads)
-    vel = 1j * 2.0 * np.pi * grid_hz * disp
-    return FrfResult(grid_hz.copy(), disp, vel, volts)
+    return _frf(model, topology, force, target, grid_hz, threads, n_modes)
 
 
 def frf_mechanical(model: ModalModel, force: HarmonicForce, target, grid_hz,
                    threads: int = 1, n_modes: int | None = None) -> FrfResult:
     """Purely mechanical FRF with all electromechanical feedback dropped."""
-    grid_hz = np.asarray(grid_hz, dtype=float)
-    n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
-    omega_n, zeta, phi0, phit = _modal_pieces(model, force, target, n)
-    k = len(model.patches)
-    f0 = force.amplitude
-
-    def worker(i):
-        omega = 2.0 * np.pi * grid_hz[i]
-        denom = omega_n**2 - omega**2 + 2j * zeta * omega_n * omega
-        disp = phit @ (f0 * phi0 * (1.0 / denom))
-        return disp / f0, np.zeros(k, dtype=complex)
-
-    disp, volts = _chunked(worker, grid_hz, [(), (k,)], threads)
-    vel = 1j * 2.0 * np.pi * grid_hz * disp
-    return FrfResult(grid_hz.copy(), disp, vel, volts)
+    return _frf(model, None, force, target, grid_hz, threads, n_modes)
 
 
 def frf(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,

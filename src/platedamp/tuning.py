@@ -10,14 +10,13 @@ axis, so peak heights are not quantized by the grid.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .response import (HarmonicForce, ImpedanceLaw, ShuntTopology,
-                       retained_mode_count)
+from .response import (HarmonicForce, ImpedanceLaw, ShuntTopology, _check_coupled,
+                       _Kernel, _parallel_map)
 from .ritz import ModalModel
 
 REFINE_ROUNDS = 8
@@ -88,63 +87,26 @@ class SweepResult:
 
 
 class VelocityObjective:
-    """Batched |velocity FRF| evaluator bound to one model/force/target.
+    """|velocity FRF| evaluator bound to one model/force/target.
 
-    Evaluates whole frequency vectors at once; every sweep candidate
-    runs the identical code path, which keeps reports bit-reproducible
-    across runs and thread counts.
+    Evaluates whole frequency vectors through the response module's
+    block kernel, the same one behind every FRF; a call of up to
+    BLOCK_POINTS frequencies is a single block.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
                  n_modes: int | None = None):
-        if model.coupling is None or model.capacitances is None:
-            raise DomainError("model has no coupling data; run electromech.with_coupling first")
-        grid_hz = np.asarray(grid_hz, dtype=float)
-        n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
+        _check_coupled(model)
         self.model = model
-        self.grid_hz = grid_hz
-        self.n_modes = n
-        self.omega_n = model.frequencies[:n]
-        self.zeta = model.damping_ratios[:n]
-        self.phi0 = model.mode_shapes_at(force.x, force.y)[:n]
-        self.phit = model.mode_shapes_at(target[0], target[1])[:n]
-        self.theta = model.coupling[:n, :]
-        self.caps = model.capacitances
-        self.f0 = force.amplitude
-
-    def _denominator(self, omega: np.ndarray) -> np.ndarray:
-        return (self.omega_n[None, :]**2 - omega[:, None]**2
-                + 2j * self.zeta[None, :] * self.omega_n[None, :] * omega[:, None])
+        self.grid_hz = np.asarray(grid_hz, dtype=float)
+        self._kernel = _Kernel(model, force, target, self.grid_hz, n_modes)
+        self.n_modes = self._kernel.n
 
     def velocity_abs(self, topology: ShuntTopology, freqs_hz: np.ndarray) -> np.ndarray:
         """|velocity| per newton at each frequency."""
         freqs_hz = np.asarray(freqs_hz, dtype=float)
-        omega = 2.0 * np.pi * freqs_hz
-        inv = 1.0 / self._denominator(omega)
-        jw = 1j * omega
-        k = self.theta.shape[1]
-        if topology.mode == "separated":
-            if len(topology.loads) != k:
-                raise DomainError(f"expected {k} loads, got {len(topology.loads)}")
-            if k:
-                A = jw[:, None, None] * np.einsum("rk,rs,fr->fks", self.theta, self.theta, inv)
-                for s, law in enumerate(topology.loads):
-                    z = np.array([law.impedance(w) for w in omega])
-                    A[:, s, s] += 1.0 / z + jw * self.caps[s]
-                b = -jw[:, None] * self.f0 * np.einsum("rk,r,fr->fk", self.theta, self.phi0, inv)
-                volts = np.linalg.solve(A, b[:, :, None])[:, :, 0]
-                modal = (self.f0 * self.phi0[None, :] + volts @ self.theta.T) * inv
-            else:
-                modal = self.f0 * self.phi0[None, :] * inv
-        else:
-            theta_sum = self.theta.sum(axis=1)
-            law = topology.loads[0]
-            z = np.array([law.impedance(w) for w in omega])
-            gain = 1.0 / z + jw * self.caps.sum() + jw * (inv @ theta_sum**2)
-            volts = -jw * self.f0 * (inv @ (theta_sum * self.phi0)) / gain
-            modal = (self.f0 * self.phi0[None, :] + volts[:, None] * theta_sum[None, :]) * inv
-        disp = modal @ self.phit
-        return np.abs(jw * disp) / self.f0
+        disp, _ = self._kernel.run(freqs_hz, topology)
+        return np.abs(1j * 2.0 * np.pi * freqs_hz * disp)
 
     def band_points(self, band: tuple[float, float]) -> np.ndarray:
         lo, hi = band
@@ -201,12 +163,6 @@ def mode_windows(model: ModalModel, count: int, grid_hz) -> list[tuple[float, fl
     return out
 
 
-def _uniform_topology(mode: str, k: int, ohms: float) -> ShuntTopology:
-    if mode == "connected":
-        return ShuntTopology.connected(ImpedanceLaw.resistor(ohms))
-    return ShuntTopology.separated([ImpedanceLaw.resistor(ohms)] * k)
-
-
 def _resolve_band(objective: VelocityObjective, sweep: SweepSpec):
     if sweep.objective_band is not None:
         lo, hi = sweep.objective_band
@@ -229,21 +185,12 @@ def sweep_resistance(model: ModalModel, force: HarmonicForce, target, grid_hz,
     band = _resolve_band(objective, sweep)
     k = len(model.patches)
     rs = sweep.resistances()
-    peaks = np.zeros(rs.size)
-    freqs = np.zeros(rs.size)
 
-    def run(idx):
-        for i in idx:
-            topo = _uniform_topology(topology_mode, k, float(rs[i]))
-            peaks[i], freqs[i] = objective.peak_in_band(topo, band)
+    def candidate(ohms):
+        law = ImpedanceLaw.resistor(float(ohms))
+        return objective.peak_in_band(ShuntTopology.uniform(topology_mode, k, law), band)
 
-    indices = np.arange(rs.size)
-    if threads <= 1:
-        run(indices)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, np.array_split(indices, threads)))
-
+    peaks, freqs = np.array(_parallel_map(candidate, rs, threads)).T
     i_opt = int(np.argmin(peaks))
     return SweepResult(
         r_values=rs,
@@ -278,28 +225,15 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     current = [base.r_opt] * k
     best = base.objective_opt
 
-    def eval_candidates(patch_idx):
-        vals = np.zeros(rs_grid.size)
-
-        def run(idx):
-            for i in idx:
-                loads = [ImpedanceLaw.resistor(current[s]) for s in range(k)]
-                loads[patch_idx] = ImpedanceLaw.resistor(float(rs_grid[i]))
-                topo = ShuntTopology.separated(loads)
-                vals[i], _ = objective.peak_in_band(topo, band)
-
-        indices = np.arange(rs_grid.size)
-        if threads <= 1:
-            run(indices)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(run, np.array_split(indices, threads)))
-        return vals
+    def candidate(patch_idx, ohms):
+        loads = [ImpedanceLaw.resistor(r) for r in current]
+        loads[patch_idx] = ImpedanceLaw.resistor(float(ohms))
+        return objective.peak_in_band(ShuntTopology.separated(loads), band)[0]
 
     for _ in range(max_cycles):
         cycle_start = best
         for patch_idx in range(k):
-            vals = eval_candidates(patch_idx)
+            vals = np.array(_parallel_map(lambda r: candidate(patch_idx, r), rs_grid, threads))
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
                 best = float(vals[i_min])

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's production code paths:
 finite differences instead of Ritz, a monolithic coupled solve instead
-of the voltage-space elimination, direct quadrature instead of closed
-forms, and arbitrary-precision arithmetic for the beam functions.
+of the voltage-space elimination, per-frequency loops instead of the
+batched response kernel, direct quadrature instead of closed forms, and
+arbitrary-precision arithmetic for the beam functions.
 """
 
 import numpy as np
@@ -94,9 +95,92 @@ def monolithic_connected(model, load, force, omega, n_modes):
     return sol[:n], sol[n]
 
 
+def _modal_inverse(model, force, target, omega, n):
+    omg = model.frequencies[:n]
+    zeta = model.damping_ratios[:n]
+    phi0 = model.mode_shapes_at(force.x, force.y)[:n]
+    phit = model.mode_shapes_at(target[0], target[1])[:n]
+    return phi0, phit, 1.0 / (omg**2 - omega**2 + 2j * zeta * omg * omega)
+
+
+def frf_loop_separated(model, loads, force, target, grid_hz, n_modes):
+    """Separated-wiring FRF one frequency at a time.
+
+    At each frequency the K x K voltage-space system is assembled and
+    solved on its own. Returns (displacement, voltages) per newton.
+    """
+    n = n_modes
+    theta = model.coupling[:n, :]
+    f0 = force.amplitude
+    disp = np.zeros(len(grid_hz), dtype=complex)
+    volts = np.zeros((len(grid_hz), len(loads)), dtype=complex)
+    for i, f in enumerate(grid_hz):
+        omega = 2.0 * np.pi * f
+        phi0, phit, inv = _modal_inverse(model, force, target, omega, n)
+        jw = 1j * omega
+        A = jw * (theta * inv[:, None]).T @ theta
+        for s, law in enumerate(loads):
+            A[s, s] += 1.0 / law.impedance(omega) + jw * model.capacitances[s]
+        b = -jw * f0 * (theta.T @ (phi0 * inv))
+        v = np.linalg.solve(A, b)
+        disp[i] = phit @ ((f0 * phi0 + theta @ v) * inv) / f0
+        volts[i] = v / f0
+    return disp, volts
+
+
+def frf_loop_connected(model, load, force, target, grid_hz, n_modes):
+    """Connected-wiring FRF one frequency at a time.
+
+    The common node sums capacitances and couplings, so each frequency
+    needs one scalar division. Returns (displacement, node voltage) per
+    newton.
+    """
+    n = n_modes
+    theta_sum = model.coupling[:n, :].sum(axis=1)
+    cap_sum = float(model.capacitances.sum())
+    f0 = force.amplitude
+    disp = np.zeros(len(grid_hz), dtype=complex)
+    volts = np.zeros(len(grid_hz), dtype=complex)
+    for i, f in enumerate(grid_hz):
+        omega = 2.0 * np.pi * f
+        phi0, phit, inv = _modal_inverse(model, force, target, omega, n)
+        jw = 1j * omega
+        gain = 1.0 / load.impedance(omega) + jw * cap_sum + jw * np.sum(theta_sum**2 * inv)
+        v = -jw * f0 * np.sum(theta_sum * phi0 * inv) / gain
+        disp[i] = phit @ ((f0 * phi0 + v * theta_sum) * inv) / f0
+        volts[i] = v / f0
+    return disp, volts
+
+
 def displacement_from_modal(model, modal, target, n_modes):
     phit = model.mode_shapes_at(target[0], target[1])[:n_modes]
     return phit @ modal
+
+
+def coupling_matrix_quadrature(model, order: int = 24) -> np.ndarray:
+    """Quadrature evaluation of the coupling matrix (independent cross-check)."""
+    from platedamp import basis
+    from platedamp.electromech import _lever_arm
+    spec, plate = model.basis, model.plate
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    cols = []
+    for patch in model.patches:
+        xm, xh = 0.5 * (patch.x2 + patch.x1), 0.5 * (patch.x2 - patch.x1)
+        ym, yh = 0.5 * (patch.y2 + patch.y1), 0.5 * (patch.y2 - patch.y1)
+        xs = xm + xh * nodes
+        ys = ym + yh * nodes
+        bx0 = basis.eval_matrix(spec.n_x, plate.length_a, xs, 0)
+        bx2 = basis.eval_matrix(spec.n_x, plate.length_a, xs, 2)
+        by0 = basis.eval_matrix(spec.n_y, plate.width_b, ys, 0)
+        by2 = basis.eval_matrix(spec.n_y, plate.width_b, ys, 2)
+        wx = weights * xh
+        wy = weights * yh
+        lap = (np.einsum("q,qi,p,pj->ij", wx, bx2, wy, by0)
+               + np.einsum("q,qi,p,pj->ij", wx, bx0, wy, by2)).reshape(-1)
+        cols.append(-patch.e31_bar * _lever_arm(plate, patch) * (lap @ model.mode_coeffs))
+    if not cols:
+        return np.zeros((model.n_modes, 0))
+    return np.column_stack(cols)
 
 
 def static_ritz_displacement(plate, patches, spec, force, target):

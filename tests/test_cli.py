@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from platedamp import build_model
 from platedamp.cli import main
-from platedamp.config import to_dict
+from platedamp.config import parse_config_dict, to_dict
 
 FRF_HEADER = "freq_hz,disp_re,disp_im,vel_re,vel_im,|vel|,v1_re,v1_im,v2_re,v2_im,v3_re,v3_im"
 
@@ -59,6 +60,20 @@ class TestExitCodes:
         rc = main(["frf", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+    def test_undamped_resonance_on_grid_fails_closed(self, light_dict, tmp_path):
+        """A grid ending exactly on an undamped natural frequency would put
+        NaN in frf.csv; the run fails instead and writes no file."""
+        light_dict["plate"]["modal_damping_ratio"] = 0.0
+        config = parse_config_dict(light_dict)
+        model = build_model(config.plate, config.patches, config.basis)
+        light_dict["grid"]["stop_hz"] = float(model.frequencies_hz[0])
+        path = tmp_path / "undamped.json"
+        path.write_text(json.dumps(light_dict))
+        out = tmp_path / "o"
+        assert main(["frf", "--config", str(path), "--out", str(out)]) == 3
+        assert not (out / "frf.csv").exists()
 
 
 class TestModes:

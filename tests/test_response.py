@@ -5,9 +5,9 @@ import pytest
 
 from platedamp import (BasisSpec, DomainError, HarmonicForce, ImpedanceLaw,
                        PatchSpec, PlateSpec, ShuntTopology, SolverError,
-                       assemble_circuit_system, build_model, frf_connected,
-                       frf_mechanical, frf_separated, retained_mode_count,
-                       solve_voltages, with_coupling)
+                       VelocityObjective, assemble_circuit_system, build_model,
+                       frf_connected, frf_mechanical, frf_separated,
+                       retained_mode_count, solve_voltages, with_coupling)
 
 from oracles import (displacement_from_modal, monolithic_connected,
                      monolithic_separated, static_ritz_displacement)
@@ -77,6 +77,21 @@ class TestCircuitAssembly:
         A = np.zeros((2, 2), dtype=complex)
         with pytest.raises(SolverError):
             solve_voltages(A, np.ones(2, dtype=complex))
+
+    def test_solve_nan_system_raises(self):
+        A = np.full((2, 2), np.nan, dtype=complex)
+        with pytest.raises(SolverError):
+            solve_voltages(A, np.ones(2, dtype=complex))
+
+    def test_stacked_solve_matches_single_solves(self, ref_model, point_force):
+        loads = [ImpedanceLaw.resistor(r) for r in (1e3, 1e4, 1e5)]
+        systems = [assemble_circuit_system(2 * np.pi * f, ref_model, loads, point_force)
+                   for f in (20.0, 60.0, 140.0)]
+        A = np.stack([a for a, _ in systems])
+        b = np.stack([b for _, b in systems])
+        stacked = solve_voltages(A, b)
+        for j, (a, bj) in enumerate(systems):
+            assert np.array_equal(stacked[j], solve_voltages(a, bj))
 
 
 class TestMirrorSymmetry:
@@ -259,6 +274,30 @@ class TestFrfContracts:
         below = int(np.sum(ref_model.frequencies <= omega_cut))
         assert n == min(ref_model.n_modes, max(25, below))
         assert retained_mode_count(ref_model, [0.5]) == 25
+
+
+class TestFailClosed:
+    def test_undamped_resonance_on_grid_raises(self, ref_config, point_force,
+                                               target_point):
+        """Without damping, a grid point exactly on a natural frequency
+        has an infinite modal response; every path raises instead of
+        returning NaN."""
+        plate = dataclasses.replace(ref_config.plate, modal_damping_xi=0.0)
+        model = with_coupling(build_model(plate, ref_config.patches, ref_config.basis))
+        grid = np.linspace(0.5 * model.frequencies_hz[0], model.frequencies_hz[0], 50)
+        assert 2 * np.pi * grid[-1] == model.frequencies[0]
+        separated = ShuntTopology.separated([ImpedanceLaw.resistor(1e4)] * 3)
+        connected = ShuntTopology.connected(ImpedanceLaw.resistor(1e4))
+        objective = VelocityObjective(model, point_force, target_point, grid)
+        calls = (
+            lambda: frf_separated(model, separated, point_force, target_point, grid),
+            lambda: frf_connected(model, connected, point_force, target_point, grid),
+            lambda: frf_mechanical(model, point_force, target_point, grid),
+            lambda: objective.velocity_abs(separated, grid),
+        )
+        for call in calls:
+            with pytest.raises(SolverError):
+                call()
 
 
 class TestCancellation:

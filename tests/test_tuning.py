@@ -3,8 +3,10 @@ import pytest
 
 from platedamp import (DomainError, FrfResult, HarmonicForce, ImpedanceLaw,
                        ShuntTopology, SweepSpec, VelocityObjective,
-                       frf_separated, mode_windows, optimize_per_patch,
-                       percent_reduction, sweep_resistance)
+                       frf_connected, frf_separated, mode_windows,
+                       optimize_per_patch, percent_reduction, sweep_resistance)
+
+from oracles import frf_loop_connected, frf_loop_separated
 
 
 @pytest.fixture(scope="module")
@@ -192,21 +194,30 @@ class TestSeriesRL:
 class TestObjectiveEngine:
     def test_batched_evaluator_matches_frf_engine(self, ref_model, point_force,
                                                   target_point, ref_config):
-        """The vectorized sweep objective and the per-frequency FRF engine
-        are independent code paths; they must agree."""
+        """The sweep objective and the FRFs run the block kernel; the
+        oracle loops solve each frequency on its own. They must agree."""
         grid = ref_config.grid.frequencies()
         objective = VelocityObjective(ref_model, point_force, target_point, grid)
+        n = objective.n_modes
         sub = grid[::137]
+        henries = 1.0 / (ref_model.frequencies[0] ** 2 * ref_model.capacitances[0])
         for topo in (ShuntTopology.separated([ImpedanceLaw.resistor(8e3)] * 3),
+                     ShuntTopology.separated([ImpedanceLaw.series_rl(8e3, henries)] * 3),
                      ShuntTopology.connected(ImpedanceLaw.resistor(8e3))):
-            batched = objective.velocity_abs(topo, sub)
             if topo.mode == "separated":
                 res = frf_separated(ref_model, topo, point_force, target_point, sub)
+                disp, volts = frf_loop_separated(ref_model, topo.loads, point_force,
+                                                 target_point, sub, n)
             else:
-                from platedamp import frf_connected
                 res = frf_connected(ref_model, topo, point_force, target_point, sub)
-            assert np.max(np.abs(batched - np.abs(res.velocity))
-                          / np.abs(res.velocity)) < 1e-12
+                disp, node = frf_loop_connected(ref_model, topo.loads[0], point_force,
+                                                target_point, sub, n)
+                volts = np.repeat(node[:, None], 3, axis=1)
+            vel = np.abs(1j * 2 * np.pi * sub * disp)
+            batched = objective.velocity_abs(topo, sub)
+            assert np.max(np.abs(batched - vel) / vel) < 1e-12
+            assert np.max(np.abs(res.displacement - disp) / np.abs(disp)) < 1e-12
+            assert np.max(np.abs(res.voltages - volts) / np.abs(volts)) < 1e-12
 
 
 class TestPassivity:
