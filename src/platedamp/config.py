@@ -109,6 +109,11 @@ def _parse_patch(data, idx: int) -> PatchSpec:
     d = _section(data, name,
                  ("c11_pa", "c12_pa", "c66_pa", "e31_c_m2", "permittivity_f_m",
                   "density_kg_m3", "thickness_m", "x1_m", "x2_m", "y1_m", "y2_m"))
+    # PatchSpec admits zero thickness as a modelling limit; a real patch
+    # needs a positive one (its capacitance divides by it)
+    thickness = _number(d["thickness_m"], f"{name}.thickness_m")
+    if not thickness > 0.0:
+        raise ConfigError(f"field '{name}.thickness_m' must be positive")
     try:
         return PatchSpec(
             c11_bar=_number(d["c11_pa"], f"{name}.c11_pa"),
@@ -117,7 +122,7 @@ def _parse_patch(data, idx: int) -> PatchSpec:
             e31_bar=_number(d["e31_c_m2"], f"{name}.e31_c_m2"),
             eps33_s=_number(d["permittivity_f_m"], f"{name}.permittivity_f_m"),
             density_rhop=_number(d["density_kg_m3"], f"{name}.density_kg_m3"),
-            thickness_hp=_number(d["thickness_m"], f"{name}.thickness_m"),
+            thickness_hp=thickness,
             x1=_number(d["x1_m"], f"{name}.x1_m"),
             x2=_number(d["x2_m"], f"{name}.x2_m"),
             y1=_number(d["y1_m"], f"{name}.y1_m"),

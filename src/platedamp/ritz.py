@@ -1,11 +1,15 @@
 """Rayleigh-Ritz discretization of the patched plate.
 
 Trial functions are tensor products of clamped-clamped beam mode
-functions. Mass and stiffness matrices are assembled by Gauss-Legendre
-quadrature on a rectilinear mesh whose cell edges include every patch
-footprint edge, so the piecewise-constant coefficient fields (mass per
-area and rigidities) never jump inside a cell and the quadrature sees
-only smooth integrands.
+functions. The mass per area and the rigidities are constant on
+rectangles, so each matrix is a sum of Kronecker products of 1D Gram
+matrices: one term for the bare plate over the whole domain plus one
+delta term for each patch over its footprint (footprints never
+overlap, so the sum is exact). Every Gram is computed by composite
+Gauss-Legendre quadrature over its own interval, where the integrand is
+smooth. Patch deltas are added in a canonical order (sorted by the
+footprint's lower-left corner), so the matrices do not depend on the
+order in which the patches are listed, bit for bit.
 """
 
 from __future__ import annotations
@@ -92,11 +96,6 @@ def _gauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _axis_breakpoints(length: float, edges) -> np.ndarray:
-    pts = np.array(sorted({0.0, length, *edges}))
-    return pts
-
-
 def _axis_cell_integrals(length: float, n: int, lo: float, hi: float, order: int):
     """1D Gram matrices of the trial functions over one interval.
 
@@ -138,66 +137,48 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
     Under a patch the patch layer adds A11 = A22 = D11p, A12 = D12p and
     A66 = 4 D66p (the twist rigidity enters the energy with the usual
     factor of four).
+
+    Region 0 carries the bare-plate coefficients over the whole plate;
+    each patch adds the difference to them over its footprint. With
+    one row of scaled x-Grams and one of y-Grams per Kronecker term,
+    M and K are one matrix product each.
     """
     patches = tuple(patches)
     validate_layout(plate, patches)
     nx, ny = spec.n_x, spec.n_y
     a, b = plate.length_a, plate.width_b
+    nu = plate.poisson_nus
+    Ds = plate.youngs_Ys * plate.thickness_hs**3 / (12.0 * (1.0 - nu**2))
 
-    x_breaks = _axis_breakpoints(a, [e for p in patches for e in (p.x1, p.x2)])
-    y_breaks = _axis_breakpoints(b, [e for p in patches for e in (p.y1, p.y2)])
+    # (x interval, y interval, mass per area, A11 = A22, A12, A66)
+    regions = [((0.0, a), (0.0, b), plate.density_rhos * plate.thickness_hs,
+                Ds, nu * Ds, 2.0 * (1.0 - nu) * Ds)]
+    for p in sorted(patches, key=lambda p: (p.x1, p.y1)):
+        r = rigidities(plate, p)
+        shift = r.Dsp - Ds
+        regions.append(((p.x1, p.x2), (p.y1, p.y2), p.density_rhop * p.thickness_hp,
+                        shift + r.D11p, nu * shift + r.D12p,
+                        2.0 * (1.0 - nu) * shift + 4.0 * r.D66p))
 
-    x_cells = [
-        _axis_cell_integrals(a, nx, x_breaks[i], x_breaks[i + 1], spec.quadrature_order)
-        for i in range(len(x_breaks) - 1)
-    ]
-    y_cells = [
-        _axis_cell_integrals(b, ny, y_breaks[j], y_breaks[j + 1], spec.quadrature_order)
-        for j in range(len(y_breaks) - 1)
-    ]
-
-    rig = [rigidities(plate, p) for p in patches]
-    m_bare = plate.density_rhos * plate.thickness_hs
-    Ds = plate.youngs_Ys * plate.thickness_hs**3 / (12.0 * (1.0 - plate.poisson_nus**2))
-
-    M4 = np.zeros((nx, ny, nx, ny))
-    K4 = np.zeros((nx, ny, nx, ny))
-
-    for ix in range(len(x_breaks) - 1):
-        X0, X1, X2, X20 = x_cells[ix]
-        xm = 0.5 * (x_breaks[ix] + x_breaks[ix + 1])
-        for iy in range(len(y_breaks) - 1):
-            Y0, Y1, Y2, Y20 = y_cells[iy]
-            ym = 0.5 * (y_breaks[iy] + y_breaks[iy + 1])
-
-            cover = None
-            for k, p in enumerate(patches):
-                if p.covers(xm, ym):
-                    cover = k
-                    break
-
-            if cover is None:
-                m_c = m_bare
-                A11 = A22 = Ds
-                A12 = plate.poisson_nus * Ds
-                A66 = 2.0 * (1.0 - plate.poisson_nus) * Ds
-            else:
-                p, r = patches[cover], rig[cover]
-                m_c = m_bare + p.density_rhop * p.thickness_hp
-                A11 = A22 = r.Dsp + r.D11p
-                A12 = plate.poisson_nus * r.Dsp + r.D12p
-                A66 = 2.0 * (1.0 - plate.poisson_nus) * r.Dsp + 4.0 * r.D66p
-
-            M4 += m_c * np.einsum("ik,jl->ijkl", X0, Y0)
-            K4 += A11 * np.einsum("ik,jl->ijkl", X2, Y0)
-            K4 += A22 * np.einsum("ik,jl->ijkl", X0, Y2)
-            K4 += A12 * (np.einsum("ik,lj->ijkl", X20, Y20)
-                         + np.einsum("ki,jl->ijkl", X20, Y20))
-            K4 += A66 * np.einsum("ik,jl->ijkl", X1, Y1)
+    xm, ym, xk, yk = [], [], [], []
+    for (x_lo, x_hi), (y_lo, y_hi), m, A11, A12, A66 in regions:
+        X0, X1, X2, X20 = _axis_cell_integrals(a, nx, x_lo, x_hi, spec.quadrature_order)
+        Y0, Y1, Y2, Y20 = _axis_cell_integrals(b, ny, y_lo, y_hi, spec.quadrature_order)
+        xm.append(m * X0)
+        ym.append(Y0)
+        xk += [A11 * X2, A11 * X0, A12 * X20, A12 * X20.T, A66 * X1]
+        yk += [Y0, Y2, Y20.T, Y20, Y1]
 
     n = nx * ny
-    M = M4.reshape(n, n)
-    K = K4.reshape(n, n)
+
+    def kron_sum(xs, ys):
+        """sum_r xs[r][i, k] * ys[r][j, l] as the (n, n) matrix [(i, j), (k, l)]."""
+        xs = np.stack(xs).reshape(len(xs), nx * nx)
+        ys = np.stack(ys).reshape(len(ys), ny * ny)
+        return (xs.T @ ys).reshape(nx, nx, ny, ny).transpose(0, 2, 1, 3).reshape(n, n)
+
+    M = kron_sum(xm, ym)
+    K = kron_sum(xk, yk)
     M = 0.5 * (M + M.T)
     K = 0.5 * (K + K.T)
 

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's production code paths:
 finite differences instead of Ritz, a monolithic coupled solve instead
 of the voltage-space elimination, per-frequency loops instead of the
-batched response kernel, direct quadrature instead of closed forms, and
-arbitrary-precision arithmetic for the beam functions.
+batched response kernel, a cell-by-cell mesh sum instead of the
+bare-plate-plus-patch-delta assembly, direct quadrature instead of
+closed forms, and arbitrary-precision arithmetic for the beam
+functions.
 """
 
 import numpy as np
@@ -181,6 +183,66 @@ def coupling_matrix_quadrature(model, order: int = 24) -> np.ndarray:
     if not cols:
         return np.zeros((model.n_modes, 0))
     return np.column_stack(cols)
+
+
+def assemble_system_cell_mesh(plate, patches, spec):
+    """Mass and stiffness matrices summed cell by cell over a patch-edge mesh.
+
+    The plate is cut along every patch edge into rectangular cells; each
+    cell takes the coefficients of the patch covering its midpoint (or
+    of the bare plate) and adds its full Kronecker products of 1D Grams
+    into 4D accumulators. Shares only the 1D Gram quadrature with the
+    production region decomposition.
+    """
+    from platedamp.plate import rigidities, validate_layout
+    from platedamp.ritz import _axis_cell_integrals
+    patches = tuple(patches)
+    validate_layout(plate, patches)
+    nx, ny = spec.n_x, spec.n_y
+    a, b = plate.length_a, plate.width_b
+
+    x_breaks = np.array(sorted({0.0, a, *[e for p in patches for e in (p.x1, p.x2)]}))
+    y_breaks = np.array(sorted({0.0, b, *[e for p in patches for e in (p.y1, p.y2)]}))
+    x_cells = [_axis_cell_integrals(a, nx, x_breaks[i], x_breaks[i + 1], spec.quadrature_order)
+               for i in range(len(x_breaks) - 1)]
+    y_cells = [_axis_cell_integrals(b, ny, y_breaks[j], y_breaks[j + 1], spec.quadrature_order)
+               for j in range(len(y_breaks) - 1)]
+
+    rig = [rigidities(plate, p) for p in patches]
+    m_bare = plate.density_rhos * plate.thickness_hs
+    Ds = plate.youngs_Ys * plate.thickness_hs**3 / (12.0 * (1.0 - plate.poisson_nus**2))
+
+    M4 = np.zeros((nx, ny, nx, ny))
+    K4 = np.zeros((nx, ny, nx, ny))
+    for ix in range(len(x_breaks) - 1):
+        X0, X1, X2, X20 = x_cells[ix]
+        xm = 0.5 * (x_breaks[ix] + x_breaks[ix + 1])
+        for iy in range(len(y_breaks) - 1):
+            Y0, Y1, Y2, Y20 = y_cells[iy]
+            ym = 0.5 * (y_breaks[iy] + y_breaks[iy + 1])
+            cover = next((k for k, p in enumerate(patches) if p.covers(xm, ym)), None)
+            if cover is None:
+                m_c = m_bare
+                A11 = A22 = Ds
+                A12 = plate.poisson_nus * Ds
+                A66 = 2.0 * (1.0 - plate.poisson_nus) * Ds
+            else:
+                p, r = patches[cover], rig[cover]
+                m_c = m_bare + p.density_rhop * p.thickness_hp
+                A11 = A22 = r.Dsp + r.D11p
+                A12 = plate.poisson_nus * r.Dsp + r.D12p
+                A66 = 2.0 * (1.0 - plate.poisson_nus) * r.Dsp + 4.0 * r.D66p
+            M4 += m_c * np.einsum("ik,jl->ijkl", X0, Y0)
+            K4 += A11 * np.einsum("ik,jl->ijkl", X2, Y0)
+            K4 += A22 * np.einsum("ik,jl->ijkl", X0, Y2)
+            K4 += A12 * (np.einsum("ik,lj->ijkl", X20, Y20)
+                         + np.einsum("ki,jl->ijkl", X20, Y20))
+            K4 += A66 * np.einsum("ik,jl->ijkl", X1, Y1)
+
+    n = nx * ny
+    M = M4.reshape(n, n)
+    K = K4.reshape(n, n)
+    return 0.5 * (M + M.T), 0.5 * (K + K.T)
 
 
 def static_ritz_displacement(plate, patches, spec, force, target):

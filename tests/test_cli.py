@@ -52,6 +52,16 @@ class TestExitCodes:
         assert rc == 2
         assert "poisson" in capsys.readouterr().err
 
+    def test_zero_patch_thickness(self, light_dict, tmp_path, capsys):
+        light_dict["patches"][0]["thickness_m"] = 0
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(light_dict))
+        out = tmp_path / "o"
+        rc = main(["modes", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "patches[0].thickness_m" in capsys.readouterr().err
+        assert not (out / "modes.csv").exists()
+
     def test_numerical_failure(self, light_dict, tmp_path, capsys):
         """A zero-ohm branch parses fine but the solver refuses to divide."""
         light_dict["topology"]["loads"][0] = {"kind": "resistor", "ohms": 0.0}

@@ -79,6 +79,14 @@ class TestGeometryChecks:
             parse_config_dict(ref_dict)
 
 
+class TestPatchThickness:
+    @pytest.mark.parametrize("thickness", [0.0, -2.67e-4])
+    def test_non_positive_thickness_named(self, ref_dict, thickness):
+        ref_dict["patches"][2]["thickness_m"] = thickness
+        with pytest.raises(ConfigError, match=r"patches\[2\]\.thickness_m"):
+            parse_config_dict(ref_dict)
+
+
 class TestTopology:
     def test_load_count_mismatch(self, ref_dict):
         ref_dict["topology"]["loads"] = ref_dict["topology"]["loads"][:2]

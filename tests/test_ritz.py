@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platedamp import (AssemblyError, BasisSpec, PlateSpec, assemble_system,
                        build_model, solve_modes)
 
-from oracles import fd_plate_frequencies_hz
+from oracles import assemble_system_cell_mesh, fd_plate_frequencies_hz
 
 
 def tiny_moduli(patch):
@@ -49,6 +51,78 @@ class TestAssembly:
         M2, K2 = assemble_system(ref_config.plate, ref_config.patches[::-1], spec)
         assert np.array_equal(M1, M2)
         assert np.array_equal(K1, K2)
+
+
+def assert_matches_cell_mesh(plate, patches, spec):
+    """M and K agree with the cell-mesh oracle to 1e-12 of the largest entry."""
+    M, K = assemble_system(plate, patches, spec)
+    Mo, Ko = assemble_system_cell_mesh(plate, patches, spec)
+    assert np.max(np.abs(M - Mo)) <= 1e-12 * np.max(np.abs(Mo))
+    assert np.max(np.abs(K - Ko)) <= 1e-12 * np.max(np.abs(Ko))
+
+
+def patch_array(plate, material):
+    """Twelve 60 mm patches, each jittered by up to 20 mm inside its cell of a 4x3 layout."""
+    rng = np.random.default_rng(0)
+    half = 0.03
+    out = []
+    for j in range(3):
+        for i in range(4):
+            cx, cy = rng.uniform(-0.02, 0.02, 2) + ((i + 0.5) * plate.length_a / 4,
+                                                   (j + 0.5) * plate.width_b / 3)
+            out.append(dataclasses.replace(material, x1=cx - half, x2=cx + half,
+                                           y1=cy - half, y2=cy + half))
+    return out
+
+
+class TestAssemblyOracle:
+    def test_reference_scenario(self, ref_config):
+        assert_matches_cell_mesh(ref_config.plate, ref_config.patches, ref_config.basis)
+
+    def test_twelve_patch_array(self, ref_config):
+        patches = patch_array(ref_config.plate, ref_config.patches[0])
+        assert_matches_cell_mesh(ref_config.plate, patches, BasisSpec(12, 12, 10))
+
+    def test_reference_patches_at_20x20(self, ref_config):
+        spec = BasisSpec(20, 20, ref_config.basis.quadrature_order)
+        assert_matches_cell_mesh(ref_config.plate, ref_config.patches, spec)
+
+
+GRID_CELLS = 3  # candidate footprint cells per axis; one patch per cell at most
+
+
+@st.composite
+def layouts(draw):
+    """0-5 patches, each inside its own cell of a GRID_CELLS^2 grid, plus a permutation."""
+    cells = draw(st.lists(st.integers(0, GRID_CELLS**2 - 1), max_size=5, unique=True))
+    frac = st.floats(0.0, 0.45)
+    patches = []
+    for c in cells:
+        ci, cj = divmod(c, GRID_CELLS)
+        x0, x1, y0, y1 = (draw(frac) for _ in range(4))
+        patches.append(((ci + x0) / GRID_CELLS, (ci + 1 - x1) / GRID_CELLS,
+                        (cj + y0) / GRID_CELLS, (cj + 1 - y1) / GRID_CELLS,
+                        draw(st.floats(1e-4, 1e-3))))
+    order = draw(st.permutations(range(len(patches))))
+    spec = BasisSpec(draw(st.integers(3, 8)), draw(st.integers(3, 8)), 10)
+    return patches, order, spec
+
+
+class TestAssemblyProperties:
+    @settings(derandomize=True, deadline=None, max_examples=25, database=None)
+    @given(layout=layouts())
+    def test_random_layouts(self, layout, aluminum_plate, pzt_patch):
+        fractions, order, spec = layout
+        a, b = aluminum_plate.length_a, aluminum_plate.width_b
+        patches = [dataclasses.replace(pzt_patch, x1=fx1 * a, x2=fx2 * a,
+                                       y1=fy1 * b, y2=fy2 * b, thickness_hp=hp)
+                   for fx1, fx2, fy1, fy2, hp in fractions]
+        assert_matches_cell_mesh(aluminum_plate, patches, spec)
+        M, K = assemble_system(aluminum_plate, patches, spec)
+        Mp, Kp = assemble_system(aluminum_plate, [patches[i] for i in order], spec)
+        assert np.array_equal(M, Mp)
+        assert np.array_equal(K, Kp)
+        np.linalg.cholesky(M)
 
 
 class TestModes:
