@@ -21,6 +21,7 @@ import dataclasses
 import numpy as np
 
 from . import basis
+from .errors import DomainError
 from .plate import PatchSpec, PlateSpec, neutral_axis_offset
 from .ritz import ModalModel
 
@@ -67,7 +68,14 @@ def coupling_matrix(model: ModalModel) -> np.ndarray:
 
 
 def with_coupling(model: ModalModel) -> ModalModel:
-    """New model with coupling and capacitance fields populated."""
+    """New model with coupling and capacitance fields populated.
+
+    Raises DomainError for a patch without positive thickness, whose
+    capacitance does not exist.
+    """
+    for i, patch in enumerate(model.patches):
+        if not patch.thickness_hp > 0.0:
+            raise DomainError(f"patch {i}: thickness_hp must be positive to have a capacitance")
     theta = coupling_matrix(model)
     caps = np.array([patch_capacitance(p) for p in model.patches])
     theta.setflags(write=False)

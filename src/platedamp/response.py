@@ -10,9 +10,13 @@ the modal coordinates leaves a dense complex system in the node voltages
 whose off-diagonals carry the structure-mediated interaction.
 
 One block kernel builds and solves that system for a block of
-frequencies at once. Grids are cut into consecutive blocks of
-BLOCK_POINTS (the last one shorter) and threads only hand out whole
-blocks, so results are bitwise independent of the thread count.
+frequencies at once. Its load-independent part, the structural block
+j*omega * theta^T diag(inv) theta, is one matrix product against the
+node coupling outer products; the loads enter only on the diagonal, so
+a stack of candidate loads can share one structural block. Grids are
+cut into consecutive blocks of BLOCK_POINTS (the last one shorter) and
+threads only hand out whole blocks, so results are bitwise independent
+of the thread count.
 
 Open and short circuits are numerical surrogates (1e9 and 1e-3 ohm)
 rather than separate code paths; their adequacy is covered by tests.
@@ -38,12 +42,19 @@ RETAIN_BAND_FACTOR = 4.0
 BLOCK_POINTS = 256
 
 
+def _impedance(ohms, henries, omega):
+    """Branch impedance z = R + j*omega*L in ohms; broadcasts over arrays
+    of loads and frequencies."""
+    return ohms + 1j * omega * henries
+
+
 @dataclass(frozen=True)
 class ImpedanceLaw:
     """One shunt branch: resistor, series RL, open or short.
 
-    Open and short evaluate as fixed resistances (surrogates above), so
-    a single solver covers every variant.
+    Every kind is z = R + j*omega*L: a resistor has L = 0, and open and
+    short carry their surrogate resistance (above) as R, so a single
+    solver covers every variant.
     """
 
     kind: str
@@ -51,12 +62,17 @@ class ImpedanceLaw:
     henries: float = 0.0
 
     _KINDS = ("resistor", "series_rl", "open", "short")
+    _SURROGATES = {"open": OPEN_OHMS, "short": SHORT_OHMS}
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown impedance kind '{self.kind}'")
         if self.ohms < 0.0 or self.henries < 0.0:
             raise DomainError("impedance R and L must be non-negative")
+        if self.henries > 0.0 and self.kind != "series_rl":
+            raise DomainError(f"a {self.kind} branch takes no inductance; use series_rl")
+        if self.kind in self._SURROGATES:
+            object.__setattr__(self, "ohms", self._SURROGATES[self.kind])
 
     @classmethod
     def resistor(cls, ohms: float) -> "ImpedanceLaw":
@@ -68,21 +84,15 @@ class ImpedanceLaw:
 
     @classmethod
     def open(cls) -> "ImpedanceLaw":
-        return cls("open", ohms=OPEN_OHMS)
+        return cls("open")
 
     @classmethod
     def short(cls) -> "ImpedanceLaw":
-        return cls("short", ohms=SHORT_OHMS)
+        return cls("short")
 
     def impedance(self, omega):
         """Branch impedance in ohms; broadcasts over an array of omega."""
-        if self.kind == "resistor":
-            return complex(self.ohms)
-        if self.kind == "series_rl":
-            return self.ohms + 1j * omega * self.henries
-        if self.kind == "open":
-            return complex(OPEN_OHMS)
-        return complex(SHORT_OHMS)
+        return _impedance(self.ohms, self.henries, omega)
 
 
 @dataclass(frozen=True)
@@ -161,15 +171,27 @@ def _parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _load_arrays(topologies):
+    """R and L of every node load of C topologies of one wiring, each (C, m)."""
+    ohms = np.array([[law.ohms for law in t.loads] for t in topologies], dtype=float)
+    henries = np.array([[law.henries for law in t.loads] for t in topologies], dtype=float)
+    return ohms, henries
+
+
 class _Nodes(NamedTuple):
     """Voltage nodes of one wiring: ``incidence`` (K, m) maps node voltages
     to the K patches; ``theta`` (n, m) and ``caps`` (m,) are the summed
-    coupling columns and capacitances of each node's patches."""
+    coupling columns and capacitances of each node's patches and ``outer``
+    (n, m*m) holds the products theta_ri * theta_rj. ``ohms`` and
+    ``henries`` (..., m) are the node loads; a leading axis stacks
+    candidate load sets that share the wiring."""
 
     incidence: np.ndarray
     theta: np.ndarray
     caps: np.ndarray
-    loads: tuple
+    outer: np.ndarray
+    ohms: np.ndarray
+    henries: np.ndarray
 
 
 class _Kernel:
@@ -184,14 +206,15 @@ class _Kernel:
         self.omega_n = model.frequencies[:n]
         self.zeta = model.damping_ratios[:n]
         self.phi0 = model.mode_shapes_at(force.x, force.y)[:n]
-        self.phit = None if target is None else model.mode_shapes_at(target[0], target[1])[:n]
+        self.phit = model.mode_shapes_at(target[0], target[1])[:n]
 
     def nodes(self, topology: ShuntTopology | None) -> _Nodes:
         """One node per patch (separated), one node for all patches
         (connected), or none (``None``: the purely mechanical response)."""
         k = len(self.model.patches)
         if topology is None:
-            return _Nodes(np.zeros((k, 0)), np.zeros((self.n, 0)), np.zeros(0), ())
+            return _Nodes(np.zeros((k, 0)), np.zeros((self.n, 0)), np.zeros(0),
+                          np.zeros((self.n, 0)), np.zeros(0), np.zeros(0))
         _check_coupled(self.model)
         if topology.mode == "connected":
             incidence = np.ones((k, 1))
@@ -199,35 +222,67 @@ class _Kernel:
             incidence = np.eye(k)
         else:
             raise DomainError(f"expected {k} loads, got {len(topology.loads)}")
-        return _Nodes(incidence, self.model.coupling[:self.n] @ incidence,
-                      self.model.capacitances @ incidence, topology.loads)
+        theta = self.model.coupling[:self.n] @ incidence
+        outer = (theta[:, :, None] * theta[:, None, :]).reshape(self.n, -1)
+        ohms, henries = _load_arrays([topology])
+        return _Nodes(incidence, theta, self.model.capacitances @ incidence, outer,
+                      ohms[0], henries[0])
 
-    def system(self, omega: np.ndarray, nodes: _Nodes):
-        """Voltage-space systems A (F, m, m) and b (F, m) per newton of
-        force, plus the modal inverse 1 / (omega_r^2 - omega^2 + 2j zeta_r
-        omega_r omega) of shape (F, n), for a block of F frequencies."""
-        w = omega[:, None]
-        inv = 1.0 / (self.omega_n**2 - w**2 + 2j * self.zeta * self.omega_n * w)
-        jw = 1j * omega
-        theta = nodes.theta
-        A = jw[:, None, None] * ((theta.T[None] * inv[:, None, :]) @ theta)
-        for i, (law, cap) in enumerate(zip(nodes.loads, nodes.caps)):
-            z = law.impedance(omega)
-            if np.any(z == 0):
-                raise SolverError("zero branch impedance; use the short surrogate instead")
-            A[:, i, i] += 1.0 / z + jw * cap
-        b = -jw[:, None] * ((self.phi0 * inv) @ theta)
-        return A, b, inv
+    def structure(self, omega: np.ndarray, nodes: _Nodes):
+        """The load-independent blocks at frequencies ``omega`` of any shape.
 
-    def block(self, omega: np.ndarray, nodes: _Nodes):
-        """Displacement (F,) and node voltages (F, m) per newton."""
+        With the modal inverse inv_r = 1 / (omega_r^2 - omega^2 + 2j zeta_r
+        omega_r omega), returns the structural block S = j*omega *
+        theta^T diag(inv) theta (..., m, m), one GEMM against ``outer``;
+        the right-hand side b (..., m) per newton; and d0 (...) and g
+        (..., m) such that the target displacement is d0 + sum_i v_i g_i
+        for node voltages v.
+        """
+        m = nodes.theta.shape[1]
+        w = omega.reshape(-1, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in respond
+            inv = 1.0 / (self.omega_n**2 - w**2 + 2j * self.zeta * self.omega_n * w)
+            jw = 1j * w
+            S = jw * (inv @ nodes.outer)
+            drive = self.phi0 * inv
+            b = -jw * (drive @ nodes.theta)
+            d0 = drive @ self.phit
+            g = (inv * self.phit) @ nodes.theta
+        shape = omega.shape
+        return (S.reshape(shape + (m, m)), b.reshape(shape + (m,)), d0.reshape(shape),
+                g.reshape(shape + (m,)))
+
+    def system(self, omega: np.ndarray, nodes: _Nodes, blocks):
+        """Voltage-space systems A (..., m, m) and b (..., m) per newton:
+        the structural block of ``blocks = structure(omega, nodes)`` plus
+        each node's branch admittance 1/z + j*omega*C on the diagonal.
+        Stacked loads broadcast against shared frequencies."""
+        S, b = blocks[:2]
+        z = _impedance(nodes.ohms, nodes.henries, omega[..., None])
+        if np.any(z == 0):
+            raise SolverError("zero branch impedance; use the short surrogate instead")
+        y = 1.0 / z + 1j * omega[..., None] * nodes.caps
+        A = np.broadcast_to(S, y.shape + y.shape[-1:]).copy()
+        diag = np.arange(y.shape[-1])
+        A[..., diag, diag] += y
+        return A, np.broadcast_to(b, y.shape)
+
+    def respond(self, omega: np.ndarray, nodes: _Nodes, blocks):
+        """Target displacement (...) and node voltages (..., m) per newton
+        for ``blocks = structure(omega, nodes)``; every system of the
+        stack goes to one ``solve_voltages`` call."""
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises below
-            A, b, inv = self.system(omega, nodes)
-            v = solve_voltages(A, b) if nodes.loads else b
-            disp = ((self.phi0 + v @ nodes.theta.T) * inv) @ self.phit
+            A, b = self.system(omega, nodes, blocks)
+            m = b.shape[-1]
+            v = solve_voltages(A.reshape(-1, m, m), b.reshape(-1, m)).reshape(b.shape) if m else b
+            disp = blocks[2] + np.sum(v * blocks[3], axis=-1)
         if not (np.isfinite(disp).all() and np.isfinite(v).all()):
             raise SolverError("non-finite response; an undamped mode may lie on the grid")
         return disp, v
+
+    def block(self, omega: np.ndarray, nodes: _Nodes):
+        """Displacement (F,) and node voltages (F, m) per newton."""
+        return self.respond(omega, nodes, self.structure(omega, nodes))
 
     def run(self, freqs_hz: np.ndarray, topology: ShuntTopology | None, threads: int = 1):
         """Displacement (F,) and patch voltages (F, K) per newton over a
@@ -250,9 +305,11 @@ def assemble_circuit_system(omega: float, model: ModalModel, loads, force: Harmo
     are symmetric in the two patch indices. b is linear in the force.
     This is the kernel's system at a single frequency.
     """
-    kernel = _Kernel(model, force, None, None, model.n_modes if n_modes is None else n_modes)
-    A, b, _ = kernel.system(np.array([omega], dtype=float),
-                            kernel.nodes(ShuntTopology.separated(loads)))
+    kernel = _Kernel(model, force, (force.x, force.y), None,  # target unused here
+                     model.n_modes if n_modes is None else n_modes)
+    omega = np.array([omega], dtype=float)
+    nodes = kernel.nodes(ShuntTopology.separated(loads))
+    A, b = kernel.system(omega, nodes, kernel.structure(omega, nodes))
     return A[0], force.amplitude * b[0]
 
 

@@ -6,6 +6,13 @@ the first mode). Sweeps are log-spaced in resistance; for each
 candidate the peak is located on the band's grid points and then
 sharpened by a deterministic bracketing refinement on the frequency
 axis, so peak heights are not quantized by the grid.
+
+A sweep evaluates all of its candidates in one batched call: the
+load-independent structural block at the band's grid points is built
+once and shared, and candidates are stacked in consecutive chunks of
+about CHUNK_ENTRIES complex entries, each chunk refined together. Only
+whole chunks go to threads, so results do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -16,11 +23,16 @@ import numpy as np
 
 from .errors import DomainError
 from .response import (HarmonicForce, ImpedanceLaw, ShuntTopology, _check_coupled,
-                       _Kernel, _parallel_map)
+                       _Kernel, _load_arrays, _parallel_map)
 from .ritz import ModalModel
 
 REFINE_ROUNDS = 8
 REFINE_POINTS = 11
+
+# Complex entries of one chunk's stacked band systems: a chunk holds
+# max(1, CHUNK_ENTRIES // (P * (m*m + n))) candidates for P band points,
+# m voltage nodes and n retained modes.
+CHUNK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,15 @@ class VelocityObjective:
     Evaluates whole frequency vectors through the response module's
     block kernel, the same one behind every FRF; a call of up to
     BLOCK_POINTS frequencies is a single block.
+
+    ``peaks_in_band`` evaluates a list of candidate topologies of one
+    wiring at once. The structural block at the band's grid points is
+    built once per call and shared by every candidate; the candidates
+    are cut into consecutive chunks of whole candidates, each sized so
+    that its stacked band systems hold about CHUNK_ENTRIES complex
+    entries, and each chunk's candidates are refined together. Threads
+    only hand out whole chunks, so results are bitwise independent of
+    the thread count.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
@@ -116,27 +137,69 @@ class VelocityObjective:
         return pts
 
     def peak_in_band(self, topology: ShuntTopology, band: tuple[float, float]):
-        """Peak |velocity| inside the band, refined off the grid.
+        """Peak |velocity| inside the band and its frequency, refined off
+        the grid, for one topology (see ``peaks_in_band``)."""
+        peaks, freqs = self.peaks_in_band([topology], band)
+        return float(peaks[0]), float(freqs[0])
 
-        Bracket the grid argmax between its neighbors, then shrink the
-        bracket by repeated uniform subdivision; fixed round and point
-        counts keep the search deterministic.
+    def peaks_in_band(self, topologies, band: tuple[float, float], threads: int = 1):
+        """Peak |velocity| inside the band and its frequency, refined off
+        the grid, for each of a list of topologies of one wiring.
+
+        Each candidate brackets its grid argmax between its neighbors,
+        then shrinks the bracket by repeated uniform subdivision; fixed
+        round and point counts keep the search deterministic. Returns
+        two arrays with one entry per topology.
         """
+        if not topologies:
+            raise DomainError("peaks_in_band needs at least one topology")
+        first = topologies[0]
+        if any(t.mode != first.mode or len(t.loads) != len(first.loads) for t in topologies):
+            raise DomainError("candidate topologies must share one wiring")
+        nodes = self._kernel.nodes(first)
+        ohms, henries = _load_arrays(topologies)
         pts = self.band_points(band)
-        vals = self.velocity_abs(topology, pts)
-        i = int(np.argmax(vals))
-        best_f, best_v = float(pts[i]), float(vals[i])
-        lo = float(pts[max(i - 1, 0)])
-        hi = float(pts[min(i + 1, pts.size - 1)])
-        if hi > lo:
+        band_blocks = self._kernel.structure(2.0 * np.pi * pts, nodes)
+        m = nodes.theta.shape[1]
+        size = max(1, CHUNK_ENTRIES // (pts.size * (m * m + self.n_modes)))
+
+        def chunk(i):
+            stack = nodes._replace(ohms=ohms[i:i + size, None], henries=henries[i:i + size, None])
+            return self._refine(stack, pts, band_blocks)
+
+        parts = _parallel_map(chunk, range(0, len(topologies), size), threads)
+        return (np.concatenate([v for v, _ in parts]), np.concatenate([f for _, f in parts]))
+
+    def _velocity(self, freqs_hz: np.ndarray, nodes, blocks) -> np.ndarray:
+        """|velocity| per newton (C, Q) of C stacked load sets at the
+        frequencies (Q,) or (C, Q) that ``blocks`` was built for."""
+        disp, _ = self._kernel.respond(2.0 * np.pi * freqs_hz, nodes, blocks)
+        return np.abs(1j * 2.0 * np.pi * freqs_hz * disp)
+
+    def _refine(self, nodes, pts: np.ndarray, band_blocks):
+        """Refined peaks and their frequencies for one chunk of stacked
+        load sets, each candidate with its own bracket."""
+        vals = self._velocity(pts, nodes, band_blocks)
+        rows = np.arange(vals.shape[0])
+        i = np.argmax(vals, axis=1)
+        best_v, best_f = vals[rows, i], pts[i]
+        lo = pts[np.maximum(i - 1, 0)]
+        hi = pts[np.minimum(i + 1, pts.size - 1)]
+        live = np.flatnonzero(hi > lo)
+        if live.size:
+            nodes = nodes._replace(ohms=nodes.ohms[live], henries=nodes.henries[live])
+            rows = np.arange(live.size)
+            lo, hi, top_v, top_f = lo[live], hi[live], best_v[live], best_f[live]
             for _ in range(REFINE_ROUNDS):
-                sub = np.linspace(lo, hi, REFINE_POINTS)
-                sv = self.velocity_abs(topology, sub)
-                j = int(np.argmax(sv))
-                if sv[j] > best_v:
-                    best_v, best_f = float(sv[j]), float(sub[j])
-                lo = float(sub[max(j - 1, 0)])
-                hi = float(sub[min(j + 1, REFINE_POINTS - 1)])
+                sub = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
+                sv = self._velocity(sub, nodes, self._kernel.structure(2.0 * np.pi * sub, nodes))
+                j = np.argmax(sv, axis=1)
+                better = sv[rows, j] > top_v
+                top_v = np.where(better, sv[rows, j], top_v)
+                top_f = np.where(better, sub[rows, j], top_f)
+                lo = sub[rows, np.maximum(j - 1, 0)]
+                hi = sub[rows, np.minimum(j + 1, REFINE_POINTS - 1)]
+            best_v[live], best_f[live] = top_v, top_f
         return best_v, best_f
 
 
@@ -185,12 +248,9 @@ def sweep_resistance(model: ModalModel, force: HarmonicForce, target, grid_hz,
     band = _resolve_band(objective, sweep)
     k = len(model.patches)
     rs = sweep.resistances()
-
-    def candidate(ohms):
-        law = ImpedanceLaw.resistor(float(ohms))
-        return objective.peak_in_band(ShuntTopology.uniform(topology_mode, k, law), band)
-
-    peaks, freqs = np.array(_parallel_map(candidate, rs, threads)).T
+    topologies = [ShuntTopology.uniform(topology_mode, k, ImpedanceLaw.resistor(float(r)))
+                  for r in rs]
+    peaks, freqs = objective.peaks_in_band(topologies, band, threads)
     i_opt = int(np.argmin(peaks))
     return SweepResult(
         r_values=rs,
@@ -225,15 +285,15 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     current = [base.r_opt] * k
     best = base.objective_opt
 
-    def candidate(patch_idx, ohms):
-        loads = [ImpedanceLaw.resistor(r) for r in current]
-        loads[patch_idx] = ImpedanceLaw.resistor(float(ohms))
-        return objective.peak_in_band(ShuntTopology.separated(loads), band)[0]
-
     for _ in range(max_cycles):
         cycle_start = best
         for patch_idx in range(k):
-            vals = np.array(_parallel_map(lambda r: candidate(patch_idx, r), rs_grid, threads))
+            topologies = []
+            for ohms in rs_grid:
+                loads = [ImpedanceLaw.resistor(r) for r in current]
+                loads[patch_idx] = ImpedanceLaw.resistor(float(ohms))
+                topologies.append(ShuntTopology.separated(loads))
+            vals = objective.peaks_in_band(topologies, band, threads)[0]
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
                 best = float(vals[i_min])

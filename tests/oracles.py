@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's production code paths:
 finite differences instead of Ritz, a monolithic coupled solve instead
 of the voltage-space elimination, per-frequency loops instead of the
-batched response kernel, a cell-by-cell mesh sum instead of the
+batched response kernel, a candidate-by-candidate peak search instead
+of the stacked sweep batches, a cell-by-cell mesh sum instead of the
 bare-plate-plus-patch-delta assembly, direct quadrature instead of
 closed forms, and arbitrary-precision arithmetic for the beam
 functions.
@@ -152,6 +153,33 @@ def frf_loop_connected(model, load, force, target, grid_hz, n_modes):
         disp[i] = phit @ ((f0 * phi0 + v * theta_sum) * inv) / f0
         volts[i] = v / f0
     return disp, volts
+
+
+def peak_in_band_loop(objective, topology, band):
+    """Refined band peak of one topology, one ``velocity_abs`` call per
+    round (the FRF path), as the sweeps computed it candidate by candidate.
+
+    Bracket the grid argmax between its neighbors, then shrink the
+    bracket by repeated uniform subdivision. Returns (peak, frequency).
+    """
+    from platedamp.tuning import REFINE_POINTS, REFINE_ROUNDS
+
+    pts = objective.band_points(band)
+    vals = objective.velocity_abs(topology, pts)
+    i = int(np.argmax(vals))
+    best_f, best_v = float(pts[i]), float(vals[i])
+    lo = float(pts[max(i - 1, 0)])
+    hi = float(pts[min(i + 1, pts.size - 1)])
+    if hi > lo:
+        for _ in range(REFINE_ROUNDS):
+            sub = np.linspace(lo, hi, REFINE_POINTS)
+            sv = objective.velocity_abs(topology, sub)
+            j = int(np.argmax(sv))
+            if sv[j] > best_v:
+                best_v, best_f = float(sv[j]), float(sub[j])
+            lo = float(sub[max(j - 1, 0)])
+            hi = float(sub[min(j + 1, REFINE_POINTS - 1)])
+    return best_v, best_f
 
 
 def displacement_from_modal(model, modal, target, n_modes):

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from platedamp import (BasisSpec, PatchSpec, build_model, coupling_matrix,
-                       coupling_vector, neutral_axis_offset, patch_capacitance,
-                       with_coupling)
+from platedamp import (BasisSpec, DomainError, PatchSpec, build_model,
+                       coupling_matrix, coupling_vector, neutral_axis_offset,
+                       patch_capacitance, with_coupling)
 from platedamp import basis
 
 from oracles import coupling_matrix_quadrature
@@ -98,6 +98,13 @@ class TestCoupling:
         rev = with_coupling(build_model(ref_config.plate, ref_config.patches[::-1], spec))
         assert np.array_equal(fwd.coupling, rev.coupling[:, ::-1])
         assert np.array_equal(fwd.capacitances, rev.capacitances[::-1])
+
+    def test_zero_thickness_patch_rejected(self, ref_config):
+        patches = list(ref_config.patches)
+        patches[1] = dataclasses.replace(patches[1], thickness_hp=0.0)
+        model = build_model(ref_config.plate, patches, BasisSpec(4, 4, 10))
+        with pytest.raises(DomainError, match="patch 1"):
+            with_coupling(model)
 
     def test_with_coupling_populates_fields(self, ref_model):
         assert ref_model.coupling is not None

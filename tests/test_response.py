@@ -3,11 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from platedamp import (BasisSpec, DomainError, HarmonicForce, ImpedanceLaw,
-                       PatchSpec, PlateSpec, ShuntTopology, SolverError,
-                       VelocityObjective, assemble_circuit_system, build_model,
+                       PatchSpec, PlateSpec, ShuntTopology, SolverError, SweepSpec,
+                       VelocityObjective, assemble_circuit_system, build_model, frf,
                        frf_connected, frf_mechanical, frf_separated,
-                       retained_mode_count, solve_voltages, with_coupling)
+                       optimize_per_patch, retained_mode_count, solve_voltages,
+                       sweep_resistance, with_coupling)
 
 from oracles import (displacement_from_modal, monolithic_connected,
                      monolithic_separated, static_ritz_displacement)
@@ -35,6 +39,16 @@ class TestImpedanceLaw:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             ImpedanceLaw("inductor", 1.0)
+
+    def test_inductance_only_on_series_rl(self):
+        for kind in ("resistor", "open", "short"):
+            with pytest.raises(DomainError):
+                ImpedanceLaw(kind, ohms=10.0, henries=1e-3)
+        assert ImpedanceLaw("series_rl", 10.0, 1e-3).impedance(1e3) == 10.0 + 1j
+
+    def test_open_and_short_carry_their_surrogate(self):
+        assert ImpedanceLaw("open") == ImpedanceLaw.open()
+        assert ImpedanceLaw("short").ohms == 1e-3
 
 
 class TestCircuitAssembly:
@@ -294,6 +308,12 @@ class TestFailClosed:
             lambda: frf_connected(model, connected, point_force, target_point, grid),
             lambda: frf_mechanical(model, point_force, target_point, grid),
             lambda: objective.velocity_abs(separated, grid),
+            lambda: sweep_resistance(model, point_force, target_point, grid,
+                                     SweepSpec(points=4), "separated"),
+            lambda: sweep_resistance(model, point_force, target_point, grid,
+                                     SweepSpec(points=4), "connected"),
+            lambda: optimize_per_patch(model, point_force, target_point, grid,
+                                       SweepSpec(points=4), max_cycles=1),
         )
         for call in calls:
             with pytest.raises(SolverError):
@@ -323,3 +343,55 @@ class TestCancellation:
                                 force, (0.47, 0.51), grid)
             peaks.append(np.max(np.abs(res.velocity)))
         assert max(peaks) - min(peaks) < 1e-6 * max(peaks)
+
+
+GRID_CELLS = 3
+
+
+@st.composite
+def shunted_layouts(draw):
+    """1-4 patches, each inside its own cell of a GRID_CELLS^2 grid, with a
+    wiring, one load per node, a force point and a target point."""
+    cells = draw(st.lists(st.integers(0, GRID_CELLS**2 - 1), min_size=1, max_size=4,
+                          unique=True))
+    frac = st.floats(0.0, 0.45)
+    patches = []
+    for c in cells:
+        ci, cj = divmod(c, GRID_CELLS)
+        x0, x1, y0, y1 = (draw(frac) for _ in range(4))
+        patches.append(((ci + x0) / GRID_CELLS, (ci + 1 - x1) / GRID_CELLS,
+                        (cj + y0) / GRID_CELLS, (cj + 1 - y1) / GRID_CELLS,
+                        draw(st.floats(1e-4, 1e-3))))
+    mode = draw(st.sampled_from(("separated", "connected")))
+    ohms = st.floats(10.0, 1e6)
+    law = st.one_of(st.builds(ImpedanceLaw.resistor, ohms),
+                    st.builds(ImpedanceLaw.series_rl, ohms, st.floats(1e-2, 1e3)),
+                    st.just(ImpedanceLaw.open()), st.just(ImpedanceLaw.short()))
+    loads = draw(st.lists(law, min_size=len(patches), max_size=len(patches)))
+    point = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+    return patches, mode, loads, draw(point), draw(point)
+
+
+class TestInvariants:
+    """Physics identities that hold for any layout, wiring and loads."""
+
+    @settings(derandomize=True, deadline=None, max_examples=15, database=None)
+    @given(case=shunted_layouts())
+    def test_reciprocity_and_passivity(self, case, aluminum_plate, pzt_patch):
+        fractions, mode, loads, p, q = case
+        a, b = aluminum_plate.length_a, aluminum_plate.width_b
+        patches = [dataclasses.replace(pzt_patch, x1=fx1 * a, x2=fx2 * a,
+                                       y1=fy1 * b, y2=fy2 * b, thickness_hp=hp)
+                   for fx1, fx2, fy1, fy2, hp in fractions]
+        model = with_coupling(build_model(aluminum_plate, patches, BasisSpec(5, 5, 10)))
+        topology = (ShuntTopology.connected(loads[0]) if mode == "connected"
+                    else ShuntTopology.separated(loads))
+        grid = np.linspace(5.0, 300.0, 120)
+        p, q = (p[0] * a, p[1] * b), (q[0] * a, q[1] * b)
+
+        pq = frf(model, topology, HarmonicForce(1.0, *p), q, grid)
+        qp = frf(model, topology, HarmonicForce(1.0, *q), p, grid)
+        assert np.max(rel_diff(pq.displacement, qp.displacement)) <= 1e-12
+
+        driving = frf(model, topology, HarmonicForce(1.0, *p), p, grid)
+        assert np.all(driving.velocity.real >= 0.0)

@@ -1,12 +1,35 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from platedamp import (DomainError, FrfResult, HarmonicForce, ImpedanceLaw,
-                       ShuntTopology, SweepSpec, VelocityObjective,
+from platedamp import (BasisSpec, DomainError, FrfResult, HarmonicForce, ImpedanceLaw,
+                       ShuntTopology, SweepSpec, VelocityObjective, build_model,
                        frf_connected, frf_separated, mode_windows,
-                       optimize_per_patch, percent_reduction, sweep_resistance)
+                       optimize_per_patch, percent_reduction, sweep_resistance,
+                       with_coupling)
+from platedamp.tuning import CHUNK_ENTRIES
 
-from oracles import frf_loop_connected, frf_loop_separated
+from oracles import frf_loop_connected, frf_loop_separated, peak_in_band_loop
+
+
+def chunk_size(objective, band, nodes):
+    """Candidates per stacked chunk of ``peaks_in_band`` for ``nodes`` voltage nodes."""
+    points = objective.band_points(band).size
+    return max(1, CHUNK_ENTRIES // (points * (nodes * nodes + objective.n_modes)))
+
+
+@pytest.fixture(scope="module")
+def array_model(ref_config):
+    """Twelve reference patches on a 4x3 layout, on a small basis."""
+    plate, patch = ref_config.plate, ref_config.patches[0]
+    w, h = 0.06, 0.06
+    patches = [dataclasses.replace(patch, x1=(i + 0.5) * plate.length_a / 4 - w / 2,
+                                   x2=(i + 0.5) * plate.length_a / 4 + w / 2,
+                                   y1=(j + 0.5) * plate.width_b / 3 - h / 2,
+                                   y2=(j + 0.5) * plate.width_b / 3 + h / 2)
+               for j in range(3) for i in range(4)]
+    return with_coupling(build_model(plate, patches, BasisSpec(6, 6, 10)))
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +261,65 @@ class TestPassivity:
             mid = peaks(ohms)
             for pm, po, ps in zip(mid, oc, sc):
                 assert pm <= max(po, ps) * (1 + 1e-9)
+
+
+class TestBatchedPeaks:
+    @pytest.mark.parametrize("mode, inductive", [("separated", False), ("connected", False),
+                                                 ("separated", True)])
+    def test_batched_peaks_match_candidate_loop(self, ref_model, point_force, target_point,
+                                                ref_config, mode, inductive):
+        """Stacked candidates give the peaks the candidate-by-candidate search
+        gives, over three chunks of which the last is short."""
+        grid = ref_config.grid.frequencies()
+        objective = VelocityObjective(ref_model, point_force, target_point, grid)
+        band = mode_windows(ref_model, 1, grid)[0]
+        size = chunk_size(objective, band, 1 if mode == "connected" else 3)
+        assert size >= 2
+        count = 2 * size + size // 2
+        henries = 1.0 / (ref_model.frequencies[0] ** 2 * ref_model.capacitances[0])
+        laws = [ImpedanceLaw.series_rl(r, henries) if inductive else ImpedanceLaw.resistor(r)
+                for r in np.geomspace(100.0, 1e6, count)]
+        topologies = [ShuntTopology.uniform(mode, 3, law) for law in laws]
+        peaks, freqs = objective.peaks_in_band(topologies, band)
+        expected = np.array([peak_in_band_loop(objective, t, band) for t in topologies])
+        assert np.max(np.abs(peaks - expected[:, 0]) / expected[:, 0]) <= 1e-12
+        assert np.max(np.abs(freqs - expected[:, 1]) / expected[:, 1]) <= 1e-6
+        single = objective.peak_in_band(topologies[-1], band)
+        assert single == pytest.approx((peaks[-1], freqs[-1]), rel=1e-12)
+
+    def test_mixed_wirings_rejected(self, ref_model, point_force, target_point, grid_500):
+        objective = VelocityObjective(ref_model, point_force, target_point, grid_500)
+        law = ImpedanceLaw.resistor(1e4)
+        band = mode_windows(ref_model, 1, grid_500)[0]
+        with pytest.raises(DomainError):
+            objective.peaks_in_band([ShuntTopology.uniform("separated", 3, law),
+                                     ShuntTopology.connected(law)], band)
+        with pytest.raises(DomainError):
+            objective.peaks_in_band([], band)
+
+    def test_threads_do_not_change_multi_chunk_sweep(self, ref_model, point_force,
+                                                     target_point, ref_config):
+        grid = ref_config.grid.frequencies()
+        objective = VelocityObjective(ref_model, point_force, target_point, grid)
+        size = chunk_size(objective, mode_windows(ref_model, 1, grid)[0], 3)
+        spec = SweepSpec(points=3 * size + 1)
+        serial = sweep_resistance(ref_model, point_force, target_point, grid, spec,
+                                  "separated", threads=1)
+        threaded = sweep_resistance(ref_model, point_force, target_point, grid, spec,
+                                    "separated", threads=3)
+        assert np.array_equal(serial.objective_values, threaded.objective_values)
+        assert np.array_equal(serial.peak_freqs_hz, threaded.peak_freqs_hz)
+
+    def test_threads_do_not_change_array_descent(self, array_model, point_force,
+                                                 target_point, ref_config):
+        grid = ref_config.grid.frequencies()
+        spec = SweepSpec(points=16)
+        objective = VelocityObjective(array_model, point_force, target_point, grid)
+        assert chunk_size(objective, mode_windows(array_model, 1, grid)[0], 12) < 16
+        serial = optimize_per_patch(array_model, point_force, target_point, grid, spec,
+                                    threads=1, max_cycles=1)
+        threaded = optimize_per_patch(array_model, point_force, target_point, grid, spec,
+                                      threads=3, max_cycles=1)
+        assert np.array_equal(serial[0], threaded[0])
+        assert serial[1] == threaded[1]
+        assert np.array_equal(serial[2].objective_values, threaded[2].objective_values)
