@@ -4,9 +4,8 @@ from .config import GridSpec, ScenarioConfig, parse_config, reference_config
 from .electromech import (coupling_matrix, coupling_vector, patch_capacitance,
                           with_coupling)
 from .errors import AssemblyError, ConfigError, DomainError, SolverError
-from .plate import (PatchSpec, PlateSpec, RigiditySet, effective_mass_density,
-                    neutral_axis_offset, patch_coverage, rigidities,
-                    validate_layout)
+from .plate import (PatchSpec, PlateSpec, RigiditySet, neutral_axis_offset,
+                    rigidities, validate_layout)
 from .response import (FrfResult, HarmonicForce, ImpedanceLaw, ShuntTopology,
                        assemble_circuit_system, frf, frf_connected,
                        frf_mechanical, frf_separated, retained_mode_count,
@@ -25,11 +24,9 @@ __all__ = [
     "PatchSpec", "PlateSpec", "ReductionReport", "RigiditySet", "ScenarioConfig",
     "ShuntTopology", "SolverError", "SweepResult", "SweepSpec",
     "VelocityObjective", "assemble_circuit_system", "assemble_system",
-    "build_model", "coupling_matrix", "coupling_vector",
-    "effective_mass_density", "frf", "frf_connected", "frf_mechanical",
-    "frf_separated", "mode_windows", "neutral_axis_offset",
-    "optimize_per_patch", "parse_config", "patch_capacitance", "patch_coverage",
-    "percent_reduction", "reference_config", "retained_mode_count",
-    "rigidities", "solve_modes", "solve_voltages", "sweep_resistance",
-    "validate_layout", "with_coupling",
+    "build_model", "coupling_matrix", "coupling_vector", "frf", "frf_connected",
+    "frf_mechanical", "frf_separated", "mode_windows", "neutral_axis_offset",
+    "optimize_per_patch", "parse_config", "patch_capacitance", "percent_reduction",
+    "reference_config", "retained_mode_count", "rigidities", "solve_modes",
+    "solve_voltages", "sweep_resistance", "validate_layout", "with_coupling",
 ]

@@ -23,9 +23,11 @@ import sys
 
 import numpy as np
 
-from .config import ScenarioConfig, parse_config
+from .config import SWEEP_RANGE_KEYS, ScenarioConfig, parse_config, to_dict
 from .electromech import with_coupling
 from .errors import AssemblyError, ConfigError, DomainError, SolverError
+# frf_connected and frf_separated are not called here; bench/test_bench.py
+# checks that tracing wraps their bindings in this module
 from .response import (FrfResult, ImpedanceLaw, ShuntTopology, frf,
                        frf_connected, frf_separated, retained_mode_count)
 from .ritz import ModalModel, build_model
@@ -99,18 +101,15 @@ def _report_entries(report: ReductionReport) -> list[dict]:
 
 
 def _metadata(config: ScenarioConfig, model: ModalModel) -> dict:
+    scenario = to_dict(config)
     meta = {
-        "basis": {"n_x": config.basis.n_x, "n_y": config.basis.n_y,
-                  "quadrature_order": config.basis.quadrature_order},
+        "basis": scenario["basis"],
         "mode_count": model.n_modes,
         "retained_modes": retained_mode_count(model, config.grid.frequencies()),
-        "grid": {"start_hz": config.grid.start_hz, "stop_hz": config.grid.stop_hz,
-                 "count": config.grid.count},
+        "grid": scenario["grid"],
     }
     if config.sweep is not None:
-        meta["sweep"] = {"r_min_ohms": config.sweep.r_min,
-                         "r_max_ohms": config.sweep.r_max,
-                         "points": config.sweep.points}
+        meta["sweep"] = {key: scenario["sweep"][key] for key, *_ in SWEEP_RANGE_KEYS}
     return meta
 
 
@@ -121,11 +120,10 @@ def _run_topology(config: ScenarioConfig, model: ModalModel, mode: str,
     k = len(model.patches)
     sweep_result = sweep_resistance(model, config.force, config.target, grid,
                                     sweep, topology_mode=mode, threads=threads)
-    run = frf_connected if mode == "connected" else frf_separated
     oc = ShuntTopology.uniform(mode, k, ImpedanceLaw.open())
     opt = ShuntTopology.uniform(mode, k, ImpedanceLaw.resistor(sweep_result.r_opt))
-    frf_oc = run(model, oc, config.force, config.target, grid, threads=threads)
-    frf_opt = run(model, opt, config.force, config.target, grid, threads=threads)
+    frf_oc = frf(model, oc, config.force, config.target, grid, threads=threads)
+    frf_opt = frf(model, opt, config.force, config.target, grid, threads=threads)
     windows = mode_windows(model, sweep.report_modes, grid)
     report = percent_reduction(frf_oc, frf_opt, windows, topology=mode,
                                resistances=[law.ohms for law in opt.loads])

@@ -3,12 +3,14 @@
 The configuration file is a single JSON document with SI units encoded
 in the key names. Parsing is strict: unknown keys are rejected and
 every error names the offending field, so silently ignored typos cannot
-skew results.
+skew results. Each section's keys are defined once, in a key table that
+both parsing and ``to_dict`` read.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -54,7 +56,7 @@ class ScenarioConfig:
     notes: str = ""
 
 
-def _section(data: dict, name: str, required: tuple, optional: dict | None = None) -> dict:
+def _section(data: dict, name: str, required, optional: dict | None = None) -> dict:
     """Pull a key set out of one mapping, rejecting unknown keys."""
     optional = optional or {}
     if not isinstance(data, dict):
@@ -76,7 +78,16 @@ def _section(data: dict, name: str, required: tuple, optional: dict | None = Non
 def _number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{field}' must be a number")
+    if not math.isfinite(value):  # Python's json reads NaN and Infinity
+        raise ConfigError(f"field '{field}' must be finite")
     return float(value)
+
+
+def _positive(value, field: str) -> float:
+    value = _number(value, field)
+    if not value > 0.0:
+        raise ConfigError(f"field '{field}' must be positive")
+    return value
 
 
 def _integer(value, field: str) -> int:
@@ -85,75 +96,82 @@ def _integer(value, field: str) -> int:
     return value
 
 
-def _parse_plate(data) -> PlateSpec:
-    d = _section(data, "plate",
-                 ("length_a_m", "width_b_m", "thickness_m", "youngs_modulus_pa",
-                  "poisson_ratio", "density_kg_m3"),
-                 {"modal_damping_ratio": 0.0})
-    try:
-        return PlateSpec(
-            length_a=_number(d["length_a_m"], "plate.length_a_m"),
-            width_b=_number(d["width_b_m"], "plate.width_b_m"),
-            thickness_hs=_number(d["thickness_m"], "plate.thickness_m"),
-            youngs_Ys=_number(d["youngs_modulus_pa"], "plate.youngs_modulus_pa"),
-            poisson_nus=_number(d["poisson_ratio"], "plate.poisson_ratio"),
-            density_rhos=_number(d["density_kg_m3"], "plate.density_kg_m3"),
-            modal_damping_xi=_number(d["modal_damping_ratio"], "plate.modal_damping_ratio"),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+def _band(value, field: str) -> tuple[float, float] | None:
+    if value is None:
+        return None
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"field '{field}' must be [lo, hi]")
+    return (_number(value[0], f"{field}[0]"), _number(value[1], f"{field}[1]"))
 
 
-def _parse_patch(data, idx: int) -> PatchSpec:
-    name = f"patches[{idx}]"
-    d = _section(data, name,
-                 ("c11_pa", "c12_pa", "c66_pa", "e31_c_m2", "permittivity_f_m",
-                  "density_kg_m3", "thickness_m", "x1_m", "x2_m", "y1_m", "y2_m"))
-    # PatchSpec admits zero thickness as a modelling limit; a real patch
-    # needs a positive one (its capacitance divides by it)
-    thickness = _number(d["thickness_m"], f"{name}.thickness_m")
-    if not thickness > 0.0:
-        raise ConfigError(f"field '{name}.thickness_m' must be positive")
+# One table per section, the single definition of its JSON keys: rows of
+# (JSON key, dataclass field, reader[, default]); a row with a default is
+# optional. `_read` parses a section by its table and `_dump` inverts it.
+PLATE_KEYS = (
+    ("length_a_m", "length_a", _number), ("width_b_m", "width_b", _number),
+    ("thickness_m", "thickness_hs", _number), ("youngs_modulus_pa", "youngs_Ys", _number),
+    ("poisson_ratio", "poisson_nus", _number), ("density_kg_m3", "density_rhos", _number),
+    ("modal_damping_ratio", "modal_damping_xi", _number, 0.0),
+)
+# thickness_m reads as positive: PatchSpec admits zero thickness as a
+# modelling limit, but a real patch's capacitance divides by it
+PATCH_KEYS = (
+    ("c11_pa", "c11_bar", _number), ("c12_pa", "c12_bar", _number),
+    ("c66_pa", "c66_bar", _number), ("e31_c_m2", "e31_bar", _number),
+    ("permittivity_f_m", "eps33_s", _number), ("density_kg_m3", "density_rhop", _number),
+    ("thickness_m", "thickness_hp", _positive), ("x1_m", "x1", _number),
+    ("x2_m", "x2", _number), ("y1_m", "y1", _number), ("y2_m", "y2", _number),
+)
+FORCE_KEYS = (("amplitude_n", "amplitude", _positive), ("x_m", "x", _number),
+              ("y_m", "y", _number))
+GRID_KEYS = (("start_hz", "start_hz", _number), ("stop_hz", "stop_hz", _number),
+             ("count", "count", _integer))
+BASIS_KEYS = (("n_x", "n_x", _integer), ("n_y", "n_y", _integer),
+              ("quadrature_order", "quadrature_order", _integer, 10))
+# the resistance range, which report metadata repeats
+SWEEP_RANGE_KEYS = (("r_min_ohms", "r_min", _positive, 100.0),
+                    ("r_max_ohms", "r_max", _number, 1e6),
+                    ("points", "points", _integer, 200))
+SWEEP_KEYS = SWEEP_RANGE_KEYS + (("report_modes", "report_modes", _integer, 3),
+                                 ("band_hz", "objective_band", _band, None))
+_LOAD = (("ohms", "ohms", _number), ("henries", "henries", _number))
+LOAD_KEYS = {"resistor": _LOAD[:1], "series_rl": _LOAD, "open": (), "short": ()}
+
+
+def _read(cls, data, name: str, table, **fixed):
+    """Build ``cls`` from the JSON object ``data`` by ``table``. Each key of
+    ``fixed`` is a required JSON key the caller has read already, passed
+    on as the field of the same name."""
+    d = _section(data, name, [row[0] for row in table if len(row) == 3] + list(fixed),
+                 {row[0]: row[3] for row in table if len(row) == 4})
+    fields = {field: reader(d[key], f"{name}.{key}") for key, field, reader, *_ in table}
     try:
-        return PatchSpec(
-            c11_bar=_number(d["c11_pa"], f"{name}.c11_pa"),
-            c12_bar=_number(d["c12_pa"], f"{name}.c12_pa"),
-            c66_bar=_number(d["c66_pa"], f"{name}.c66_pa"),
-            e31_bar=_number(d["e31_c_m2"], f"{name}.e31_c_m2"),
-            eps33_s=_number(d["permittivity_f_m"], f"{name}.permittivity_f_m"),
-            density_rhop=_number(d["density_kg_m3"], f"{name}.density_kg_m3"),
-            thickness_hp=thickness,
-            x1=_number(d["x1_m"], f"{name}.x1_m"),
-            x2=_number(d["x2_m"], f"{name}.x2_m"),
-            y1=_number(d["y1_m"], f"{name}.y1_m"),
-            y2=_number(d["y2_m"], f"{name}.y2_m"),
-        )
+        return cls(**fixed, **fields)
     except DomainError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _parse_load(data, field: str) -> ImpedanceLaw:
+def _dump(obj, table) -> dict:
+    """JSON form of ``obj`` by ``table``; None fields are left out."""
+    out = {}
+    for key, field, *_ in table:
+        value = getattr(obj, field)
+        if value is not None:
+            out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def _parse_load(data, name: str) -> ImpedanceLaw:
     if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError(f"field '{field}' must be an object with a 'kind'")
+        raise ConfigError(f"field '{name}' must be an object with a 'kind'")
     kind = data["kind"]
-    try:
-        if kind == "resistor":
-            d = _section(data, field, ("kind", "ohms"))
-            return ImpedanceLaw.resistor(_number(d["ohms"], f"{field}.ohms"))
-        if kind == "series_rl":
-            d = _section(data, field, ("kind", "ohms", "henries"))
-            return ImpedanceLaw.series_rl(_number(d["ohms"], f"{field}.ohms"),
-                                          _number(d["henries"], f"{field}.henries"))
-        if kind == "open":
-            _section(data, field, ("kind",))
-            return ImpedanceLaw.open()
-        if kind == "short":
-            _section(data, field, ("kind",))
-            return ImpedanceLaw.short()
-    except DomainError as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
-    raise ConfigError(f"field '{field}.kind' must be one of "
-                      "resistor, series_rl, open, short")
+    if not isinstance(kind, str) or kind not in LOAD_KEYS:
+        raise ConfigError(f"field '{name}.kind' must be one of {', '.join(LOAD_KEYS)}")
+    return _read(ImpedanceLaw, data, name, LOAD_KEYS[kind], kind=kind)
+
+
+def _dump_load(load: ImpedanceLaw) -> dict:
+    return {"kind": load.kind, **_dump(load, LOAD_KEYS[load.kind])}
 
 
 def _parse_topology(data, n_patches: int) -> ShuntTopology:
@@ -177,11 +195,6 @@ def _parse_topology(data, n_patches: int) -> ShuntTopology:
     raise ConfigError("field 'topology.mode' must be 'separated' or 'connected'")
 
 
-def _parse_point(data, name: str) -> tuple[float, float]:
-    d = _section(data, name, ("x_m", "y_m"))
-    return (_number(d["x_m"], f"{name}.x_m"), _number(d["y_m"], f"{name}.y_m"))
-
-
 def parse_config_dict(raw: dict) -> ScenarioConfig:
     """Build a validated scenario from an already-decoded JSON object."""
     top = _section(raw, "config",
@@ -189,10 +202,11 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
                    {"sweep": None, "notes": ""})
     if not isinstance(top["notes"], str):
         raise ConfigError("field 'notes' must be a string")
-    plate = _parse_plate(top["plate"])
+    plate = _read(PlateSpec, top["plate"], "plate", PLATE_KEYS)
     if not isinstance(top["patches"], list):
         raise ConfigError("section 'patches' must be a list")
-    patches = tuple(_parse_patch(item, i) for i, item in enumerate(top["patches"]))
+    patches = tuple(_read(PatchSpec, item, f"patches[{i}]", PATCH_KEYS)
+                    for i, item in enumerate(top["patches"]))
     try:
         validate_layout(plate, patches)
     except DomainError as exc:
@@ -200,64 +214,23 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
 
     topology = _parse_topology(top["topology"], len(patches))
 
-    fd = _section(top["force"], "force", ("amplitude_n", "x_m", "y_m"))
-    force = HarmonicForce(
-        amplitude=_number(fd["amplitude_n"], "force.amplitude_n"),
-        x=_number(fd["x_m"], "force.x_m"),
-        y=_number(fd["y_m"], "force.y_m"),
-    )
-    if force.amplitude <= 0.0:
-        raise ConfigError("field 'force.amplitude_n' must be positive")
+    force = _read(HarmonicForce, top["force"], "force", FORCE_KEYS)
     if not plate.contains(force.x, force.y):
         raise ConfigError("force location lies outside the plate")
 
-    target = _parse_point(top["target"], "target")
+    td = _section(top["target"], "target", ("x_m", "y_m"))
+    target = (_number(td["x_m"], "target.x_m"), _number(td["y_m"], "target.y_m"))
     if not plate.contains(*target):
         raise ConfigError("target point lies outside the plate")
 
-    gd = _section(top["grid"], "grid", ("start_hz", "stop_hz", "count"))
-    try:
-        grid = GridSpec(
-            start_hz=_number(gd["start_hz"], "grid.start_hz"),
-            stop_hz=_number(gd["stop_hz"], "grid.stop_hz"),
-            count=_integer(gd["count"], "grid.count"),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    bd = _section(top["basis"], "basis", ("n_x", "n_y"), {"quadrature_order": 10})
-    try:
-        basis = BasisSpec(
-            n_x=_integer(bd["n_x"], "basis.n_x"),
-            n_y=_integer(bd["n_y"], "basis.n_y"),
-            quadrature_order=_integer(bd["quadrature_order"], "basis.quadrature_order"),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    grid = _read(GridSpec, top["grid"], "grid", GRID_KEYS)
+    basis = _read(BasisSpec, top["basis"], "basis", BASIS_KEYS)
     sweep = None
     if top["sweep"] is not None:
-        sd = _section(top["sweep"], "sweep", (),
-                      {"r_min_ohms": 100.0, "r_max_ohms": 1e6, "points": 200,
-                       "band_hz": None, "report_modes": 3})
-        band = sd["band_hz"]
-        if band is not None:
-            if (not isinstance(band, list)) or len(band) != 2:
-                raise ConfigError("field 'sweep.band_hz' must be [lo, hi]")
-            band = (_number(band[0], "sweep.band_hz[0]"),
-                    _number(band[1], "sweep.band_hz[1]"))
-            if not (grid.start_hz <= band[0] < band[1] <= grid.stop_hz):
-                raise ConfigError("field 'sweep.band_hz' must lie within the grid span")
-        try:
-            sweep = SweepSpec(
-                r_min=_number(sd["r_min_ohms"], "sweep.r_min_ohms"),
-                r_max=_number(sd["r_max_ohms"], "sweep.r_max_ohms"),
-                points=_integer(sd["points"], "sweep.points"),
-                objective_band=band,
-                report_modes=_integer(sd["report_modes"], "sweep.report_modes"),
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        sweep = _read(SweepSpec, top["sweep"], "sweep", SWEEP_KEYS)
+        band = sweep.objective_band
+        if band is not None and not grid.start_hz <= band[0] < band[1] <= grid.stop_hz:
+            raise ConfigError("field 'sweep.band_hz' must lie within the grid span")
 
     return ScenarioConfig(plate=plate, patches=patches, topology=topology,
                           force=force, target=target, grid=grid, basis=basis,
@@ -276,57 +249,24 @@ def parse_config(path) -> ScenarioConfig:
     return parse_config_dict(raw)
 
 
-def _load_dict(load: ImpedanceLaw) -> dict:
-    if load.kind == "resistor":
-        return {"kind": "resistor", "ohms": load.ohms}
-    if load.kind == "series_rl":
-        return {"kind": "series_rl", "ohms": load.ohms, "henries": load.henries}
-    return {"kind": load.kind}
-
-
 def to_dict(config: ScenarioConfig) -> dict:
     """Normalized JSON-compatible form; parsing it reproduces the config."""
     out = {
-        "plate": {
-            "length_a_m": config.plate.length_a,
-            "width_b_m": config.plate.width_b,
-            "thickness_m": config.plate.thickness_hs,
-            "youngs_modulus_pa": config.plate.youngs_Ys,
-            "poisson_ratio": config.plate.poisson_nus,
-            "density_kg_m3": config.plate.density_rhos,
-            "modal_damping_ratio": config.plate.modal_damping_xi,
-        },
-        "patches": [
-            {
-                "c11_pa": p.c11_bar, "c12_pa": p.c12_bar, "c66_pa": p.c66_bar,
-                "e31_c_m2": p.e31_bar, "permittivity_f_m": p.eps33_s,
-                "density_kg_m3": p.density_rhop, "thickness_m": p.thickness_hp,
-                "x1_m": p.x1, "x2_m": p.x2, "y1_m": p.y1, "y2_m": p.y2,
-            }
-            for p in config.patches
-        ],
-        "force": {"amplitude_n": config.force.amplitude,
-                  "x_m": config.force.x, "y_m": config.force.y},
+        "plate": _dump(config.plate, PLATE_KEYS),
+        "patches": [_dump(p, PATCH_KEYS) for p in config.patches],
+        "force": _dump(config.force, FORCE_KEYS),
         "target": {"x_m": config.target[0], "y_m": config.target[1]},
-        "grid": {"start_hz": config.grid.start_hz, "stop_hz": config.grid.stop_hz,
-                 "count": config.grid.count},
-        "basis": {"n_x": config.basis.n_x, "n_y": config.basis.n_y,
-                  "quadrature_order": config.basis.quadrature_order},
+        "grid": _dump(config.grid, GRID_KEYS),
+        "basis": _dump(config.basis, BASIS_KEYS),
     }
     if config.topology.mode == "separated":
         out["topology"] = {"mode": "separated",
-                           "loads": [_load_dict(l) for l in config.topology.loads]}
+                           "loads": [_dump_load(l) for l in config.topology.loads]}
     else:
         out["topology"] = {"mode": "connected",
-                           "load": _load_dict(config.topology.loads[0])}
+                           "load": _dump_load(config.topology.loads[0])}
     if config.sweep is not None:
-        s = config.sweep
-        out["sweep"] = {
-            "r_min_ohms": s.r_min, "r_max_ohms": s.r_max, "points": s.points,
-            "report_modes": s.report_modes,
-        }
-        if s.objective_band is not None:
-            out["sweep"]["band_hz"] = list(s.objective_band)
+        out["sweep"] = _dump(config.sweep, SWEEP_KEYS)
     if config.notes:
         out["notes"] = config.notes
     return out

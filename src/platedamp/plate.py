@@ -1,6 +1,6 @@
 """Host plate and patch geometry/material model.
 
-Provides pointwise patch coverage, the effective mass per unit area, the
+Provides the plate and patch specifications, the layout check, the
 neutral-surface offset caused by a one-sided patch, and the bending
 rigidities of host and patch layers that enter the plate's equation of
 motion.
@@ -123,22 +123,6 @@ def validate_layout(plate: PlateSpec, patches) -> None:
                 raise DomainError(f"patch {i} and patch {j}: footprints overlap")
 
 
-def patch_coverage(point, plate: PlateSpec, patches):
-    """Index of the patch covering ``point = (x, y)``, or None.
-
-    Coverage uses half-open rectangles so a point on a shared edge
-    belongs to at most one footprint. Points outside the plate raise
-    DomainError.
-    """
-    x, y = point
-    if not plate.contains(x, y):
-        raise DomainError(f"point ({x}, {y}) lies outside the plate domain")
-    for i, p in enumerate(patches):
-        if p.covers(x, y):
-            return i
-    return None
-
-
 def neutral_axis_offset(plate: PlateSpec, patch: PatchSpec) -> float:
     """Offset of the bending neutral surface from the host mid-plane.
 
@@ -151,16 +135,6 @@ def neutral_axis_offset(plate: PlateSpec, patch: PatchSpec) -> float:
         return 0.0
     host_stretch = plate.youngs_Ys * hs / (1.0 - plate.poisson_nus**2)
     return patch.c11_bar * hp * (hs + hp) / (2.0 * (host_stretch + patch.c11_bar * hp))
-
-
-def effective_mass_density(point, plate: PlateSpec, patches) -> float:
-    """Mass per unit area at ``point``: host sheet plus covering patch, kg/m^2."""
-    idx = patch_coverage(point, plate, patches)
-    m = plate.density_rhos * plate.thickness_hs
-    if idx is not None:
-        p = patches[idx]
-        m += p.density_rhop * p.thickness_hp
-    return m
 
 
 def rigidities(plate: PlateSpec, patch: PatchSpec) -> RigiditySet:

@@ -147,6 +147,13 @@ class TestSweepCommand:
         assert 100.0 <= report["r_opt_ohms"] <= 1e6
         assert len(report["reductions"]) == 3
         assert report["metadata"]["basis"]["n_x"] == 6
+        meta = report["metadata"]
+        assert list(meta) == ["basis", "mode_count", "retained_modes", "grid", "sweep"]
+        assert list(meta["basis"].items()) == [("n_x", 6), ("n_y", 6), ("quadrature_order", 10)]
+        assert list(meta["grid"].items()) == [("start_hz", 1.0), ("stop_hz", 250.0),
+                                              ("count", 400)]
+        assert list(meta["sweep"].items()) == [("r_min_ohms", 100.0), ("r_max_ohms", 1e6),
+                                               ("points", 20)]
 
     def test_connected_topology_swept_when_configured(self, light_dict, tmp_path):
         light_dict["topology"] = {"mode": "connected",

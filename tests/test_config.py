@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,30 @@ def ref_dict(ref_config):
     return to_dict(ref_config)
 
 
+def _connected_series_rl(d):
+    d["topology"] = {"mode": "connected",
+                     "load": {"kind": "series_rl", "ohms": 120.0, "henries": 0.35}}
+
+
+def _open_short_resistor_band(d):
+    d["topology"]["loads"] = [{"kind": "open"}, {"kind": "short"},
+                              {"kind": "resistor", "ohms": 2.2e4}]
+    d["sweep"]["band_hz"] = [40.0, 70.0]
+
+
+def _no_sweep_no_notes(d):
+    del d["sweep"]
+    del d["notes"]
+
+
+VARIANTS = {
+    "reference": lambda d: None,
+    "connected_series_rl": _connected_series_rl,
+    "open_short_resistor_band": _open_short_resistor_band,
+    "no_sweep_no_notes": _no_sweep_no_notes,
+}
+
+
 class TestReference:
     def test_reference_parses(self, ref_config):
         assert len(ref_config.patches) == 3
@@ -19,10 +44,14 @@ class TestReference:
         assert ref_config.grid.count == 3000
         assert ref_config.sweep is not None
 
-    def test_round_trip_is_identity(self, ref_config, ref_dict):
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_round_trip_is_identity(self, ref_config, ref_dict, variant):
+        VARIANTS[variant](ref_dict)
         again = parse_config_dict(ref_dict)
-        assert again == ref_config
+        if variant == "reference":
+            assert again == ref_config
         assert to_dict(again) == ref_dict
+        assert parse_config_dict(to_dict(again)) == again
 
     def test_file_round_trip(self, ref_config, ref_dict, tmp_path):
         path = tmp_path / "scenario.json"
@@ -54,6 +83,39 @@ class TestStrictness:
     def test_notes_must_be_string(self, ref_dict):
         ref_dict["notes"] = 3
         with pytest.raises(ConfigError, match="notes"):
+            parse_config_dict(ref_dict)
+
+
+# section as named in errors -> (the section in the reference dict, a key
+# of it); every sweep key has a default, so sweep has no missing-key case
+SECTIONS = {
+    "plate": (lambda d: d["plate"], "thickness_m"),
+    "patches[1]": (lambda d: d["patches"][1], "x2_m"),
+    "force": (lambda d: d["force"], "amplitude_n"),
+    "target": (lambda d: d["target"], "y_m"),
+    "grid": (lambda d: d["grid"], "count"),
+    "basis": (lambda d: d["basis"], "n_y"),
+    "sweep": (lambda d: d["sweep"], "points"),
+    "topology.loads[1]": (lambda d: d["topology"]["loads"][1], "ohms"),
+}
+FAULT_CASES = [(name, fault) for name in SECTIONS
+               for fault in ("wrong_type", "missing", "unknown")
+               if (name, fault) != ("sweep", "missing")]
+
+
+class TestErrorsNameTheKey:
+    @pytest.mark.parametrize("section, fault", FAULT_CASES)
+    def test_error_names_section_key(self, ref_dict, section, fault):
+        get, key = SECTIONS[section]
+        part = get(ref_dict)
+        if fault == "wrong_type":
+            part[key] = "one"
+        elif fault == "missing":
+            del part[key]
+        else:
+            key = "colour"
+            part[key] = 1
+        with pytest.raises(ConfigError, match=re.escape(f"'{section}.{key}'")):
             parse_config_dict(ref_dict)
 
 
@@ -128,6 +190,19 @@ class TestOptionals:
     def test_sweep_band_validated_against_grid(self, ref_dict):
         ref_dict["sweep"]["band_hz"] = [260.0, 300.0]
         with pytest.raises(ConfigError, match="band_hz"):
+            parse_config_dict(ref_dict)
+
+    @pytest.mark.parametrize("ohms", [0.0, -5.0])
+    def test_sweep_r_min_must_be_positive(self, ref_dict, ohms):
+        ref_dict["sweep"]["r_min_ohms"] = ohms
+        with pytest.raises(ConfigError, match=r"sweep\.r_min_ohms' must be positive"):
+            parse_config_dict(ref_dict)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, ref_dict, value):
+        # json reads NaN and Infinity; a NaN e31 used to reach modes.csv
+        ref_dict["patches"][0]["e31_c_m2"] = value
+        with pytest.raises(ConfigError, match=r"patches\[0\]\.e31_c_m2' must be finite"):
             parse_config_dict(ref_dict)
 
     def test_grid_count_validated(self, ref_dict):

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from platedamp import (DomainError, PatchSpec, PlateSpec,
-                       effective_mass_density, neutral_axis_offset,
-                       patch_coverage, rigidities, validate_layout)
+from platedamp import (BasisSpec, DomainError, PatchSpec, PlateSpec,
+                       assemble_system, neutral_axis_offset, rigidities,
+                       validate_layout)
 
 from oracles import layer_rigidity_by_quadrature, neutral_axis_by_stress_balance
 
@@ -44,26 +44,28 @@ class TestSpecValidation:
 
 
 class TestCoverage:
-    def test_interior_point_maps_to_its_patch(self, aluminum_plate, pzt_patch):
-        center = ((pzt_patch.x1 + pzt_patch.x2) / 2,
-                  (pzt_patch.y1 + pzt_patch.y2) / 2)
-        assert patch_coverage(center, aluminum_plate, [pzt_patch]) == 0
-
-    def test_bare_region_maps_to_none(self, aluminum_plate, pzt_patch):
-        assert patch_coverage((0.01, 0.01), aluminum_plate, [pzt_patch]) is None
-
-    def test_upper_edge_is_open(self, aluminum_plate, pzt_patch):
+    def test_interior_point_maps_to_its_patch(self, pzt_patch):
         p = pzt_patch
-        assert patch_coverage((p.x2, (p.y1 + p.y2) / 2), aluminum_plate, [p]) is None
-        assert patch_coverage(((p.x1 + p.x2) / 2, p.y2), aluminum_plate, [p]) is None
+        assert p.covers((p.x1 + p.x2) / 2, (p.y1 + p.y2) / 2)
 
-    def test_lower_edge_is_closed(self, aluminum_plate, pzt_patch):
+    def test_bare_region_maps_to_none(self, pzt_patch):
+        assert not pzt_patch.covers(0.01, 0.01)
+
+    def test_upper_edge_is_open(self, pzt_patch):
         p = pzt_patch
-        assert patch_coverage((p.x1, p.y1), aluminum_plate, [p]) == 0
+        assert not p.covers(p.x2, (p.y1 + p.y2) / 2)
+        assert not p.covers((p.x1 + p.x2) / 2, p.y2)
 
-    def test_point_outside_plate_is_rejected(self, aluminum_plate, pzt_patch):
-        with pytest.raises(DomainError):
-            patch_coverage((0.6, 0.1), aluminum_plate, [pzt_patch])
+    def test_lower_edge_is_closed(self, pzt_patch):
+        p = pzt_patch
+        assert p.covers(p.x1, p.y1)
+        assert p.covers(p.x1, (p.y1 + p.y2) / 2)
+
+    def test_point_outside_plate_is_rejected(self, aluminum_plate):
+        a, b = aluminum_plate.length_a, aluminum_plate.width_b
+        assert aluminum_plate.contains(0.0, 0.0) and aluminum_plate.contains(a, b)
+        assert not aluminum_plate.contains(0.6, 0.1)
+        assert not aluminum_plate.contains(0.1, -1e-9)
 
     def test_coverage_partitions_reference_layout(self, ref_config):
         """With disjoint footprints every sampled point is covered by at
@@ -73,21 +75,38 @@ class TestCoverage:
         ys = [j * plate.width_b / 40 for j in range(41)]
         for x in xs:
             for y in ys:
-                count = sum(p.covers(x, y) for p in patches)
-                assert count in (0, 1)
-                idx = patch_coverage((x, y), plate, patches)
-                assert (idx is not None) == (count == 1)
+                assert sum(p.covers(x, y) for p in patches) in (0, 1)
 
-    def test_relabeling_returns_the_same_patch(self, aluminum_plate, pzt_patch):
-        other = dataclasses.replace(pzt_patch, x1=0.02, x2=0.0924,
-                                    y1=0.02, y2=0.0924)
-        pts = [(0.05, 0.05), (0.31, 0.27), (0.5, 0.5)]
-        for pt in pts:
-            a = patch_coverage(pt, aluminum_plate, [pzt_patch, other])
-            b = patch_coverage(pt, aluminum_plate, [other, pzt_patch])
-            pa = None if a is None else [pzt_patch, other][a]
-            pb = None if b is None else [other, pzt_patch][b]
-            assert pa is pb
+
+class TestEffectiveMass:
+    """Mass per unit area as the assembly sees it: with the Gram identity
+    X = L * I over a full axis, M / (a b) is the density times I."""
+
+    SPEC = BasisSpec(6, 6, 10)
+
+    @staticmethod
+    def whole_plate(plate, patch, **overrides):
+        return dataclasses.replace(patch, x1=0.0, x2=plate.length_a, y1=0.0,
+                                   y2=plate.width_b, **overrides)
+
+    def test_bare_region_value(self, aluminum_plate):
+        # 2700 kg/m^3 * 1.9 mm
+        M, _ = assemble_system(aluminum_plate, [], self.SPEC)
+        area = aluminum_plate.length_a * aluminum_plate.width_b
+        assert np.max(np.abs(M / area - 5.13 * np.eye(36))) <= 1e-13 * 5.13
+
+    def test_patch_region_value(self, aluminum_plate, pzt_patch):
+        # previous value + 7800 kg/m^3 * 0.267 mm, over the whole plate
+        bare, _ = assemble_system(aluminum_plate, [], self.SPEC)
+        M, _ = assemble_system(aluminum_plate,
+                               [self.whole_plate(aluminum_plate, pzt_patch)], self.SPEC)
+        assert np.max(np.abs(M - bare * (7.2126 / 5.13))) <= 1e-14 * np.max(np.abs(M))
+
+    def test_zero_thickness_patch_adds_nothing(self, aluminum_plate, pzt_patch):
+        thin = self.whole_plate(aluminum_plate, pzt_patch, thickness_hp=0.0)
+        bare, _ = assemble_system(aluminum_plate, [], self.SPEC)
+        M, _ = assemble_system(aluminum_plate, [thin], self.SPEC)
+        assert np.array_equal(M, bare)
 
 
 class TestNeutralAxis:
@@ -123,26 +142,6 @@ class TestNeutralAxis:
                                  dataclasses.replace(base, **{field: v}))
              for v in values]
         assert all(b > a for a, b in zip(z, z[1:]))
-
-
-class TestEffectiveMass:
-    def test_bare_region_value(self, aluminum_plate, pzt_patch):
-        # 2700 kg/m^3 * 1.9 mm
-        m = effective_mass_density((0.01, 0.01), aluminum_plate, [pzt_patch])
-        assert m == pytest.approx(5.13, rel=1e-14)
-
-    def test_patch_region_value(self, aluminum_plate, pzt_patch):
-        # previous value + 7800 kg/m^3 * 0.267 mm
-        center = ((pzt_patch.x1 + pzt_patch.x2) / 2,
-                  (pzt_patch.y1 + pzt_patch.y2) / 2)
-        m = effective_mass_density(center, aluminum_plate, [pzt_patch])
-        assert m == pytest.approx(7.2126, rel=1e-14)
-
-    def test_zero_thickness_patch_adds_nothing(self, aluminum_plate, pzt_patch):
-        thin = dataclasses.replace(pzt_patch, thickness_hp=0.0)
-        center = ((thin.x1 + thin.x2) / 2, (thin.y1 + thin.y2) / 2)
-        m = effective_mass_density(center, aluminum_plate, [thin])
-        assert m == aluminum_plate.density_rhos * aluminum_plate.thickness_hs
 
 
 class TestRigidities:

@@ -372,22 +372,27 @@ def shunted_layouts(draw):
     return patches, mode, loads, draw(point), draw(point)
 
 
+def build_case(case, plate, patch):
+    """Model, topology, grid and the two points (in meters) of a drawn case."""
+    fractions, mode, loads, p, q = case
+    a, b = plate.length_a, plate.width_b
+    patches = [dataclasses.replace(patch, x1=fx1 * a, x2=fx2 * a,
+                                   y1=fy1 * b, y2=fy2 * b, thickness_hp=hp)
+               for fx1, fx2, fy1, fy2, hp in fractions]
+    model = with_coupling(build_model(plate, patches, BasisSpec(5, 5, 10)))
+    topology = (ShuntTopology.connected(loads[0]) if mode == "connected"
+                else ShuntTopology.separated(loads))
+    grid = np.linspace(5.0, 300.0, 120)
+    return model, topology, grid, (p[0] * a, p[1] * b), (q[0] * a, q[1] * b)
+
+
 class TestInvariants:
     """Physics identities that hold for any layout, wiring and loads."""
 
     @settings(derandomize=True, deadline=None, max_examples=15, database=None)
     @given(case=shunted_layouts())
     def test_reciprocity_and_passivity(self, case, aluminum_plate, pzt_patch):
-        fractions, mode, loads, p, q = case
-        a, b = aluminum_plate.length_a, aluminum_plate.width_b
-        patches = [dataclasses.replace(pzt_patch, x1=fx1 * a, x2=fx2 * a,
-                                       y1=fy1 * b, y2=fy2 * b, thickness_hp=hp)
-                   for fx1, fx2, fy1, fy2, hp in fractions]
-        model = with_coupling(build_model(aluminum_plate, patches, BasisSpec(5, 5, 10)))
-        topology = (ShuntTopology.connected(loads[0]) if mode == "connected"
-                    else ShuntTopology.separated(loads))
-        grid = np.linspace(5.0, 300.0, 120)
-        p, q = (p[0] * a, p[1] * b), (q[0] * a, q[1] * b)
+        model, topology, grid, p, q = build_case(case, aluminum_plate, pzt_patch)
 
         pq = frf(model, topology, HarmonicForce(1.0, *p), q, grid)
         qp = frf(model, topology, HarmonicForce(1.0, *q), p, grid)
@@ -395,3 +400,26 @@ class TestInvariants:
 
         driving = frf(model, topology, HarmonicForce(1.0, *p), p, grid)
         assert np.all(driving.velocity.real >= 0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=15, database=None)
+    @given(case=shunted_layouts())
+    def test_power_balance(self, case, aluminum_plate, pzt_patch):
+        """Power put in at the force point, 1/2 Re(vel) per newton squared,
+        equals the modal damping loss sum_r zeta_r w_r w^2 |q_r|^2 plus the
+        branch loss 1/2 sum_nodes Re(1/z) |V|^2 over the retained modes."""
+        model, topology, grid, p, _ = build_case(case, aluminum_plate, pzt_patch)
+        res = frf(model, topology, HarmonicForce(1.0, *p), p, grid)
+
+        n = retained_mode_count(model, grid)
+        w = 2.0 * np.pi * grid[:, None]
+        wn, zeta = model.frequencies[:n], model.damping_ratios[:n]
+        theta = model.coupling[:n]
+        volts = res.voltages
+        if topology.mode == "connected":
+            theta, volts = theta.sum(axis=1, keepdims=True), volts[:, :1]
+        inv = 1.0 / (wn**2 - w**2 + 2j * zeta * wn * w)
+        q = inv * (model.mode_shapes_at(*p)[:n] + volts @ theta.T)
+        modal = np.sum(zeta * wn * w**2 * np.abs(q)**2, axis=1)
+        z = np.stack([law.impedance(w[:, 0]) for law in topology.loads], axis=1)
+        branch = 0.5 * np.sum((1.0 / z).real * np.abs(volts)**2, axis=1)
+        assert np.max(rel_diff(0.5 * res.velocity.real, modal + branch)) <= 1e-12
