@@ -20,10 +20,10 @@ Normalization matches the textbook form, for which
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 @lru_cache(maxsize=None)
@@ -31,13 +31,32 @@ def eigenvalue(index: int) -> float:
     """i-th positive root of cos(lam) * cosh(lam) = 1 (index starts at 1).
 
     Solved as cos(lam) - 1/cosh(lam) = 0, which stays bounded for large
-    arguments. Roots approach (index + 1/2) * pi from alternating sides.
+    arguments, by bisection on (index + 1/2) * pi +- 0.3: the roots
+    approach the centre from alternating sides. Bisection stops when the
+    midpoint no longer moves, so the bracket is two adjacent doubles;
+    the one with the smaller residual is the root rounded to nearest.
     """
     if index < 1:
         raise ValueError("mode index starts at 1")
-    center = (index + 0.5) * np.pi
-    f = lambda lam: np.cos(lam) - 1.0 / np.cosh(lam)
-    return brentq(f, center - 0.3, center + 0.3, xtol=1e-15, rtol=8.9e-16)
+
+    def f(lam):
+        e = math.exp(-lam)
+        return math.cos(lam) - 2.0 * e / (1.0 + e * e)
+
+    center = (index + 0.5) * math.pi
+    lo, hi = center - 0.3, center + 0.3
+    f_lo, f_hi = f(lo), f(hi)
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError(f"no sign change around root {index}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 def _pieces(lam: float, xi: np.ndarray):

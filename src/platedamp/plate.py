@@ -8,6 +8,7 @@ motion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -73,8 +74,10 @@ class PatchSpec:
             raise DomainError("patch.eps33_s must be strictly positive")
         if not self.density_rhop > 0.0:
             raise DomainError("patch.density_rhop must be strictly positive")
-        if self.thickness_hp < 0.0:
+        if not self.thickness_hp >= 0.0:
             raise DomainError("patch.thickness_hp must be non-negative")
+        if not math.isfinite(self.e31_bar):
+            raise DomainError("patch.e31_bar must be finite")
         if not self.x1 < self.x2:
             raise DomainError("patch footprint requires x1 < x2")
         if not self.y1 < self.y2:

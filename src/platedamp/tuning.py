@@ -17,6 +17,7 @@ count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class SweepSpec:
     report_modes: int = 3
 
     def __post_init__(self):
-        if not self.r_min < self.r_max:
-            raise DomainError("sweep requires r_min < r_max")
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise DomainError("sweep requires 0 < r_min < r_max < inf")
         if self.points < 2:
             raise DomainError("sweep requires points >= 2")
         if self.report_modes < 1:

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -20,6 +21,13 @@ class TestEigenvalues:
     def test_asymptotic_spacing(self):
         for i in (20, 45, 90):
             assert basis.eigenvalue(i) == pytest.approx((i + 0.5) * np.pi, rel=1e-6)
+
+    def test_rounded_to_nearest_against_mpmath(self):
+        with mp.workdps(50):
+            for i in range(1, 61):
+                ours = basis.eigenvalue(i)
+                root = mp.findroot(lambda x: mp.cos(x) - 1 / mp.cosh(x), (i + 0.5) * mp.pi)
+                assert abs(mp.mpf(ours) - root) <= 0.5 * np.spacing(ours), i
 
     def test_index_starts_at_one(self):
         with pytest.raises(ValueError):

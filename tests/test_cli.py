@@ -219,6 +219,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (out / "modes.csv").exists()
 
+    def test_runtime_does_not_load_scipy(self, light_config_path, tmp_path):
+        script = ("import sys, platedamp.cli\n"
+                  "loaded = 'scipy' in sys.modules\n"
+                  "platedamp.cli.main(['modes', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                  "print(loaded, 'scipy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(light_config_path),
+                               str(tmp_path / "out")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
     def test_module_invocation_bad_config(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "platedamp.cli", "modes",

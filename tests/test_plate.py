@@ -27,6 +27,16 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             dataclasses.replace(pzt_patch, x1=0.4, x2=0.3)
 
+    @pytest.mark.parametrize("hp", [-1e-4, float("nan")])
+    def test_patch_rejects_negative_or_nan_thickness(self, pzt_patch, hp):
+        with pytest.raises(DomainError, match="thickness_hp"):
+            dataclasses.replace(pzt_patch, thickness_hp=hp)
+
+    @pytest.mark.parametrize("e31", [float("nan"), float("inf"), float("-inf")])
+    def test_patch_rejects_nonfinite_e31(self, pzt_patch, e31):
+        with pytest.raises(DomainError, match="e31_bar"):
+            dataclasses.replace(pzt_patch, e31_bar=e31)
+
     def test_patch_rejects_c12_exceeding_c11(self, pzt_patch):
         with pytest.raises(DomainError):
             dataclasses.replace(pzt_patch, c12_bar=pzt_patch.c11_bar * 1.01)

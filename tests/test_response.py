@@ -332,8 +332,15 @@ class TestCancellation:
         right = PatchSpec(*args, x1=a - 0.18, x2=a - 0.10, y1=0.25, y2=0.33)
         model = with_coupling(build_model(aluminum_plate, [left, right],
                                           BasisSpec(8, 8, 10)))
-        theta_sum = model.coupling.sum(axis=1)
-        anti = int(np.argmin(np.abs(theta_sum[:4])))
+        # the lowest mode that both patches couple to and whose summed
+        # coupling cancels; modes with both theta at round-off (nodal lines
+        # through both patches) would pass without testing anything
+        theta_max = np.max(np.abs(model.coupling), axis=1)
+        theta_sum = np.abs(model.coupling.sum(axis=1))
+        cancels = np.flatnonzero((theta_max >= 1e-3 * theta_max.max())
+                                 & (theta_sum <= 1e-10 * theta_max))
+        assert cancels.size > 0
+        anti = int(cancels[0])
         f_anti = model.frequencies_hz[anti]
         grid = np.linspace(0.9 * f_anti, 1.1 * f_anti, 400)
         force = HarmonicForce(1.0, 0.1, 0.05)

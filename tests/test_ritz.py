@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +154,46 @@ class TestModes:
         K = np.eye(3)
         with pytest.raises(AssemblyError):
             solve_modes(M, K, 0.0, plate=None, patches=[], spec=None)
+
+    def test_nan_in_mass_raises(self):
+        M = np.eye(3)
+        M[1, 2] = M[2, 1] = np.nan
+        with pytest.raises(AssemblyError, match="non-finite"):
+            solve_modes(M, np.eye(3), 0.0, plate=None, patches=[], spec=None)
+
+    def test_inf_in_stiffness_raises(self):
+        K = np.eye(3)
+        K[0, 0] = np.inf
+        with pytest.raises(AssemblyError, match="non-finite"):
+            solve_modes(np.eye(3), K, 0.0, plate=None, patches=[], spec=None)
+
+
+@pytest.fixture(scope="module", params=[10, 30], ids=["10x10", "30x30"])
+def ref_system(request, ref_config):
+    """Reference plate and patches at an n x n basis: (M, K, model)."""
+    spec = BasisSpec(request.param, request.param, ref_config.basis.quadrature_order)
+    M, K = assemble_system(ref_config.plate, ref_config.patches, spec)
+    model = solve_modes(M, K, 0.0, plate=ref_config.plate,
+                        patches=ref_config.patches, spec=spec)
+    return M, K, model
+
+
+class TestEigensolve:
+    def test_matches_scipy_generalized_eigh(self, ref_system):
+        M, K, model = ref_system
+        lam = model.frequencies**2
+        expected = scipy.linalg.eigh(K, M, eigvals_only=True)
+        assert np.max(np.abs(lam - expected) / expected) <= 1e-10
+        V = model.mode_coeffs
+        KV = K @ V
+        assert np.linalg.norm(KV - M @ V * lam) <= 1e-13 * np.linalg.norm(KV)
+
+    def test_mass_orthonormal_with_pinned_signs(self, ref_system):
+        M, _, model = ref_system
+        V = model.mode_coeffs
+        assert np.max(np.abs(V.T @ M @ V - np.eye(V.shape[1]))) <= 1e-13
+        lead = np.argmax(np.abs(V), axis=0)
+        assert np.all(V[lead, np.arange(V.shape[1])] > 0.0)
 
 
 class TestConvergence:

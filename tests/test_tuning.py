@@ -107,6 +107,12 @@ class TestSweep:
         with pytest.raises(DomainError):
             SweepSpec(points=1)
 
+    @pytest.mark.parametrize("r_min,r_max", [(0.0, 1e6), (-10.0, 1e6), (float("nan"), 1e6),
+                                             (float("-inf"), 1e6), (100.0, float("inf"))])
+    def test_nonpositive_or_nonfinite_range_rejected(self, r_min, r_max):
+        with pytest.raises(DomainError, match="r_min"):
+            SweepSpec(r_min=r_min, r_max=r_max)
+
 
 class TestModeWindows:
     def test_windows_contain_their_modes_and_do_not_overlap(self, ref_model):
