@@ -59,8 +59,9 @@ def eigenvalue(index: int) -> float:
             hi, f_hi = mid, f_mid
 
 
-def _pieces(lam: float, xi: np.ndarray):
-    """Shared exponential/trig terms of the scaled mode function.
+def _pieces(lam, xi: np.ndarray):
+    """Shared exponential/trig terms of the scaled mode function; ``lam``
+    is one eigenvalue or one per last-axis column of ``xi``.
 
     All exp arguments are <= 0 for xi in [0, lam].
     """
@@ -74,25 +75,22 @@ def _pieces(lam: float, xi: np.ndarray):
     return c, s, e_m, e_p, e_p2, e_m2, eL, eL2
 
 
-def _denominator(lam: float) -> float:
+def _denominator(lam):
     # (sinh(lam) - sin(lam)) scaled by 2 exp(-lam); order 1 for all modes
     return 1.0 - 2.0 * np.exp(-lam) * np.sin(lam) - np.exp(-2.0 * lam)
 
 
-def evaluate(index: int, length: float, x, derivative_order: int = 0):
-    """Mode function (or derivative) of the clamped-clamped beam.
-
-    ``derivative_order`` may be 0, 1 or 2. ``x`` may be a scalar or
-    array with 0 <= x <= length.
-    """
+def _modes(indices, length: float, x: np.ndarray, derivative_order: int) -> np.ndarray:
+    """Mode functions (or derivatives) of the given indices at ``x``,
+    shape x.shape + (len(indices),): the rewritten formula evaluated once
+    on the (points, functions) array."""
     if derivative_order not in (0, 1, 2):
         raise ValueError("derivative_order > 2 is unsupported")
-    x = np.asarray(x, dtype=float)
     if np.any(x < -1e-12 * length) or np.any(x > length * (1.0 + 1e-12)):
         raise ValueError("coordinate outside [0, length]")
-    lam = eigenvalue(index)
+    lam = np.array([eigenvalue(i) for i in indices])
     beta = lam / length
-    xi = np.clip(x * beta, 0.0, lam)
+    xi = np.clip(x[..., None] * beta, 0.0, lam)
     c, s, e_m, e_p, e_p2, e_m2, eL, eL2 = _pieces(lam, xi)
     if derivative_order == 0:
         n = (e_m - e_p2 + (c - s) * e_p - (c + s) * e_m2
@@ -110,6 +108,15 @@ def evaluate(index: int, length: float, x, derivative_order: int = 0):
              - 2.0 * eL * np.sin(lam - xi))
         scale = beta * beta
     return scale * n / _denominator(lam)
+
+
+def evaluate(index: int, length: float, x, derivative_order: int = 0):
+    """Mode function (or derivative) of the clamped-clamped beam.
+
+    ``derivative_order`` may be 0, 1 or 2. ``x`` may be a scalar or
+    array with 0 <= x <= length.
+    """
+    return _modes((index,), length, np.asarray(x, dtype=float), derivative_order)[..., 0][()]
 
 
 def integral(index: int, length: float, lo: float, hi: float) -> float:
@@ -130,7 +137,4 @@ def integral(index: int, length: float, lo: float, hi: float) -> float:
 def eval_matrix(n_funcs: int, length: float, x, derivative_order: int = 0) -> np.ndarray:
     """Stack of the first ``n_funcs`` mode functions: shape (len(x), n_funcs)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((x.size, n_funcs))
-    for i in range(n_funcs):
-        out[:, i] = evaluate(i + 1, length, x, derivative_order)
-    return out
+    return _modes(range(1, n_funcs + 1), length, x, derivative_order)

@@ -48,6 +48,14 @@ def _impedance(ohms, henries, omega):
     return ohms + 1j * omega * henries
 
 
+def _admittance(ohms, henries, omega):
+    """Branch admittance 1/z; a zero impedance raises SolverError."""
+    z = _impedance(ohms, henries, omega)
+    if np.any(z == 0):
+        raise SolverError("zero branch impedance; use the short surrogate instead")
+    return 1.0 / z
+
+
 @dataclass(frozen=True)
 class ImpedanceLaw:
     """One shunt branch: resistor, series RL, open or short.
@@ -258,10 +266,8 @@ class _Kernel:
         each node's branch admittance 1/z + j*omega*C on the diagonal.
         Stacked loads broadcast against shared frequencies."""
         S, b = blocks[:2]
-        z = _impedance(nodes.ohms, nodes.henries, omega[..., None])
-        if np.any(z == 0):
-            raise SolverError("zero branch impedance; use the short surrogate instead")
-        y = 1.0 / z + 1j * omega[..., None] * nodes.caps
+        w = omega[..., None]
+        y = _admittance(nodes.ohms, nodes.henries, w) + 1j * w * nodes.caps
         A = np.broadcast_to(S, y.shape + y.shape[-1:]).copy()
         diag = np.arange(y.shape[-1])
         A[..., diag, diag] += y
@@ -279,6 +285,49 @@ class _Kernel:
         if not (np.isfinite(disp).all() and np.isfinite(v).all()):
             raise SolverError("non-finite response; an undamped mode may lie on the grid")
         return disp, v
+
+    def rank_one(self, omega: np.ndarray, nodes: _Nodes, index: int):
+        """Target displacement per newton at the frequencies ``omega``
+        (F,) for candidate loads at node ``index``, every other node
+        keeping its load in ``nodes``.
+
+        Solves the system A0 of ``nodes``' own loads once for the two
+        right-hand sides [b, e_k] (k = index), giving v0 and u. A candidate
+        changes only the admittance of node k, by delta = 1/z - 1/z0, so
+        its system is A0 + delta e_k e_k^T and, by Sherman-Morrison, its
+        voltages are v0 - u * delta v0_k / (1 + delta u_k). Returns a
+        function of candidate R and L (C,) that gives the displacement
+        (C, F). It checks every candidate's residual A0 v + delta v_k e_k
+        - b against the bound of ``solve_voltages``, so a NaN or a
+        degenerate update raises SolverError.
+        """
+        blocks = self.structure(omega, nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the solve
+            A, b = self.system(omega, nodes, blocks)
+            rhs = np.zeros(b.shape + (2,), dtype=complex)
+            rhs[..., 0] = b
+            rhs[..., index, 1] = 1.0
+            base = solve_voltages(A, rhs)
+        v0, u = base[..., 0], base[..., 1]
+        y0 = _admittance(nodes.ohms[index], nodes.henries[index], omega)[:, None]
+        A_t = A.transpose(0, 2, 1)
+        d0, g = blocks[2][:, None], blocks[3][:, None]
+        b = b[:, None]
+
+        def respond(ohms, henries):
+            with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises below
+                delta = _admittance(ohms, henries, omega[:, None]) - y0      # (F, C)
+                coef = delta * v0[:, index, None] / (1.0 + delta * u[:, index, None])
+                v = v0[:, None] - coef[..., None] * u[:, None]             # (F, C, m)
+                resid = v @ A_t
+                resid[..., index] += delta * v[..., index]
+                _check_residual(resid - b, b)
+                disp = d0 + np.sum(v * g, axis=-1)
+            if not np.isfinite(disp).all():
+                raise SolverError("non-finite response; an undamped mode may lie on the grid")
+            return disp.T
+
+        return respond
 
     def block(self, omega: np.ndarray, nodes: _Nodes):
         """Displacement (F,) and node voltages (F, m) per newton."""
@@ -316,21 +365,30 @@ def assemble_circuit_system(omega: float, model: ModalModel, loads, force: Harmo
 def solve_voltages(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense complex solve with a residual guard (no explicit inverse).
 
-    Solves one system, A (K, K) with b (K,), or a stack, A (F, K, K)
-    with b (F, K). Raises SolverError when a system is singular or its
-    residual is not below 1e-10 * |b|, which a NaN residual never is.
+    Solves one system, A (K, K), or a stack, A (F, K, K), for one
+    right-hand side b (..., K) or for R of them, the columns of b
+    (..., K, R). Raises SolverError when a system is singular or the
+    residual of a right-hand side is not below 1e-10 times its norm,
+    which a NaN residual never is.
     """
-    if b.shape[-1] == 0:
+    columns = b.ndim == A.ndim
+    B = b if columns else b[..., None]
+    if B.shape[-2] == 0:
         return np.zeros(b.shape, dtype=complex)
     try:
-        v = np.linalg.solve(A, b[..., None])[..., 0]
+        V = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
         raise SolverError("singular circuit system (topology/frequency degeneracy)") from exc
-    resid = np.linalg.norm((A @ v[..., None])[..., 0] - b, axis=-1)
-    tol = 1e-10 * np.maximum(np.linalg.norm(b, axis=-1), 1e-300)
-    if not np.all(resid <= tol):
+    _check_residual(A @ V - B, B, axis=-2)
+    return V if columns else V[..., 0]
+
+
+def _check_residual(resid: np.ndarray, b: np.ndarray, axis: int = -1):
+    """Raise SolverError unless |resid| <= 1e-10 * |b| along ``axis``
+    everywhere; a NaN fails."""
+    tol = 1e-10 * np.maximum(np.linalg.norm(b, axis=axis), 1e-300)
+    if not np.all(np.linalg.norm(resid, axis=axis) <= tol):
         raise SolverError("circuit solve residual exceeds tolerance")
-    return v
 
 
 def _frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,

@@ -123,7 +123,20 @@ def _axis_cell_integrals(length: float, n: int, lo: float, hi: float, order: int
 
 
 def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
-    """Mass and stiffness matrices of the patched plate.
+    """Mass and stiffness matrices of the patched plate, guarded: raises
+    AssemblyError unless both are finite and M is positive definite."""
+    M, K = _assemble(plate, patches, spec)
+    if not np.all(np.isfinite(M)) or not np.all(np.isfinite(K)):
+        raise AssemblyError("non-finite entries in assembled matrices")
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError("mass matrix is singular or indefinite") from exc
+    return M, K
+
+
+def _assemble(plate: PlateSpec, patches, spec: BasisSpec):
+    """Mass and stiffness matrices of the patched plate, unguarded.
 
     The stiffness bilinear form per region is
 
@@ -178,16 +191,7 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
 
     M = kron_sum(xm, ym)
     K = kron_sum(xk, yk)
-    M = 0.5 * (M + M.T)
-    K = 0.5 * (K + K.T)
-
-    if not np.all(np.isfinite(M)) or not np.all(np.isfinite(K)):
-        raise AssemblyError("non-finite entries in assembled matrices")
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError("mass matrix is singular or indefinite") from exc
-    return M, K
+    return 0.5 * (M + M.T), 0.5 * (K + K.T)
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -225,7 +229,7 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        raise AssemblyError("ill-conditioned mass matrix") from exc
+        raise AssemblyError("mass matrix is singular or indefinite") from exc
     Li = _lower_inverse(L)
     C = Li @ K @ Li.T
     evals, W = np.linalg.eigh(0.5 * (C + C.T))
@@ -248,6 +252,10 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
 
 
 def build_model(plate: PlateSpec, patches, spec: BasisSpec) -> ModalModel:
-    """Assemble and solve in one step (coupling still unset)."""
-    M, K = assemble_system(plate, patches, spec)
+    """Assemble and solve in one step (coupling still unset).
+
+    The assembly is unguarded: ``solve_modes`` runs the same finite and
+    Cholesky checks on M while factoring it, so M is factored once.
+    """
+    M, K = _assemble(plate, patches, spec)
     return solve_modes(M, K, plate.modal_damping_xi, plate=plate, patches=patches, spec=spec)

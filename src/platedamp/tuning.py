@@ -4,15 +4,20 @@ The tuning objective is the peak magnitude of the velocity FRF at the
 measurement point inside a frequency band (by default a window around
 the first mode). Sweeps are log-spaced in resistance; for each
 candidate the peak is located on the band's grid points and then
-sharpened by a deterministic bracketing refinement on the frequency
-axis, so peak heights are not quantized by the grid.
+sharpened by a golden-section search between the grid neighbours of
+that point, with a fixed number of steps, so peak heights are not
+quantized by the grid.
 
-A sweep evaluates all of its candidates in one batched call: the
-load-independent structural block at the band's grid points is built
-once and shared, and candidates are stacked in consecutive chunks of
-about CHUNK_ENTRIES complex entries, each chunk refined together. Only
-whole chunks go to threads, so results do not depend on the thread
-count.
+A sweep evaluates all of its candidates in one batched call. At the
+band's grid points the load-independent structural block is built once
+and shared, and candidates are stacked in consecutive chunks of about
+CHUNK_ENTRIES complex entries. A coordinate sweep of the per-patch
+descent changes the load of one node only, so there each band point
+takes one solve of the current loads' system and each candidate a
+rank-one update of it. The golden-section steps of all candidates of a
+sweep are then stacked together, again in stacks sized from
+CHUNK_ENTRIES alone. Threads hand out whole chunks and stacks only, so
+results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -27,13 +32,56 @@ from .response import (HarmonicForce, ImpedanceLaw, ShuntTopology, _check_couple
                        _Kernel, _load_arrays, _parallel_map)
 from .ritz import ModalModel
 
-REFINE_ROUNDS = 8
-REFINE_POINTS = 11
+# Golden-section refinement: each step keeps GOLDEN of the bracket, so
+# GOLDEN_STEPS evaluations leave GOLDEN**(GOLDEN_STEPS - 1) of it, the
+# fewest steps that are no wider than the (2/10)**8 left by eight
+# rounds of 11-point uniform subdivision.
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEPS = 28
 
-# Complex entries of one chunk's stacked band systems: a chunk holds
-# max(1, CHUNK_ENTRIES // (P * (m*m + n))) candidates for P band points,
-# m voltage nodes and n retained modes.
+# Complex entries of one stack of candidates. A chunk of band systems
+# holds max(1, CHUNK_ENTRIES // (P * (m*m + n))) candidates for P band
+# points, m voltage nodes and n retained modes; a rank-one chunk holds
+# CHUNK_ENTRIES // (P * m) and a golden-section stack
+# CHUNK_ENTRIES // (2 * (m*m + n)).
 CHUNK_ENTRIES = 2**17
+
+
+def _stacks(count: int, entries: int) -> list[slice]:
+    """Consecutive slices of ``count`` candidates, each of about
+    CHUNK_ENTRIES complex entries at ``entries`` per candidate."""
+    size = max(1, CHUNK_ENTRIES // entries)
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
+def _golden_search(velocity, lo, hi, best_v, best_f):
+    """Golden-section search for the maximum of ``velocity`` inside each
+    bracket [lo, hi] (L,).
+
+    ``velocity`` maps frequencies (L, q) to values (L, q). The first call
+    evaluates both interior points, every later call one new point,
+    GOLDEN_STEPS evaluations in all. An evaluated point replaces the
+    running best (best_v, best_f) only when it is strictly higher.
+    Returns the final best values and their frequencies.
+    """
+    def keep(best_v, best_f, v, f):
+        better = v > best_v
+        return np.where(better, v, best_v), np.where(better, f, best_f)
+
+    a, b = lo, hi
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    vals = velocity(np.stack([c, d], axis=1))
+    fc, fd = vals[:, 0], vals[:, 1]
+    best_v, best_f = keep(*keep(best_v, best_f, fc, c), fd, d)
+    for _ in range(GOLDEN_STEPS - 2):
+        left = fc > fd  # the maximum lies in [a, d], else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fnew = velocity(new[:, None])[:, 0]
+        best_v, best_f = keep(best_v, best_f, fnew, new)
+        c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
+                        np.where(left, fnew, fd), np.where(left, fc, fnew))
+    return best_v, best_f
 
 
 @dataclass(frozen=True)
@@ -107,13 +155,13 @@ class VelocityObjective:
     BLOCK_POINTS frequencies is a single block.
 
     ``peaks_in_band`` evaluates a list of candidate topologies of one
-    wiring at once. The structural block at the band's grid points is
-    built once per call and shared by every candidate; the candidates
-    are cut into consecutive chunks of whole candidates, each sized so
-    that its stacked band systems hold about CHUNK_ENTRIES complex
-    entries, and each chunk's candidates are refined together. Threads
-    only hand out whole chunks, so results are bitwise independent of
-    the thread count.
+    wiring at once, and ``coordinate_peaks`` the candidates of one
+    coordinate sweep, which change a single node's load. The structural
+    block at the band's grid points is built once per call and shared by
+    every candidate. Candidates are cut into consecutive stacks of whole
+    candidates sized from CHUNK_ENTRIES, first for the band points and
+    then for the refinement. Threads only hand out whole stacks, so
+    results are bitwise independent of the thread count.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
@@ -148,9 +196,9 @@ class VelocityObjective:
         the grid, for each of a list of topologies of one wiring.
 
         Each candidate brackets its grid argmax between its neighbors,
-        then shrinks the bracket by repeated uniform subdivision; fixed
-        round and point counts keep the search deterministic. Returns
-        two arrays with one entry per topology.
+        then narrows the bracket by a golden-section search of
+        GOLDEN_STEPS evaluations, the fixed count keeping the search
+        deterministic. Returns two arrays with one entry per topology.
         """
         if not topologies:
             raise DomainError("peaks_in_band needs at least one topology")
@@ -162,14 +210,46 @@ class VelocityObjective:
         pts = self.band_points(band)
         band_blocks = self._kernel.structure(2.0 * np.pi * pts, nodes)
         m = nodes.theta.shape[1]
-        size = max(1, CHUNK_ENTRIES // (pts.size * (m * m + self.n_modes)))
 
-        def chunk(i):
-            stack = nodes._replace(ohms=ohms[i:i + size, None], henries=henries[i:i + size, None])
-            return self._refine(stack, pts, band_blocks)
+        def chunk(s):
+            stack = nodes._replace(ohms=ohms[s, None], henries=henries[s, None])
+            return self._velocity(pts, stack, band_blocks)
 
-        parts = _parallel_map(chunk, range(0, len(topologies), size), threads)
-        return (np.concatenate([v for v, _ in parts]), np.concatenate([f for _, f in parts]))
+        parts = _parallel_map(chunk, _stacks(len(topologies), pts.size * (m * m + self.n_modes)),
+                              threads)
+        return self._refine(nodes, ohms, henries, pts, np.concatenate(parts), threads)
+
+    def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
+                         band: tuple[float, float], threads: int = 1):
+        """Peak |velocity| inside the band and its frequency, refined off
+        the grid, for ``topology`` with the load of node ``index`` (the
+        patch, for separated wiring) replaced by each of ``laws``.
+
+        This is one coordinate sweep of the per-patch descent, and gives
+        what ``peaks_in_band`` gives for the explicit topologies, up to
+        rounding. At the band's grid points each frequency takes one
+        solve of ``topology``'s own system and each candidate a rank-one
+        update of it, with its residual checked; the refinement is that
+        of ``peaks_in_band``. Returns two arrays with one entry per law.
+        """
+        if not laws:
+            raise DomainError("coordinate_peaks needs at least one load")
+        nodes = self._kernel.nodes(topology)
+        m = nodes.theta.shape[1]
+        if not 0 <= index < m:
+            raise DomainError(f"node index {index} outside 0..{m - 1}")
+        ohms = np.repeat(nodes.ohms[None], len(laws), axis=0)
+        henries = np.repeat(nodes.henries[None], len(laws), axis=0)
+        ohms[:, index] = [law.ohms for law in laws]
+        henries[:, index] = [law.henries for law in laws]
+        pts = self.band_points(band)
+        respond = self._kernel.rank_one(2.0 * np.pi * pts, nodes, index)
+
+        def chunk(s):
+            return np.abs(1j * 2.0 * np.pi * pts * respond(ohms[s, index], henries[s, index]))
+
+        parts = _parallel_map(chunk, _stacks(len(laws), pts.size * m), threads)
+        return self._refine(nodes, ohms, henries, pts, np.concatenate(parts), threads)
 
     def _velocity(self, freqs_hz: np.ndarray, nodes, blocks) -> np.ndarray:
         """|velocity| per newton (C, Q) of C stacked load sets at the
@@ -177,30 +257,31 @@ class VelocityObjective:
         disp, _ = self._kernel.respond(2.0 * np.pi * freqs_hz, nodes, blocks)
         return np.abs(1j * 2.0 * np.pi * freqs_hz * disp)
 
-    def _refine(self, nodes, pts: np.ndarray, band_blocks):
-        """Refined peaks and their frequencies for one chunk of stacked
-        load sets, each candidate with its own bracket."""
-        vals = self._velocity(pts, nodes, band_blocks)
-        rows = np.arange(vals.shape[0])
+    def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray, threads: int):
+        """Refined peaks and their frequencies of C candidates with node
+        loads ``ohms`` and ``henries`` (C, m) and values ``vals`` (C, P)
+        at the band points: the golden-section searches of all of them,
+        in stacks of whole candidates."""
         i = np.argmax(vals, axis=1)
-        best_v, best_f = vals[rows, i], pts[i]
+        best_v, best_f = vals[np.arange(vals.shape[0]), i], pts[i]
         lo = pts[np.maximum(i - 1, 0)]
         hi = pts[np.minimum(i + 1, pts.size - 1)]
         live = np.flatnonzero(hi > lo)
-        if live.size:
-            nodes = nodes._replace(ohms=nodes.ohms[live], henries=nodes.henries[live])
-            rows = np.arange(live.size)
-            lo, hi, top_v, top_f = lo[live], hi[live], best_v[live], best_f[live]
-            for _ in range(REFINE_ROUNDS):
-                sub = np.linspace(lo, hi, REFINE_POINTS, axis=-1)
-                sv = self._velocity(sub, nodes, self._kernel.structure(2.0 * np.pi * sub, nodes))
-                j = np.argmax(sv, axis=1)
-                better = sv[rows, j] > top_v
-                top_v = np.where(better, sv[rows, j], top_v)
-                top_f = np.where(better, sub[rows, j], top_f)
-                lo = sub[rows, np.maximum(j - 1, 0)]
-                hi = sub[rows, np.minimum(j + 1, REFINE_POINTS - 1)]
-            best_v[live], best_f[live] = top_v, top_f
+        m = nodes.theta.shape[1]
+
+        def stack(s):
+            rows = live[s]
+            cand = nodes._replace(ohms=ohms[rows, None], henries=henries[rows, None])
+
+            def velocity(f):
+                return self._velocity(f, cand, self._kernel.structure(2.0 * np.pi * f, cand))
+
+            return _golden_search(velocity, lo[rows], hi[rows], best_v[rows], best_f[rows])
+
+        parts = _parallel_map(stack, _stacks(live.size, 2 * (m * m + self.n_modes)), threads)
+        if parts:
+            best_v[live] = np.concatenate([v for v, _ in parts])
+            best_f[live] = np.concatenate([f for _, f in parts])
         return best_v, best_f
 
 
@@ -271,8 +352,10 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     Starts from the uniform-sweep optimum and sweeps one patch's
     resistance at a time over the same log grid, accepting only
     improvements, so the final objective can never exceed the uniform
-    optimum. Stops after a full cycle improves the objective by less
-    than ``rel_tol`` or after ``max_cycles`` cycles.
+    optimum. Each coordinate sweep is one ``coordinate_peaks`` call: its
+    band points are rank-one updates of the current loads' system.
+    Stops after a full cycle improves the objective by less than
+    ``rel_tol`` or after ``max_cycles`` cycles.
     """
     k = len(model.patches)
     base = sweep_resistance(model, force, target, grid_hz, sweep,
@@ -283,18 +366,15 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     objective = VelocityObjective(model, force, target, grid_hz)
     band = _resolve_band(objective, sweep)
     rs_grid = sweep.resistances()
+    laws = [ImpedanceLaw.resistor(float(r)) for r in rs_grid]
     current = [base.r_opt] * k
     best = base.objective_opt
 
     for _ in range(max_cycles):
         cycle_start = best
         for patch_idx in range(k):
-            topologies = []
-            for ohms in rs_grid:
-                loads = [ImpedanceLaw.resistor(r) for r in current]
-                loads[patch_idx] = ImpedanceLaw.resistor(float(ohms))
-                topologies.append(ShuntTopology.separated(loads))
-            vals = objective.peaks_in_band(topologies, band, threads)[0]
+            topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
+            vals = objective.coordinate_peaks(topology, patch_idx, laws, band, threads)[0]
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
                 best = float(vals[i_min])

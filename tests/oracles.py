@@ -155,6 +155,10 @@ def frf_loop_connected(model, load, force, target, grid_hz, n_modes):
     return disp, volts
 
 
+REFINE_ROUNDS = 8
+REFINE_POINTS = 11
+
+
 def peak_in_band_loop(objective, topology, band):
     """Refined band peak of one topology, one ``velocity_abs`` call per
     round (the FRF path), as the sweeps computed it candidate by candidate.
@@ -162,8 +166,6 @@ def peak_in_band_loop(objective, topology, band):
     Bracket the grid argmax between its neighbors, then shrink the
     bracket by repeated uniform subdivision. Returns (peak, frequency).
     """
-    from platedamp.tuning import REFINE_POINTS, REFINE_ROUNDS
-
     pts = objective.band_points(band)
     vals = objective.velocity_abs(topology, pts)
     i = int(np.argmax(vals))

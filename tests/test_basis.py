@@ -51,6 +51,18 @@ class TestClampedEnds:
             basis.evaluate(1, L, -0.01)
 
 
+class TestEvalMatrix:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_columns_are_the_single_mode_functions(self, order):
+        """The (points, functions) evaluation equals evaluating one index
+        at a time, bit for bit, ends of the span included."""
+        x = np.linspace(0.0, L, 97)
+        B = basis.eval_matrix(30, L, x, order)
+        assert B.shape == (x.size, 30)
+        loop = np.column_stack([basis.evaluate(i, L, x, order) for i in range(1, 31)])
+        assert np.array_equal(B, loop)
+
+
 class TestNormalization:
     def test_gram_matrix_is_length_times_identity(self):
         """High-order quadrature oracle for the first 8 modes."""

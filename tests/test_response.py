@@ -107,6 +107,23 @@ class TestCircuitAssembly:
         for j, (a, bj) in enumerate(systems):
             assert np.array_equal(stacked[j], solve_voltages(a, bj))
 
+    def test_several_right_hand_sides_match_single_solves(self, ref_model, point_force):
+        loads = [ImpedanceLaw.resistor(r) for r in (1e3, 1e4, 1e5)]
+        A = np.stack([assemble_circuit_system(2 * np.pi * f, ref_model, loads, point_force)[0]
+                      for f in (20.0, 60.0)])
+        B = np.random.default_rng(3).normal(size=(2, 3, 4)) * np.array([1.0, 1e-6, 1e3, 1j])
+        V = solve_voltages(A, B)
+        assert V.shape == (2, 3, 4)
+        for r in range(4):
+            single = solve_voltages(A, B[..., r])
+            assert np.max(np.abs(V[..., r] - single)) <= 1e-14 * np.max(np.abs(single))
+
+    def test_one_bad_right_hand_side_raises(self):
+        B = np.ones((2, 2), dtype=complex)
+        B[1, 1] = np.nan
+        with pytest.raises(SolverError):
+            solve_voltages(np.eye(2, dtype=complex), B)
+
 
 class TestMirrorSymmetry:
     def test_mirrored_patches_see_equal_voltages(self, aluminum_plate):
@@ -303,11 +320,13 @@ class TestFailClosed:
         separated = ShuntTopology.separated([ImpedanceLaw.resistor(1e4)] * 3)
         connected = ShuntTopology.connected(ImpedanceLaw.resistor(1e4))
         objective = VelocityObjective(model, point_force, target_point, grid)
+        laws = [ImpedanceLaw.resistor(r) for r in (1e3, 1e4, 1e5)]
         calls = (
             lambda: frf_separated(model, separated, point_force, target_point, grid),
             lambda: frf_connected(model, connected, point_force, target_point, grid),
             lambda: frf_mechanical(model, point_force, target_point, grid),
             lambda: objective.velocity_abs(separated, grid),
+            lambda: objective.coordinate_peaks(separated, 1, laws, (grid[0], grid[-1])),
             lambda: sweep_resistance(model, point_force, target_point, grid,
                                      SweepSpec(points=4), "separated"),
             lambda: sweep_resistance(model, point_force, target_point, grid,

@@ -8,9 +8,11 @@ from platedamp import (BasisSpec, DomainError, FrfResult, HarmonicForce, Impedan
                        frf_connected, frf_separated, mode_windows,
                        optimize_per_patch, percent_reduction, sweep_resistance,
                        with_coupling)
-from platedamp.tuning import CHUNK_ENTRIES
+from platedamp import tuning
+from platedamp.tuning import CHUNK_ENTRIES, GOLDEN, GOLDEN_STEPS, _golden_search
 
-from oracles import frf_loop_connected, frf_loop_separated, peak_in_band_loop
+from oracles import (REFINE_POINTS, REFINE_ROUNDS, frf_loop_connected, frf_loop_separated,
+                     peak_in_band_loop)
 
 
 def chunk_size(objective, band, nodes):
@@ -329,3 +331,92 @@ class TestBatchedPeaks:
         assert np.array_equal(serial[0], threaded[0])
         assert serial[1] == threaded[1]
         assert np.array_equal(serial[2].objective_values, threaded[2].objective_values)
+
+
+class TestGoldenSection:
+    def test_step_count_is_the_fewest_as_narrow_as_subdivision(self):
+        """The worst-case final bracket of GOLDEN_STEPS evaluations is no
+        wider than that of the uniform subdivision it replaced; one step
+        fewer would be."""
+        subdivision = (2 / (REFINE_POINTS - 1)) ** REFINE_ROUNDS  # two of ten spacings
+        assert subdivision == pytest.approx(0.2**8, rel=1e-12)
+        assert GOLDEN ** (GOLDEN_STEPS - 1) <= subdivision < GOLDEN ** (GOLDEN_STEPS - 2)
+
+    def test_search_lands_within_the_bracket_bound(self):
+        """On a unimodal peak anywhere in its bracket, ends included, the
+        best evaluated point lies within (2/10)^8 of the bracket width of
+        the true maximum, after exactly GOLDEN_STEPS evaluations."""
+        lo = np.array([0.0, 0.0, 10.0, 10.0, 3.0, 3.0, 3.0])
+        hi = np.array([1.0, 1.0, 10.5, 10.5, 7.0, 7.0, 7.0])
+        peak = np.array([0.0, 1.0, 10.0, 10.5, 3.1, 5.0, 6.99])
+        evaluations = []
+
+        def velocity(f):
+            evaluations.append(f.shape[1])
+            assert np.all((f > lo[:, None]) & (f < hi[:, None]))
+            return -np.abs(f - peak[:, None])
+
+        best_v, best_f = _golden_search(velocity, lo, hi, np.full(7, -np.inf), np.zeros(7))
+        assert sum(evaluations) == GOLDEN_STEPS
+        assert np.all(np.abs(best_f - peak) <= 0.2**8 * (hi - lo))
+        assert np.array_equal(best_v, -np.abs(best_f - peak))
+
+    def test_only_strictly_higher_points_replace_the_best(self):
+        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+        best_v, best_f = _golden_search(lambda f: np.ones(f.shape), lo, hi,
+                                        np.array([1.0, 0.5]), np.array([0.25, 0.25]))
+        assert best_v.tolist() == [1.0, 1.0]
+        assert best_f[0] == 0.25 and best_f[1] != 0.25
+
+
+@pytest.fixture(scope="module")
+def array_objective(array_model, point_force, target_point, ref_config):
+    grid = ref_config.grid.frequencies()
+    objective = VelocityObjective(array_model, point_force, target_point, grid)
+    return objective, mode_windows(array_model, 1, grid)[0]
+
+
+class TestCoordinatePeaks:
+    LAWS = [ImpedanceLaw.resistor(float(r)) for r in np.geomspace(100.0, 1e6, 16)]
+    CURRENT = [float(r) for r in np.geomspace(2e3, 9e4, 12)]
+
+    @pytest.mark.parametrize("index", [0, 7])
+    def test_matches_explicit_topologies(self, array_objective, index):
+        """A rank-one coordinate sweep from unequal current resistances
+        gives the peaks of the 16 explicit topologies."""
+        objective, band = array_objective
+        current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
+        explicit = []
+        for law in self.LAWS:
+            loads = list(current.loads)
+            loads[index] = law
+            explicit.append(ShuntTopology.separated(loads))
+        peaks, freqs = objective.coordinate_peaks(current, index, self.LAWS, band)
+        want_peaks, want_freqs = objective.peaks_in_band(explicit, band)
+        assert np.max(np.abs(peaks - want_peaks) / want_peaks) <= 1e-12
+        assert np.max(np.abs(freqs - want_freqs) / want_freqs) <= 1e-12
+
+    def test_threads_do_not_change_multi_stack_sweep(self, array_objective, monkeypatch):
+        """With chunks and stacks of a few candidates each, threads hand
+        out several of both and change no bit."""
+        objective, band = array_objective
+        current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
+        whole = objective.coordinate_peaks(current, 3, self.LAWS, band)
+        points = objective.band_points(band).size
+        per_candidate = 2 * (12 * 12 + objective.n_modes)  # in a golden-section stack
+        monkeypatch.setattr(tuning, "CHUNK_ENTRIES", 5 * per_candidate)
+        assert len(tuning._stacks(16, points * 12)) > 2     # rank-one band chunks
+        assert len(tuning._stacks(16, per_candidate)) == 4  # refinement stacks of 5
+        serial = objective.coordinate_peaks(current, 3, self.LAWS, band, threads=1)
+        threaded = objective.coordinate_peaks(current, 3, self.LAWS, band, threads=3)
+        assert np.array_equal(serial[0], threaded[0])
+        assert np.array_equal(serial[1], threaded[1])
+        assert np.max(np.abs(serial[0] - whole[0]) / whole[0]) <= 1e-12
+
+    def test_bad_index_or_empty_laws_rejected(self, array_objective):
+        objective, band = array_objective
+        current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
+        with pytest.raises(DomainError):
+            objective.coordinate_peaks(current, 12, self.LAWS, band)
+        with pytest.raises(DomainError):
+            objective.coordinate_peaks(current, 0, [], band)
