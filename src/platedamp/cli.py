@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    platedamp <command> --config <path> --out <dir> [--threads N]
+    platedamp <command> --config <path> --out <dir>
 
 Commands:
     modes    write modes.csv (frequencies, per-patch coupling, capacitance)
@@ -113,17 +113,16 @@ def _metadata(config: ScenarioConfig, model: ModalModel) -> dict:
     return meta
 
 
-def _run_topology(config: ScenarioConfig, model: ModalModel, mode: str,
-                  sweep: SweepSpec, threads: int):
+def _run_topology(config: ScenarioConfig, model: ModalModel, mode: str, sweep: SweepSpec):
     """Sweep one topology, then evaluate its OC baseline and optimum FRFs."""
     grid = config.grid.frequencies()
     k = len(model.patches)
     sweep_result = sweep_resistance(model, config.force, config.target, grid,
-                                    sweep, topology_mode=mode, threads=threads)
+                                    sweep, topology_mode=mode)
     oc = ShuntTopology.uniform(mode, k, ImpedanceLaw.open())
     opt = ShuntTopology.uniform(mode, k, ImpedanceLaw.resistor(sweep_result.r_opt))
-    frf_oc = frf(model, oc, config.force, config.target, grid, threads=threads)
-    frf_opt = frf(model, opt, config.force, config.target, grid, threads=threads)
+    frf_oc = frf(model, oc, config.force, config.target, grid)
+    frf_opt = frf(model, opt, config.force, config.target, grid)
     windows = mode_windows(model, sweep.report_modes, grid)
     report = percent_reduction(frf_oc, frf_opt, windows, topology=mode,
                                resistances=[law.ohms for law in opt.loads])
@@ -138,7 +137,7 @@ def cmd_modes(config: ScenarioConfig, out_dir: str, threads: int) -> None:
 def cmd_frf(config: ScenarioConfig, out_dir: str, threads: int) -> None:
     model = _build(config)
     result = frf(model, config.topology, config.force, config.target,
-                 config.grid.frequencies(), threads=threads)
+                 config.grid.frequencies())
     write_frf_csv(os.path.join(out_dir, "frf.csv"), result)
 
 
@@ -146,7 +145,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str, threads: int) -> None:
     model = _build(config)
     sweep = config.sweep if config.sweep is not None else SweepSpec()
     mode = config.topology.mode
-    sweep_result, _, _, report = _run_topology(config, model, mode, sweep, threads)
+    sweep_result, _, _, report = _run_topology(config, model, mode, sweep)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), sweep_result)
     _write_json(os.path.join(out_dir, "report.json"), {
         "command": "sweep",
@@ -166,8 +165,7 @@ def cmd_compare(config: ScenarioConfig, out_dir: str, threads: int) -> None:
     sides = {}
     mode_rows: list[dict] = []
     for mode in ("separated", "connected"):
-        sweep_result, frf_oc, frf_opt, report = _run_topology(
-            config, model, mode, sweep, threads)
+        sweep_result, frf_oc, frf_opt, report = _run_topology(config, model, mode, sweep)
         write_sweep_csv(os.path.join(out_dir, f"sweep_{mode}.csv"), sweep_result)
         write_frf_csv(os.path.join(out_dir, f"frf_{mode}_oc.csv"), frf_oc)
         write_frf_csv(os.path.join(out_dir, f"frf_{mode}_opt.csv"), frf_opt)
@@ -193,6 +191,8 @@ def cmd_compare(config: ScenarioConfig, out_dir: str, threads: int) -> None:
     })
 
 
+# Every handler takes (config, out_dir, threads). ``threads``, like the
+# --threads flag, is ignored and kept only because bench/job.py passes it.
 COMMANDS = {
     "modes": cmd_modes,
     "frf": cmd_frf,
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for frequency grids and sweeps")
+                        help="ignored; kept for scripts that still pass it")
     args = parser.parse_args(argv)
 
     try:
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        COMMANDS[args.command](config, args.out, max(1, args.threads))
+        COMMANDS[args.command](config, args.out, args.threads)
     except (ConfigError, DomainError) as exc:
         print(f"platedamp: config error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,9 @@ frequencies at once. Its load-independent part, the structural block
 j*omega * theta^T diag(inv) theta, is one matrix product against the
 node coupling outer products; the loads enter only on the diagonal, so
 a stack of candidate loads can share one structural block. Grids are
-cut into consecutive blocks of BLOCK_POINTS (the last one shorter) and
-threads only hand out whole blocks, so results are bitwise independent
-of the thread count.
+cut into consecutive blocks of BLOCK_POINTS (the last one shorter),
+which bounds memory. The blocks run in order on the calling thread; the
+BLAS library may use the other cores inside each block's products.
 
 Open and short circuits are numerical surrogates (1e9 and 1e-3 ohm)
 rather than separate code paths; their adequacy is covered by tests.
@@ -24,7 +24,6 @@ rather than separate code paths; their adequacy is covered by tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -169,14 +168,6 @@ def retained_mode_count(model: ModalModel, grid_hz) -> int:
 def _check_coupled(model: ModalModel):
     if model.coupling is None or model.capacitances is None:
         raise DomainError("model has no coupling data; run electromech.with_coupling first")
-
-
-def _parallel_map(fn, items, threads: int) -> list:
-    """``[fn(x) for x in items]``, spread over ``threads`` worker threads."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_arrays(topologies):
@@ -329,17 +320,15 @@ class _Kernel:
 
         return respond
 
-    def block(self, omega: np.ndarray, nodes: _Nodes):
-        """Displacement (F,) and node voltages (F, m) per newton."""
-        return self.respond(omega, nodes, self.structure(omega, nodes))
-
-    def run(self, freqs_hz: np.ndarray, topology: ShuntTopology | None, threads: int = 1):
+    def run(self, freqs_hz: np.ndarray, topology: ShuntTopology | None):
         """Displacement (F,) and patch voltages (F, K) per newton over a
         grid, evaluated in consecutive blocks of BLOCK_POINTS."""
         nodes = self.nodes(topology)
         omega = 2.0 * np.pi * freqs_hz
-        parts = _parallel_map(lambda i: self.block(omega[i:i + BLOCK_POINTS], nodes),
-                              range(0, omega.size, BLOCK_POINTS), threads)
+        parts = []
+        for i in range(0, omega.size, BLOCK_POINTS):
+            w = omega[i:i + BLOCK_POINTS]
+            parts.append(self.respond(w, nodes, self.structure(w, nodes)))
         disp = np.concatenate([d for d, _ in parts])
         volts = np.concatenate([v for _, v in parts]) @ nodes.incidence.T
         return disp, volts
@@ -392,23 +381,23 @@ def _check_residual(resid: np.ndarray, b: np.ndarray, axis: int = -1):
 
 
 def _frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,
-         target, grid_hz, threads: int, n_modes: int | None) -> FrfResult:
+         target, grid_hz, n_modes: int | None) -> FrfResult:
     grid_hz = np.asarray(grid_hz, dtype=float)
-    disp, volts = _Kernel(model, force, target, grid_hz, n_modes).run(grid_hz, topology, threads)
+    disp, volts = _Kernel(model, force, target, grid_hz, n_modes).run(grid_hz, topology)
     vel = 1j * 2.0 * np.pi * grid_hz * disp
     return FrfResult(grid_hz.copy(), disp, vel, volts)
 
 
 def frf_separated(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
-                  target, grid_hz, threads: int = 1, n_modes: int | None = None) -> FrfResult:
+                  target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
     """FRF with each patch on its own load."""
     if topology.mode != "separated":
         raise DomainError("frf_separated requires a separated topology")
-    return _frf(model, topology, force, target, grid_hz, threads, n_modes)
+    return _frf(model, topology, force, target, grid_hz, n_modes)
 
 
 def frf_connected(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
-                  target, grid_hz, threads: int = 1, n_modes: int | None = None) -> FrfResult:
+                  target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
     """FRF with all patches wired to one common node and a single load.
 
     The kernel sees a single node carrying the summed coupling and
@@ -419,18 +408,18 @@ def frf_connected(model: ModalModel, topology: ShuntTopology, force: HarmonicFor
     _check_coupled(model)
     if not model.patches:
         raise DomainError("connected topology requires at least one patch")
-    return _frf(model, topology, force, target, grid_hz, threads, n_modes)
+    return _frf(model, topology, force, target, grid_hz, n_modes)
 
 
 def frf_mechanical(model: ModalModel, force: HarmonicForce, target, grid_hz,
-                   threads: int = 1, n_modes: int | None = None) -> FrfResult:
+                   *, n_modes: int | None = None) -> FrfResult:
     """Purely mechanical FRF with all electromechanical feedback dropped."""
-    return _frf(model, None, force, target, grid_hz, threads, n_modes)
+    return _frf(model, None, force, target, grid_hz, n_modes)
 
 
 def frf(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
-        target, grid_hz, threads: int = 1, n_modes: int | None = None) -> FrfResult:
+        target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
     """Dispatch on topology mode."""
     if topology.mode == "connected":
-        return frf_connected(model, topology, force, target, grid_hz, threads, n_modes)
-    return frf_separated(model, topology, force, target, grid_hz, threads, n_modes)
+        return frf_connected(model, topology, force, target, grid_hz, n_modes=n_modes)
+    return frf_separated(model, topology, force, target, grid_hz, n_modes=n_modes)

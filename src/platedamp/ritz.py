@@ -63,11 +63,6 @@ class ModalModel:
     coupling: np.ndarray | None = None      # (n_modes, n_patches)
     capacitances: np.ndarray | None = None  # (n_patches,)
 
-    def __post_init__(self):
-        # point-evaluation memo; FRF runs hit the same force/target points
-        # for every frequency, so this stays tiny
-        object.__setattr__(self, "_shape_cache", {})
-
     @property
     def n_modes(self) -> int:
         return self.frequencies.size
@@ -78,16 +73,9 @@ class ModalModel:
 
     def mode_shapes_at(self, x: float, y: float) -> np.ndarray:
         """Values of every mass-normalized mode shape at one point."""
-        cached = self._shape_cache.get((x, y))
-        if cached is not None:
-            return cached
         bx = basis.eval_matrix(self.basis.n_x, self.plate.length_a, [x])[0]
         by = basis.eval_matrix(self.basis.n_y, self.plate.width_b, [y])[0]
-        w = np.outer(bx, by).reshape(-1)
-        values = w @ self.mode_coeffs
-        values.setflags(write=False)
-        self._shape_cache[(x, y)] = values
-        return values
+        return np.outer(bx, by).reshape(-1) @ self.mode_coeffs
 
 
 @lru_cache(maxsize=None)
@@ -123,20 +111,7 @@ def _axis_cell_integrals(length: float, n: int, lo: float, hi: float, order: int
 
 
 def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
-    """Mass and stiffness matrices of the patched plate, guarded: raises
-    AssemblyError unless both are finite and M is positive definite."""
-    M, K = _assemble(plate, patches, spec)
-    if not np.all(np.isfinite(M)) or not np.all(np.isfinite(K)):
-        raise AssemblyError("non-finite entries in assembled matrices")
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError("mass matrix is singular or indefinite") from exc
-    return M, K
-
-
-def _assemble(plate: PlateSpec, patches, spec: BasisSpec):
-    """Mass and stiffness matrices of the patched plate, unguarded.
+    """Mass and stiffness matrices of the patched plate.
 
     The stiffness bilinear form per region is
 
@@ -154,6 +129,10 @@ def _assemble(plate: PlateSpec, patches, spec: BasisSpec):
     each patch adds the difference to them over its footprint. With
     one row of scaled x-Grams and one of y-Grams per Kronecker term,
     M and K are one matrix product each.
+
+    The matrices are not checked here: ``solve_modes`` raises
+    AssemblyError unless both are finite and M is positive definite,
+    where it factors M anyway.
     """
     patches = tuple(patches)
     validate_layout(plate, patches)
@@ -252,10 +231,6 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
 
 
 def build_model(plate: PlateSpec, patches, spec: BasisSpec) -> ModalModel:
-    """Assemble and solve in one step (coupling still unset).
-
-    The assembly is unguarded: ``solve_modes`` runs the same finite and
-    Cholesky checks on M while factoring it, so M is factored once.
-    """
-    M, K = _assemble(plate, patches, spec)
+    """Assemble and solve in one step (coupling still unset)."""
+    M, K = assemble_system(plate, patches, spec)
     return solve_modes(M, K, plate.modal_damping_xi, plate=plate, patches=patches, spec=spec)

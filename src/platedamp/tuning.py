@@ -16,8 +16,8 @@ descent changes the load of one node only, so there each band point
 takes one solve of the current loads' system and each candidate a
 rank-one update of it. The golden-section steps of all candidates of a
 sweep are then stacked together, again in stacks sized from
-CHUNK_ENTRIES alone. Threads hand out whole chunks and stacks only, so
-results do not depend on the thread count.
+CHUNK_ENTRIES alone. Chunks and stacks bound memory and run in order on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .response import (HarmonicForce, ImpedanceLaw, ShuntTopology, _check_coupled,
-                       _Kernel, _load_arrays, _parallel_map)
+                       _Kernel, _load_arrays)
 from .ritz import ModalModel
 
 # Golden-section refinement: each step keeps GOLDEN of the bracket, so
@@ -160,8 +160,7 @@ class VelocityObjective:
     block at the band's grid points is built once per call and shared by
     every candidate. Candidates are cut into consecutive stacks of whole
     candidates sized from CHUNK_ENTRIES, first for the band points and
-    then for the refinement. Threads only hand out whole stacks, so
-    results are bitwise independent of the thread count.
+    then for the refinement, and the stacks run in order.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
@@ -191,7 +190,7 @@ class VelocityObjective:
         peaks, freqs = self.peaks_in_band([topology], band)
         return float(peaks[0]), float(freqs[0])
 
-    def peaks_in_band(self, topologies, band: tuple[float, float], threads: int = 1):
+    def peaks_in_band(self, topologies, band: tuple[float, float]):
         """Peak |velocity| inside the band and its frequency, refined off
         the grid, for each of a list of topologies of one wiring.
 
@@ -211,16 +210,13 @@ class VelocityObjective:
         band_blocks = self._kernel.structure(2.0 * np.pi * pts, nodes)
         m = nodes.theta.shape[1]
 
-        def chunk(s):
-            stack = nodes._replace(ohms=ohms[s, None], henries=henries[s, None])
-            return self._velocity(pts, stack, band_blocks)
-
-        parts = _parallel_map(chunk, _stacks(len(topologies), pts.size * (m * m + self.n_modes)),
-                              threads)
-        return self._refine(nodes, ohms, henries, pts, np.concatenate(parts), threads)
+        parts = [self._velocity(pts, nodes._replace(ohms=ohms[s, None], henries=henries[s, None]),
+                                band_blocks)
+                 for s in _stacks(len(topologies), pts.size * (m * m + self.n_modes))]
+        return self._refine(nodes, ohms, henries, pts, np.concatenate(parts))
 
     def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
-                         band: tuple[float, float], threads: int = 1):
+                         band: tuple[float, float]):
         """Peak |velocity| inside the band and its frequency, refined off
         the grid, for ``topology`` with the load of node ``index`` (the
         patch, for separated wiring) replaced by each of ``laws``.
@@ -245,11 +241,9 @@ class VelocityObjective:
         pts = self.band_points(band)
         respond = self._kernel.rank_one(2.0 * np.pi * pts, nodes, index)
 
-        def chunk(s):
-            return np.abs(1j * 2.0 * np.pi * pts * respond(ohms[s, index], henries[s, index]))
-
-        parts = _parallel_map(chunk, _stacks(len(laws), pts.size * m), threads)
-        return self._refine(nodes, ohms, henries, pts, np.concatenate(parts), threads)
+        parts = [np.abs(1j * 2.0 * np.pi * pts * respond(ohms[s, index], henries[s, index]))
+                 for s in _stacks(len(laws), pts.size * m)]
+        return self._refine(nodes, ohms, henries, pts, np.concatenate(parts))
 
     def _velocity(self, freqs_hz: np.ndarray, nodes, blocks) -> np.ndarray:
         """|velocity| per newton (C, Q) of C stacked load sets at the
@@ -257,7 +251,7 @@ class VelocityObjective:
         disp, _ = self._kernel.respond(2.0 * np.pi * freqs_hz, nodes, blocks)
         return np.abs(1j * 2.0 * np.pi * freqs_hz * disp)
 
-    def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray, threads: int):
+    def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray):
         """Refined peaks and their frequencies of C candidates with node
         loads ``ohms`` and ``henries`` (C, m) and values ``vals`` (C, P)
         at the band points: the golden-section searches of all of them,
@@ -269,19 +263,15 @@ class VelocityObjective:
         live = np.flatnonzero(hi > lo)
         m = nodes.theta.shape[1]
 
-        def stack(s):
+        for s in _stacks(live.size, 2 * (m * m + self.n_modes)):
             rows = live[s]
             cand = nodes._replace(ohms=ohms[rows, None], henries=henries[rows, None])
 
             def velocity(f):
                 return self._velocity(f, cand, self._kernel.structure(2.0 * np.pi * f, cand))
 
-            return _golden_search(velocity, lo[rows], hi[rows], best_v[rows], best_f[rows])
-
-        parts = _parallel_map(stack, _stacks(live.size, 2 * (m * m + self.n_modes)), threads)
-        if parts:
-            best_v[live] = np.concatenate([v for v, _ in parts])
-            best_f[live] = np.concatenate([f for _, f in parts])
+            best_v[rows], best_f[rows] = _golden_search(velocity, lo[rows], hi[rows],
+                                                        best_v[rows], best_f[rows])
         return best_v, best_f
 
 
@@ -319,8 +309,7 @@ def _resolve_band(objective: VelocityObjective, sweep: SweepSpec):
 
 
 def sweep_resistance(model: ModalModel, force: HarmonicForce, target, grid_hz,
-                     sweep: SweepSpec, topology_mode: str = "separated",
-                     threads: int = 1) -> SweepResult:
+                     sweep: SweepSpec, topology_mode: str = "separated") -> SweepResult:
     """Uniform resistance sweep: every branch gets the same candidate R.
 
     Returns the full objective curve plus the arg-min candidate. The
@@ -332,7 +321,7 @@ def sweep_resistance(model: ModalModel, force: HarmonicForce, target, grid_hz,
     rs = sweep.resistances()
     topologies = [ShuntTopology.uniform(topology_mode, k, ImpedanceLaw.resistor(float(r)))
                   for r in rs]
-    peaks, freqs = objective.peaks_in_band(topologies, band, threads)
+    peaks, freqs = objective.peaks_in_band(topologies, band)
     i_opt = int(np.argmin(peaks))
     return SweepResult(
         r_values=rs,
@@ -355,11 +344,11 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     optimum. Each coordinate sweep is one ``coordinate_peaks`` call: its
     band points are rank-one updates of the current loads' system.
     Stops after a full cycle improves the objective by less than
-    ``rel_tol`` or after ``max_cycles`` cycles.
+    ``rel_tol`` or after ``max_cycles`` cycles. ``threads`` is accepted
+    and ignored, because the benchmark's descent job still passes it.
     """
     k = len(model.patches)
-    base = sweep_resistance(model, force, target, grid_hz, sweep,
-                            topology_mode="separated", threads=threads)
+    base = sweep_resistance(model, force, target, grid_hz, sweep, topology_mode="separated")
     if k <= 1:
         return [base.r_opt] * k, base.objective_opt, base
 
@@ -374,7 +363,7 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
         cycle_start = best
         for patch_idx in range(k):
             topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
-            vals = objective.coordinate_peaks(topology, patch_idx, laws, band, threads)[0]
+            vals = objective.coordinate_peaks(topology, patch_idx, laws, band)[0]
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
                 best = float(vals[i_min])

@@ -271,16 +271,6 @@ class TestFrfContracts:
         assert np.max(rel_diff(one.displacement, two.displacement)) < 1e-13
         assert np.max(rel_diff(one.voltages, two.voltages)) < 1e-13
 
-    def test_threads_do_not_change_results(self, ref_model, point_force,
-                                           target_point, grid_500):
-        topo = ShuntTopology.separated([ImpedanceLaw.resistor(7e3)] * 3)
-        serial = frf_separated(ref_model, topo, point_force, target_point,
-                               grid_500, threads=1)
-        threaded = frf_separated(ref_model, topo, point_force, target_point,
-                                 grid_500, threads=4)
-        assert np.array_equal(serial.displacement, threaded.displacement)
-        assert np.array_equal(serial.voltages, threaded.voltages)
-
     def test_bare_plate_separated_equals_mechanical(self, bare_model_10,
                                                     point_force, target_point):
         model = dataclasses.replace(bare_model_10,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platedamp import (AssemblyError, BasisSpec, PlateSpec, assemble_system,
-                       build_model, solve_modes)
+                       build_model, ritz, solve_modes)
 
 from oracles import assemble_system_cell_mesh, fd_plate_frequencies_hz
 
@@ -166,6 +166,18 @@ class TestModes:
         K[0, 0] = np.inf
         with pytest.raises(AssemblyError, match="non-finite"):
             solve_modes(np.eye(3), K, 0.0, plate=None, patches=[], spec=None)
+
+    def test_build_model_guards_its_assembly(self, aluminum_plate, monkeypatch):
+        """build_model assembles through assemble_system and solve_modes
+        rejects what it returns."""
+        def nan_mass(plate, patches, spec):
+            M = np.eye(spec.n_dof)
+            M[0, 1] = M[1, 0] = np.nan
+            return M, np.eye(spec.n_dof)
+
+        monkeypatch.setattr(ritz, "assemble_system", nan_mass)
+        with pytest.raises(AssemblyError, match="non-finite"):
+            build_model(aluminum_plate, [], BasisSpec(2, 2, 10))
 
 
 @pytest.fixture(scope="module", params=[10, 30], ids=["10x10", "30x30"])

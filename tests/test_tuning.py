@@ -75,17 +75,6 @@ class TestSweep:
         assert res.r_opt in (100.0, 1e6)
         assert res.objective_opt == min(res.objective_values)
 
-    def test_threads_do_not_change_sweep(self, ref_model, point_force,
-                                         target_point, ref_config):
-        grid = ref_config.grid.frequencies()
-        spec = SweepSpec(points=40)
-        serial = sweep_resistance(ref_model, point_force, target_point, grid,
-                                  spec, "separated", threads=1)
-        threaded = sweep_resistance(ref_model, point_force, target_point, grid,
-                                    spec, "separated", threads=4)
-        assert np.array_equal(serial.objective_values, threaded.objective_values)
-        assert serial.r_opt == threaded.r_opt
-
     def test_repeat_runs_bit_identical(self, ref_model, point_force, target_point,
                                        ref_config):
         grid = ref_config.grid.frequencies()
@@ -305,32 +294,35 @@ class TestBatchedPeaks:
         with pytest.raises(DomainError):
             objective.peaks_in_band([], band)
 
-    def test_threads_do_not_change_multi_chunk_sweep(self, ref_model, point_force,
-                                                     target_point, ref_config):
+    def test_multi_chunk_sweep_matches_single_chunk(self, ref_model, point_force,
+                                                   target_point, ref_config, monkeypatch):
         grid = ref_config.grid.frequencies()
         objective = VelocityObjective(ref_model, point_force, target_point, grid)
         size = chunk_size(objective, mode_windows(ref_model, 1, grid)[0], 3)
         spec = SweepSpec(points=3 * size + 1)
-        serial = sweep_resistance(ref_model, point_force, target_point, grid, spec,
-                                  "separated", threads=1)
-        threaded = sweep_resistance(ref_model, point_force, target_point, grid, spec,
-                                    "separated", threads=3)
-        assert np.array_equal(serial.objective_values, threaded.objective_values)
-        assert np.array_equal(serial.peak_freqs_hz, threaded.peak_freqs_hz)
+        chunked = sweep_resistance(ref_model, point_force, target_point, grid, spec,
+                                   "separated")
+        monkeypatch.setattr(tuning, "CHUNK_ENTRIES", CHUNK_ENTRIES * spec.points)
+        whole = sweep_resistance(ref_model, point_force, target_point, grid, spec,
+                                 "separated")
+        assert np.array_equal(chunked.objective_values, whole.objective_values)
+        assert np.array_equal(chunked.peak_freqs_hz, whole.peak_freqs_hz)
 
-    def test_threads_do_not_change_array_descent(self, array_model, point_force,
-                                                 target_point, ref_config):
+    def test_multi_chunk_array_descent_matches_single_chunk(self, array_model, point_force,
+                                                            target_point, ref_config,
+                                                            monkeypatch):
         grid = ref_config.grid.frequencies()
         spec = SweepSpec(points=16)
         objective = VelocityObjective(array_model, point_force, target_point, grid)
         assert chunk_size(objective, mode_windows(array_model, 1, grid)[0], 12) < 16
-        serial = optimize_per_patch(array_model, point_force, target_point, grid, spec,
-                                    threads=1, max_cycles=1)
-        threaded = optimize_per_patch(array_model, point_force, target_point, grid, spec,
-                                      threads=3, max_cycles=1)
-        assert np.array_equal(serial[0], threaded[0])
-        assert serial[1] == threaded[1]
-        assert np.array_equal(serial[2].objective_values, threaded[2].objective_values)
+        chunked = optimize_per_patch(array_model, point_force, target_point, grid, spec,
+                                     max_cycles=1)
+        monkeypatch.setattr(tuning, "CHUNK_ENTRIES", CHUNK_ENTRIES * spec.points)
+        whole = optimize_per_patch(array_model, point_force, target_point, grid, spec,
+                                   max_cycles=1)
+        assert np.array_equal(chunked[0], whole[0])
+        assert chunked[1] == whole[1]
+        assert np.array_equal(chunked[2].objective_values, whole[2].objective_values)
 
 
 class TestGoldenSection:
@@ -396,22 +388,22 @@ class TestCoordinatePeaks:
         assert np.max(np.abs(peaks - want_peaks) / want_peaks) <= 1e-12
         assert np.max(np.abs(freqs - want_freqs) / want_freqs) <= 1e-12
 
-    def test_threads_do_not_change_multi_stack_sweep(self, array_objective, monkeypatch):
-        """With chunks and stacks of a few candidates each, threads hand
-        out several of both and change no bit."""
+    def test_multi_stack_sweep_matches_single_stack(self, array_objective, monkeypatch):
+        """Chunks and stacks of a few candidates each give the peaks of
+        one chunk and one stack."""
         objective, band = array_objective
         current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
         whole = objective.coordinate_peaks(current, 3, self.LAWS, band)
         points = objective.band_points(band).size
         per_candidate = 2 * (12 * 12 + objective.n_modes)  # in a golden-section stack
+        assert len(tuning._stacks(16, points * 12)) == 1
+        assert len(tuning._stacks(16, per_candidate)) == 1
         monkeypatch.setattr(tuning, "CHUNK_ENTRIES", 5 * per_candidate)
         assert len(tuning._stacks(16, points * 12)) > 2     # rank-one band chunks
         assert len(tuning._stacks(16, per_candidate)) == 4  # refinement stacks of 5
-        serial = objective.coordinate_peaks(current, 3, self.LAWS, band, threads=1)
-        threaded = objective.coordinate_peaks(current, 3, self.LAWS, band, threads=3)
-        assert np.array_equal(serial[0], threaded[0])
-        assert np.array_equal(serial[1], threaded[1])
-        assert np.max(np.abs(serial[0] - whole[0]) / whole[0]) <= 1e-12
+        stacked = objective.coordinate_peaks(current, 3, self.LAWS, band)
+        assert np.max(np.abs(stacked[0] - whole[0]) / whole[0]) <= 1e-12
+        assert np.max(np.abs(stacked[1] - whole[1]) / whole[1]) <= 1e-12
 
     def test_bad_index_or_empty_laws_rejected(self, array_objective):
         objective, band = array_objective
