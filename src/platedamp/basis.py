@@ -4,18 +4,23 @@ These are the 1D building blocks of the plate trial functions: each
 satisfies zero deflection and zero slope at both ends, so their tensor
 products satisfy the fully clamped plate boundary conditions.
 
-The textbook form
+The textbook form cosh(b x) - cos(b x) - sigma (sinh(b x) - sin(b x))
+loses all significant digits beyond mode ~15, as cosh(b x) grows like
+exp(lam) while (1 - sigma) decays at the same rate. Here every
+exponential has a non-positive argument instead: with beta = lam / L,
+xi = beta x and D = 1 - 2 exp(-lam) sin(lam) - exp(-2 lam), the d-th
+derivative is beta^d N_d(xi) / D, where
 
-    phi(x) = cosh(b x) - cos(b x) - sigma * (sinh(b x) - sin(b x))
+    N_0 = exp(-xi) - exp(xi - 2 lam) + (cos lam - sin lam) exp(xi - lam)
+          - (cos lam + sin lam) exp(-xi - lam) - (1 - exp(-2 lam)) cos(xi)
+          + (1 + exp(-2 lam)) sin(xi) + 2 exp(-lam) sin(lam - xi).
 
-is numerically useless beyond mode ~15: cosh(b x) grows like exp(lam)
-while (1 - sigma) decays at the same rate, so the product loses all
-significant digits and eventually overflows. Every evaluation here uses
-an algebraically equivalent form in which all exponentials have
-non-positive arguments, valid for any mode index in double precision.
-
-Normalization matches the textbook form, for which
-``integral(phi_i * phi_j, 0, L) = L * delta_ij``.
+Each step N_d -> N_{d+1} = dN_d/dxi flips the sign of the exp(-xi) and
+exp(-xi - lam) terms and turns each trig term by a quarter-turn, by
+exact swaps and sign flips: cos(xi) -> -sin(xi), sin(xi) -> cos(xi),
+sin(lam - xi) -> -cos(lam - xi). One step back gives the antiderivative
+N_{-1}; the integral over [lo, hi] is its difference, divided by beta D.
+Normalization matches the textbook form: int_0^L phi_i phi_j = L delta_ij.
 """
 
 from __future__ import annotations
@@ -59,55 +64,47 @@ def eigenvalue(index: int) -> float:
             hi, f_hi = mid, f_mid
 
 
-def _pieces(lam, xi: np.ndarray):
-    """Shared exponential/trig terms of the scaled mode function; ``lam``
-    is one eigenvalue or one per last-axis column of ``xi``.
+def _turn(sin_cos, k: int):
+    """sin(t + k pi/2) from the pair (sin t, cos t)."""
+    return sin_cos[k % 2] if k % 4 < 2 else -sin_cos[k % 2]
 
-    All exp arguments are <= 0 for xi in [0, lam].
+
+def _numerators(indices, length: float, x: np.ndarray, orders):
+    """N_d of the mode functions of the given indices at ``x`` for each
+    order d in ``orders`` (-1 to 2), shape (len(orders),) + x.shape +
+    (len(indices),), with beta and D; the exponentials and trig values
+    are computed once for all orders, and all exp arguments are <= 0.
+
+    Raises ValueError unless every x lies in [0, length]; NaN fails too.
     """
-    c, s = np.cos(lam), np.sin(lam)
-    e_m = np.exp(-xi)                 # exp(-xi)
-    e_p = np.exp(xi - lam)            # exp(xi - lam)
-    e_p2 = np.exp(xi - 2.0 * lam)     # exp(xi - 2 lam)
-    e_m2 = np.exp(-xi - lam)          # exp(-xi - lam)
-    eL = np.exp(-lam)
-    eL2 = np.exp(-2.0 * lam)
-    return c, s, e_m, e_p, e_p2, e_m2, eL, eL2
-
-
-def _denominator(lam):
-    # (sinh(lam) - sin(lam)) scaled by 2 exp(-lam); order 1 for all modes
-    return 1.0 - 2.0 * np.exp(-lam) * np.sin(lam) - np.exp(-2.0 * lam)
-
-
-def _modes(indices, length: float, x: np.ndarray, derivative_order: int) -> np.ndarray:
-    """Mode functions (or derivatives) of the given indices at ``x``,
-    shape x.shape + (len(indices),): the rewritten formula evaluated once
-    on the (points, functions) array."""
-    if derivative_order not in (0, 1, 2):
-        raise ValueError("derivative_order > 2 is unsupported")
-    if np.any(x < -1e-12 * length) or np.any(x > length * (1.0 + 1e-12)):
+    if not (np.all(x >= -1e-12 * length) and np.all(x <= length * (1.0 + 1e-12))):
         raise ValueError("coordinate outside [0, length]")
     lam = np.array([eigenvalue(i) for i in indices])
     beta = lam / length
     xi = np.clip(x[..., None] * beta, 0.0, lam)
-    c, s, e_m, e_p, e_p2, e_m2, eL, eL2 = _pieces(lam, xi)
-    if derivative_order == 0:
-        n = (e_m - e_p2 + (c - s) * e_p - (c + s) * e_m2
-             - (1.0 - eL2) * np.cos(xi) + (1.0 + eL2) * np.sin(xi)
-             + 2.0 * eL * np.sin(lam - xi))
-        scale = 1.0
-    elif derivative_order == 1:
-        n = (-e_m - e_p2 + (c - s) * e_p + (c + s) * e_m2
-             + (1.0 - eL2) * np.sin(xi) + (1.0 + eL2) * np.cos(xi)
-             - 2.0 * eL * np.cos(lam - xi))
-        scale = beta
-    else:
-        n = (e_m - e_p2 + (c - s) * e_p - (c + s) * e_m2
-             + (1.0 - eL2) * np.cos(xi) - (1.0 + eL2) * np.sin(xi)
-             - 2.0 * eL * np.sin(lam - xi))
-        scale = beta * beta
-    return scale * n / _denominator(lam)
+    c, s = np.cos(lam), np.sin(lam)
+    eL, eL2 = np.exp(-lam), np.exp(-2.0 * lam)
+    e_m, e_m2 = np.exp(-xi), np.exp(-xi - lam)
+    e_p, e_p2 = np.exp(xi - lam), np.exp(xi - 2.0 * lam)
+    trig, back = (np.sin(xi), np.cos(xi)), (np.sin(lam - xi), np.cos(lam - xi))
+    rows = []
+    for d in orders:
+        flip = (-1.0) ** d
+        rows.append(flip * e_m - e_p2 + (c - s) * e_p - flip * (c + s) * e_m2
+                    - (1.0 - eL2) * _turn(trig, d + 1) + (1.0 + eL2) * _turn(trig, d)
+                    + 2.0 * eL * _turn(back, -d))
+    return np.stack(rows), beta, 1.0 - 2.0 * eL * s - eL2
+
+
+def _modes(indices, length: float, x: np.ndarray, orders) -> np.ndarray:
+    """Derivatives of the given orders (0 to 2) of the mode functions of
+    the given indices at ``x``, shaped as ``_numerators``."""
+    if any(d not in (0, 1, 2) for d in orders):
+        raise ValueError("derivative orders other than 0, 1 and 2 are unsupported")
+    out, beta, den = _numerators(indices, length, x, orders)
+    for row, d in zip(out, orders):
+        row *= beta ** d
+    return out / den
 
 
 def evaluate(index: int, length: float, x, derivative_order: int = 0):
@@ -116,25 +113,26 @@ def evaluate(index: int, length: float, x, derivative_order: int = 0):
     ``derivative_order`` may be 0, 1 or 2. ``x`` may be a scalar or
     array with 0 <= x <= length.
     """
-    return _modes((index,), length, np.asarray(x, dtype=float), derivative_order)[..., 0][()]
+    x = np.asarray(x, dtype=float)
+    return _modes((index,), length, x, (derivative_order,))[0, ..., 0][()]
 
 
-def integral(index: int, length: float, lo: float, hi: float) -> float:
-    """Exact integral of the mode function over [lo, hi] within [0, length]."""
-    lam = eigenvalue(index)
-    beta = lam / length
-
-    def antiderivative(xv):
-        xi = np.clip(xv * beta, 0.0, lam)
-        c, s, e_m, e_p, e_p2, e_m2, eL, eL2 = _pieces(lam, np.asarray(xi))
-        return (-e_m - e_p2 + (c - s) * e_p + (c + s) * e_m2
-                - (1.0 - eL2) * np.sin(xi) - (1.0 + eL2) * np.cos(xi)
-                + 2.0 * eL * np.cos(lam - xi))
-
-    return float(antiderivative(hi) - antiderivative(lo)) / (beta * _denominator(lam))
+def integral(index, length: float, lo: float, hi: float):
+    """Exact integral of the mode function over [lo, hi] within [0, length];
+    a sequence of indices gives an array, one integral per index."""
+    single = np.ndim(index) == 0
+    (anti,), beta, den = _numerators([index] if single else list(index), length,
+                                     np.array([lo, hi], dtype=float), (-1,))
+    out = (anti[1] - anti[0]) / (beta * den)
+    return float(out[0]) if single else out
 
 
-def eval_matrix(n_funcs: int, length: float, x, derivative_order: int = 0) -> np.ndarray:
-    """Stack of the first ``n_funcs`` mode functions: shape (len(x), n_funcs)."""
+def eval_matrix(n_funcs: int, length: float, x, derivative_order=0) -> np.ndarray:
+    """The first ``n_funcs`` mode functions (or derivatives) at the points
+    ``x``, shape (len(x), n_funcs); a sequence of orders stacks them on a
+    leading axis, from one evaluation of the shared terms."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _modes(range(1, n_funcs + 1), length, x, derivative_order)
+    single = np.ndim(derivative_order) == 0
+    out = _modes(range(1, n_funcs + 1), length, x,
+                 (derivative_order,) if single else tuple(derivative_order))
+    return out[0] if single else out

@@ -47,10 +47,8 @@ def _laplacian_footprint_integrals(model: ModalModel, patch: PatchSpec) -> np.nd
     dphi = dx1[1] - dx1[0]
     dy1 = basis.eval_matrix(spec.n_y, plate.width_b, [patch.y1, patch.y2], 1)
     dpsi = dy1[1] - dy1[0]
-    int_phi = np.array([basis.integral(i + 1, plate.length_a, patch.x1, patch.x2)
-                        for i in range(spec.n_x)])
-    int_psi = np.array([basis.integral(j + 1, plate.width_b, patch.y1, patch.y2)
-                        for j in range(spec.n_y)])
+    int_phi = basis.integral(range(1, spec.n_x + 1), plate.length_a, patch.x1, patch.x2)
+    int_psi = basis.integral(range(1, spec.n_y + 1), plate.width_b, patch.y1, patch.y2)
     return (np.outer(dphi, int_psi) + np.outer(int_phi, dpsi)).reshape(-1)
 
 

@@ -99,9 +99,7 @@ def _axis_cell_integrals(length: float, n: int, lo: float, hi: float, order: int
     mid = 0.5 * (edges[1:] + edges[:-1])
     pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     wts = (half[:, None] * weights[None, :]).ravel()
-    b0 = basis.eval_matrix(n, length, pts, 0)
-    b1 = basis.eval_matrix(n, length, pts, 1)
-    b2 = basis.eval_matrix(n, length, pts, 2)
+    b0, b1, b2 = basis.eval_matrix(n, length, pts, (0, 1, 2))
     w0 = b0 * wts[:, None]
     X0 = w0.T @ b0
     X1 = (b1 * wts[:, None]).T @ b1

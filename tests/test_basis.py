@@ -45,10 +45,18 @@ class TestClampedEnds:
     def test_unsupported_derivative_order(self):
         with pytest.raises(ValueError, match="unsupported"):
             basis.evaluate(1, L, 0.1, 3)
+        with pytest.raises(ValueError, match="unsupported"):
+            basis.eval_matrix(3, L, [0.1], (0, -1))
 
     def test_coordinate_outside_span(self):
-        with pytest.raises(ValueError):
-            basis.evaluate(1, L, -0.01)
+        """The guard fails closed on NaN, and bounds the integral too."""
+        for call in (lambda: basis.evaluate(1, L, -0.01),
+                     lambda: basis.evaluate(1, L, np.nan),
+                     lambda: basis.eval_matrix(4, L, [0.1, np.nan], (0, 2)),
+                     lambda: basis.integral(2, 1.0, -5.0, 7.0),
+                     lambda: basis.integral([1, 2], L, 0.1, np.nan)):
+            with pytest.raises(ValueError, match="outside"):
+                call()
 
 
 class TestEvalMatrix:
@@ -61,6 +69,13 @@ class TestEvalMatrix:
         assert B.shape == (x.size, 30)
         loop = np.column_stack([basis.evaluate(i, L, x, order) for i in range(1, 31)])
         assert np.array_equal(B, loop)
+
+    def test_stacked_orders_equal_one_order_at_a_time(self):
+        x = np.linspace(0.0, L, 97)
+        stacked = basis.eval_matrix(30, L, x, (2, 0, 1))
+        assert stacked.shape == (3, x.size, 30)
+        for row, order in zip(stacked, (2, 0, 1)):
+            assert np.array_equal(row, basis.eval_matrix(30, L, x, order))
 
 
 class TestNormalization:
@@ -102,3 +117,8 @@ class TestIntegral:
         ana = basis.integral(i, L, lo, hi)
         num = quad(lambda t: float(basis.evaluate(i, L, t)), lo, hi, limit=400)[0]
         assert ana == pytest.approx(num, abs=1e-12 * L)
+
+    def test_sequence_of_indices_equals_one_index_at_a_time(self):
+        ints = basis.integral(range(1, 31), L, 0.2238, 0.2962)
+        assert ints.shape == (30,)
+        assert np.array_equal(ints, [basis.integral(i, L, 0.2238, 0.2962) for i in range(1, 31)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from platedamp import (BasisSpec, DomainError, HarmonicForce, ImpedanceLaw,
                        PatchSpec, PlateSpec, ShuntTopology, SolverError, SweepSpec,
                        VelocityObjective, assemble_circuit_system, build_model, frf,
-                       frf_connected, frf_mechanical, frf_separated,
+                       frf_connected, frf_mechanical, frf_separated, mode_windows,
                        optimize_per_patch, retained_mode_count, solve_voltages,
                        sweep_resistance, with_coupling)
 
@@ -35,6 +35,11 @@ class TestImpedanceLaw:
     def test_negative_values_rejected(self):
         with pytest.raises(DomainError):
             ImpedanceLaw.resistor(-1.0)
+        for bad in (lambda: ImpedanceLaw.resistor(np.nan),
+                    lambda: ImpedanceLaw.series_rl(1.0, np.nan),
+                    lambda: ImpedanceLaw.series_rl(np.nan, 1e-3)):
+            with pytest.raises(DomainError):
+                bad()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
@@ -297,6 +302,23 @@ class TestFrfContracts:
         assert retained_mode_count(ref_model, [0.5]) == 25
 
 
+class TestTruncation:
+    def test_retained_modes_against_the_full_set(self, ref_model, ref_config):
+        """Baseline of the modal truncation error on the reference scenario:
+        the velocity FRF at the retained modes against all modes, norm-wise
+        over the grid and at the peak of each reported mode window."""
+        grid = ref_config.grid.frequencies()
+        assert retained_mode_count(ref_model, grid) < ref_model.n_modes
+        args = (ref_model, ref_config.topology, ref_config.force, ref_config.target, grid)
+        kept = frf(*args).velocity
+        full = frf(*args, n_modes=ref_model.n_modes).velocity
+        assert np.linalg.norm(kept - full) < 1e-2 * np.linalg.norm(full)
+        for lo, hi in mode_windows(ref_model, ref_config.sweep.report_modes, grid):
+            band = (grid >= lo) & (grid <= hi)
+            peak_kept, peak_full = np.max(np.abs(kept[band])), np.max(np.abs(full[band]))
+            assert abs(peak_kept - peak_full) < 2e-2 * peak_full
+
+
 class TestFailClosed:
     def test_undamped_resonance_on_grid_raises(self, ref_config, point_force,
                                                target_point):
@@ -439,3 +461,19 @@ class TestInvariants:
         z = np.stack([law.impedance(w[:, 0]) for law in topology.loads], axis=1)
         branch = 0.5 * np.sum((1.0 / z).real * np.abs(volts)**2, axis=1)
         assert np.max(rel_diff(0.5 * res.velocity.real, modal + branch)) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=15, database=None)
+    @given(case=shunted_layouts(), data=st.data())
+    def test_relabeling_permutes_voltages(self, case, data, aluminum_plate, pzt_patch):
+        """Listing the patches, and their loads, in another order permutes
+        the voltage columns and leaves the displacement unchanged."""
+        fractions, mode, loads, p, q = case
+        k = len(fractions)
+        perm = data.draw(st.permutations(range(k)).filter(lambda p: k == 1 or p != sorted(p)))
+        relabeled = ([fractions[i] for i in perm], mode,
+                     [loads[i] for i in perm] if mode == "separated" else loads, p, q)
+        base, moved = (frf(model, topology, HarmonicForce(1.0, *pp), qq, grid)
+                       for model, topology, grid, pp, qq in
+                       (build_case(c, aluminum_plate, pzt_patch) for c in (case, relabeled)))
+        assert np.max(rel_diff(moved.displacement, base.displacement)) <= 1e-12
+        assert np.max(rel_diff(moved.voltages, base.voltages[:, perm])) <= 1e-12

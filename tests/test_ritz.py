@@ -179,6 +179,10 @@ class TestModes:
         with pytest.raises(AssemblyError, match="non-finite"):
             build_model(aluminum_plate, [], BasisSpec(2, 2, 10))
 
+    def test_mode_shapes_reject_a_nan_point(self, ref_model):
+        with pytest.raises(ValueError, match="outside"):
+            ref_model.mode_shapes_at(np.nan, 0.2)
+
 
 @pytest.fixture(scope="module", params=[10, 30], ids=["10x10", "30x30"])
 def ref_system(request, ref_config):
