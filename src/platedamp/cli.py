@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -43,9 +44,12 @@ def _write_csv(path: str, header: list[str], columns) -> None:
 
 
 def _write_json(path: str, obj) -> None:
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise SolverError(f"non-finite number in {os.path.basename(path)}") from exc
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _build(config: ScenarioConfig) -> ModalModel:
@@ -82,16 +86,20 @@ def write_sweep_csv(path: str, sweep_result: SweepResult) -> None:
 
 
 def _report_entries(report: ReductionReport) -> list[dict]:
+    """One row per mode window; a window without grid points has no peaks: null."""
+    def number(x):
+        return x if math.isfinite(x) else None
+
     out = []
     for e in report.entries:
         item = {
             "mode": e.mode,
             "window_hz": [e.window_hz[0], e.window_hz[1]],
-            "oc_peak_ms_per_n": e.oc_peak,
-            "oc_peak_hz": e.oc_peak_hz,
-            "shunted_peak_ms_per_n": e.shunted_peak,
-            "shunted_peak_hz": e.shunted_peak_hz,
-            "reduction_pct": e.reduction_pct,
+            "oc_peak_ms_per_n": number(e.oc_peak),
+            "oc_peak_hz": number(e.oc_peak_hz),
+            "shunted_peak_ms_per_n": number(e.shunted_peak),
+            "shunted_peak_hz": number(e.shunted_peak_hz),
+            "reduction_pct": number(e.reduction_pct),
             "flagged": e.flagged,
         }
         if e.note:

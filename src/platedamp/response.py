@@ -13,10 +13,12 @@ One block kernel builds and solves that system for a block of
 frequencies at once. Its load-independent part, the structural block
 j*omega * theta^T diag(inv) theta, is one matrix product against the
 node coupling outer products; the loads enter only on the diagonal, so
-a stack of candidate loads can share one structural block. Grids are
-cut into consecutive blocks of BLOCK_POINTS (the last one shorter),
-which bounds memory. The blocks run in order on the calling thread; the
-BLAS library may use the other cores inside each block's products.
+a stack of candidate loads can share one structural block. The kernel
+evaluates every stack of candidate loads a sweep asks for, cut into
+stacks of about CHUNK_ENTRIES complex entries; FRF grids are cut into
+consecutive blocks of BLOCK_POINTS. Both bound memory and run in order
+on the calling thread; the BLAS library may use the other cores inside
+each one's products.
 
 Open and short circuits are numerical surrogates (1e9 and 1e-3 ohm)
 rather than separate code paths; their adequacy is covered by tests.
@@ -39,6 +41,18 @@ MIN_RETAINED_MODES = 25
 RETAIN_BAND_FACTOR = 4.0
 
 BLOCK_POINTS = 256
+
+# Complex entries of one stack of candidate load sets: max(1, CHUNK_ENTRIES
+# // (Q * (m*m + n))) candidates at Q frequencies each, m voltage nodes and
+# n retained modes, or CHUNK_ENTRIES // (F * m) in a rank-one stack.
+CHUNK_ENTRIES = 2**17
+
+
+def _stacks(count: int, entries: int) -> list[slice]:
+    """Consecutive slices of ``count`` candidates, each of about
+    CHUNK_ENTRIES complex entries at ``entries`` per candidate."""
+    size = max(1, CHUNK_ENTRIES // entries)
+    return [slice(i, i + size) for i in range(0, count, size)]
 
 
 def _impedance(ohms, henries, omega):
@@ -277,21 +291,38 @@ class _Kernel:
             raise SolverError("non-finite response; an undamped mode may lie on the grid")
         return disp, v
 
-    def rank_one(self, omega: np.ndarray, nodes: _Nodes, index: int):
-        """Target displacement per newton at the frequencies ``omega``
-        (F,) for candidate loads at node ``index``, every other node
-        keeping its load in ``nodes``.
+    def velocity(self, freqs_hz: np.ndarray, nodes: _Nodes, ohms: np.ndarray,
+                 henries: np.ndarray) -> np.ndarray:
+        """|velocity| per newton (C, Q) of C candidate load sets ``ohms``
+        and ``henries`` (C, m) at frequencies (Q,) shared by all, which
+        then share one structural block, or (C, Q) of each one's own."""
+        omega = 2.0 * np.pi * freqs_hz
+        shared = omega.ndim == 1
+        blocks = self.structure(omega, nodes) if shared else None
+        parts = []
+        for s in _stacks(len(ohms), omega.shape[-1] * (nodes.theta.shape[1]**2 + self.n)):
+            stack = nodes._replace(ohms=ohms[s, None], henries=henries[s, None])
+            w = omega if shared else omega[s]
+            disp = self.respond(w, stack, blocks if shared else self.structure(w, stack))[0]
+            parts.append(np.abs(1j * w * disp))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def rank_one(self, freqs_hz: np.ndarray, nodes: _Nodes, index: int, ohms: np.ndarray,
+                 henries: np.ndarray) -> np.ndarray:
+        """|velocity| per newton (C, F) at the frequencies (F,) for C
+        candidate loads ``ohms`` and ``henries`` (C,) at node ``index``,
+        every other node keeping its load in ``nodes``.
 
         Solves the system A0 of ``nodes``' own loads once for the two
         right-hand sides [b, e_k] (k = index), giving v0 and u. A candidate
         changes only the admittance of node k, by delta = 1/z - 1/z0, so
         its system is A0 + delta e_k e_k^T and, by Sherman-Morrison, its
-        voltages are v0 - u * delta v0_k / (1 + delta u_k). Returns a
-        function of candidate R and L (C,) that gives the displacement
-        (C, F). It checks every candidate's residual A0 v + delta v_k e_k
-        - b against the bound of ``solve_voltages``, so a NaN or a
-        degenerate update raises SolverError.
+        voltages are v0 - u * delta v0_k / (1 + delta u_k). Every
+        candidate's residual A0 v + delta v_k e_k - b is checked against
+        the bound of ``solve_voltages``, so a NaN or a degenerate update
+        raises SolverError.
         """
+        omega = 2.0 * np.pi * freqs_hz
         blocks = self.structure(omega, nodes)
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the solve
             A, b = self.system(omega, nodes, blocks)
@@ -304,25 +335,28 @@ class _Kernel:
         A_t = A.transpose(0, 2, 1)
         d0, g = blocks[2][:, None], blocks[3][:, None]
         b = b[:, None]
+        del blocks, rhs  # free the structural block before the candidate stacks
 
-        def respond(ohms, henries):
+        def stack(s):  # a function, so that each stack's arrays are freed on return
             with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises below
-                delta = _admittance(ohms, henries, omega[:, None]) - y0      # (F, C)
+                delta = _admittance(ohms[s], henries[s], omega[:, None]) - y0  # (F, C)
                 coef = delta * v0[:, index, None] / (1.0 + delta * u[:, index, None])
-                v = v0[:, None] - coef[..., None] * u[:, None]             # (F, C, m)
+                v = v0[:, None] - coef[..., None] * u[:, None]                 # (F, C, m)
                 resid = v @ A_t
                 resid[..., index] += delta * v[..., index]
                 _check_residual(resid - b, b)
                 disp = d0 + np.sum(v * g, axis=-1)
             if not np.isfinite(disp).all():
                 raise SolverError("non-finite response; an undamped mode may lie on the grid")
-            return disp.T
+            return np.abs(1j * omega * disp.T)
 
-        return respond
+        parts = [stack(s) for s in _stacks(len(ohms), omega.size * A.shape[-1])]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def run(self, freqs_hz: np.ndarray, topology: ShuntTopology | None):
-        """Displacement (F,) and patch voltages (F, K) per newton over a
-        grid, evaluated in consecutive blocks of BLOCK_POINTS."""
+        """Displacement and velocity (F,) and patch voltages (F, K) per
+        newton over a grid, evaluated in consecutive blocks of
+        BLOCK_POINTS."""
         nodes = self.nodes(topology)
         omega = 2.0 * np.pi * freqs_hz
         parts = []
@@ -331,7 +365,7 @@ class _Kernel:
             parts.append(self.respond(w, nodes, self.structure(w, nodes)))
         disp = np.concatenate([d for d, _ in parts])
         volts = np.concatenate([v for _, v in parts]) @ nodes.incidence.T
-        return disp, volts
+        return disp, 1j * omega * disp, volts
 
 
 def assemble_circuit_system(omega: float, model: ModalModel, loads, force: HarmonicForce,
@@ -383,8 +417,7 @@ def _check_residual(resid: np.ndarray, b: np.ndarray, axis: int = -1):
 def _frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,
          target, grid_hz, n_modes: int | None) -> FrfResult:
     grid_hz = np.asarray(grid_hz, dtype=float)
-    disp, volts = _Kernel(model, force, target, grid_hz, n_modes).run(grid_hz, topology)
-    vel = 1j * 2.0 * np.pi * grid_hz * disp
+    disp, vel, volts = _Kernel(model, force, target, grid_hz, n_modes).run(grid_hz, topology)
     return FrfResult(grid_hz.copy(), disp, vel, volts)
 
 

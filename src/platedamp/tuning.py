@@ -8,16 +8,12 @@ sharpened by a golden-section search between the grid neighbours of
 that point, with a fixed number of steps, so peak heights are not
 quantized by the grid.
 
-A sweep evaluates all of its candidates in one batched call. At the
-band's grid points the load-independent structural block is built once
-and shared, and candidates are stacked in consecutive chunks of about
-CHUNK_ENTRIES complex entries. A coordinate sweep of the per-patch
-descent changes the load of one node only, so there each band point
-takes one solve of the current loads' system and each candidate a
-rank-one update of it. The golden-section steps of all candidates of a
-sweep are then stacked together, again in stacks sized from
-CHUNK_ENTRIES alone. Chunks and stacks bound memory and run in order on
-the calling thread.
+This module only searches. A sweep evaluates all of its candidates at
+the band's grid points in one call of the response module's kernel, and
+each golden-section step evaluates all of them again in one call; the
+kernel stacks the candidates. A coordinate sweep of the per-patch
+descent changes the load of one node only, so its band points take the
+kernel's rank-one update instead.
 """
 
 from __future__ import annotations
@@ -38,21 +34,6 @@ from .ritz import ModalModel
 # rounds of 11-point uniform subdivision.
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 28
-
-# Complex entries of one stack of candidates. A chunk of band systems
-# holds max(1, CHUNK_ENTRIES // (P * (m*m + n))) candidates for P band
-# points, m voltage nodes and n retained modes; a rank-one chunk holds
-# CHUNK_ENTRIES // (P * m) and a golden-section stack
-# CHUNK_ENTRIES // (2 * (m*m + n)).
-CHUNK_ENTRIES = 2**17
-
-
-def _stacks(count: int, entries: int) -> list[slice]:
-    """Consecutive slices of ``count`` candidates, each of about
-    CHUNK_ENTRIES complex entries at ``entries`` per candidate."""
-    size = max(1, CHUNK_ENTRIES // entries)
-    return [slice(i, i + size) for i in range(0, count, size)]
-
 
 def _golden_search(velocity, lo, hi, best_v, best_f):
     """Golden-section search for the maximum of ``velocity`` inside each
@@ -156,11 +137,9 @@ class VelocityObjective:
 
     ``peaks_in_band`` evaluates a list of candidate topologies of one
     wiring at once, and ``coordinate_peaks`` the candidates of one
-    coordinate sweep, which change a single node's load. The structural
-    block at the band's grid points is built once per call and shared by
-    every candidate. Candidates are cut into consecutive stacks of whole
-    candidates sized from CHUNK_ENTRIES, first for the band points and
-    then for the refinement, and the stacks run in order.
+    coordinate sweep, which change a single node's load. Each makes one
+    kernel call for the band's grid points and one per golden-section
+    step.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
@@ -174,8 +153,7 @@ class VelocityObjective:
     def velocity_abs(self, topology: ShuntTopology, freqs_hz: np.ndarray) -> np.ndarray:
         """|velocity| per newton at each frequency."""
         freqs_hz = np.asarray(freqs_hz, dtype=float)
-        disp, _ = self._kernel.run(freqs_hz, topology)
-        return np.abs(1j * 2.0 * np.pi * freqs_hz * disp)
+        return np.abs(self._kernel.run(freqs_hz, topology)[1])
 
     def band_points(self, band: tuple[float, float]) -> np.ndarray:
         lo, hi = band
@@ -207,13 +185,8 @@ class VelocityObjective:
         nodes = self._kernel.nodes(first)
         ohms, henries = _load_arrays(topologies)
         pts = self.band_points(band)
-        band_blocks = self._kernel.structure(2.0 * np.pi * pts, nodes)
-        m = nodes.theta.shape[1]
-
-        parts = [self._velocity(pts, nodes._replace(ohms=ohms[s, None], henries=henries[s, None]),
-                                band_blocks)
-                 for s in _stacks(len(topologies), pts.size * (m * m + self.n_modes))]
-        return self._refine(nodes, ohms, henries, pts, np.concatenate(parts))
+        return self._refine(nodes, ohms, henries, pts,
+                            self._kernel.velocity(pts, nodes, ohms, henries))
 
     def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
                          band: tuple[float, float]):
@@ -239,39 +212,23 @@ class VelocityObjective:
         ohms[:, index] = [law.ohms for law in laws]
         henries[:, index] = [law.henries for law in laws]
         pts = self.band_points(band)
-        respond = self._kernel.rank_one(2.0 * np.pi * pts, nodes, index)
-
-        parts = [np.abs(1j * 2.0 * np.pi * pts * respond(ohms[s, index], henries[s, index]))
-                 for s in _stacks(len(laws), pts.size * m)]
-        return self._refine(nodes, ohms, henries, pts, np.concatenate(parts))
-
-    def _velocity(self, freqs_hz: np.ndarray, nodes, blocks) -> np.ndarray:
-        """|velocity| per newton (C, Q) of C stacked load sets at the
-        frequencies (Q,) or (C, Q) that ``blocks`` was built for."""
-        disp, _ = self._kernel.respond(2.0 * np.pi * freqs_hz, nodes, blocks)
-        return np.abs(1j * 2.0 * np.pi * freqs_hz * disp)
+        vals = self._kernel.rank_one(pts, nodes, index, ohms[:, index], henries[:, index])
+        return self._refine(nodes, ohms, henries, pts, vals)
 
     def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray):
         """Refined peaks and their frequencies of C candidates with node
         loads ``ohms`` and ``henries`` (C, m) and values ``vals`` (C, P)
-        at the band points: the golden-section searches of all of them,
-        in stacks of whole candidates."""
+        at the band points: one golden-section search over all of them."""
         i = np.argmax(vals, axis=1)
         best_v, best_f = vals[np.arange(vals.shape[0]), i], pts[i]
         lo = pts[np.maximum(i - 1, 0)]
         hi = pts[np.minimum(i + 1, pts.size - 1)]
         live = np.flatnonzero(hi > lo)
-        m = nodes.theta.shape[1]
-
-        for s in _stacks(live.size, 2 * (m * m + self.n_modes)):
-            rows = live[s]
-            cand = nodes._replace(ohms=ohms[rows, None], henries=henries[rows, None])
-
-            def velocity(f):
-                return self._velocity(f, cand, self._kernel.structure(2.0 * np.pi * f, cand))
-
-            best_v[rows], best_f[rows] = _golden_search(velocity, lo[rows], hi[rows],
-                                                        best_v[rows], best_f[rows])
+        if live.size:
+            ohms, henries = ohms[live], henries[live]
+            best_v[live], best_f[live] = _golden_search(
+                lambda f: self._kernel.velocity(f, nodes, ohms, henries),
+                lo[live], hi[live], best_v[live], best_f[live])
         return best_v, best_f
 
 

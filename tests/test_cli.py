@@ -5,8 +5,8 @@ import threading
 
 import pytest
 
-from platedamp import build_model
-from platedamp.cli import main
+from platedamp import SolverError, build_model
+from platedamp.cli import _write_json, main
 from platedamp.config import parse_config_dict, to_dict
 
 FRF_HEADER = "freq_hz,disp_re,disp_im,vel_re,vel_im,|vel|,v1_re,v1_im,v2_re,v2_im,v3_re,v3_im"
@@ -226,6 +226,42 @@ class TestCompare:
         main(["compare", "--config", str(light_config_path),
               "--out", str(tmp_path / "o")])
         assert read(light_config_path) == before
+
+
+def strict_json(path):
+    """Parse a file as strict JSON: NaN and Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictReport:
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_window_without_grid_points_writes_null(self, light_dict, tmp_path, command):
+        """On a 1-80 Hz grid the windows of modes 2 and 3 hold no grid
+        point; their peaks are null, flagged with a note, not NaN."""
+        light_dict["grid"] = {"start_hz": 1.0, "stop_hz": 80.0, "count": 800}
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(light_dict))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        report = strict_json(out / "report.json")
+        if command == "sweep":
+            rows = report["reductions"]
+        else:
+            rows = [dict(side, mode=row["mode"]) for row in report["modes"]
+                    for side in (row["separated"], row["connected"])]
+        empty = [r for r in rows if r["mode"] > 1]
+        assert empty and all(r["flagged"] and r["note"] == "window contains no grid point"
+                             and r["oc_peak_ms_per_n"] is None and r["reduction_pct"] is None
+                             for r in empty)
+        assert all(r["reduction_pct"] is not None for r in rows if r["mode"] == 1)
+
+    def test_non_finite_number_raises_and_writes_nothing(self, tmp_path):
+        with pytest.raises(SolverError):
+            _write_json(str(tmp_path / "report.json"), {"reduction_pct": float("nan")})
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestEntryPoint:

@@ -389,8 +389,10 @@ GRID_CELLS = 3
 @st.composite
 def shunted_layouts(draw):
     """1-4 patches, each inside its own cell of a GRID_CELLS^2 grid, with a
-    wiring, one load per node, a force point and a target point."""
-    cells = draw(st.lists(st.integers(0, GRID_CELLS**2 - 1), min_size=1, max_size=4,
+    wiring, one load per node, a force point and a target point. The patch
+    count is drawn first, so most examples have several patches."""
+    count = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.integers(0, GRID_CELLS**2 - 1), min_size=count, max_size=count,
                           unique=True))
     frac = st.floats(0.0, 0.45)
     patches = []

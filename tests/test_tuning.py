@@ -8,8 +8,9 @@ from platedamp import (BasisSpec, DomainError, FrfResult, HarmonicForce, Impedan
                        frf_connected, frf_separated, mode_windows,
                        optimize_per_patch, percent_reduction, sweep_resistance,
                        with_coupling)
-from platedamp import tuning
-from platedamp.tuning import CHUNK_ENTRIES, GOLDEN, GOLDEN_STEPS, _golden_search
+from platedamp import response
+from platedamp.response import CHUNK_ENTRIES
+from platedamp.tuning import GOLDEN, GOLDEN_STEPS, _golden_search
 
 from oracles import (REFINE_POINTS, REFINE_ROUNDS, frf_loop_connected, frf_loop_separated,
                      peak_in_band_loop)
@@ -302,7 +303,7 @@ class TestBatchedPeaks:
         spec = SweepSpec(points=3 * size + 1)
         chunked = sweep_resistance(ref_model, point_force, target_point, grid, spec,
                                    "separated")
-        monkeypatch.setattr(tuning, "CHUNK_ENTRIES", CHUNK_ENTRIES * spec.points)
+        monkeypatch.setattr(response, "CHUNK_ENTRIES", CHUNK_ENTRIES * spec.points)
         whole = sweep_resistance(ref_model, point_force, target_point, grid, spec,
                                  "separated")
         assert np.array_equal(chunked.objective_values, whole.objective_values)
@@ -317,7 +318,7 @@ class TestBatchedPeaks:
         assert chunk_size(objective, mode_windows(array_model, 1, grid)[0], 12) < 16
         chunked = optimize_per_patch(array_model, point_force, target_point, grid, spec,
                                      max_cycles=1)
-        monkeypatch.setattr(tuning, "CHUNK_ENTRIES", CHUNK_ENTRIES * spec.points)
+        monkeypatch.setattr(response, "CHUNK_ENTRIES", CHUNK_ENTRIES * spec.points)
         whole = optimize_per_patch(array_model, point_force, target_point, grid, spec,
                                    max_cycles=1)
         assert np.array_equal(chunked[0], whole[0])
@@ -395,15 +396,37 @@ class TestCoordinatePeaks:
         current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
         whole = objective.coordinate_peaks(current, 3, self.LAWS, band)
         points = objective.band_points(band).size
-        per_candidate = 2 * (12 * 12 + objective.n_modes)  # in a golden-section stack
-        assert len(tuning._stacks(16, points * 12)) == 1
-        assert len(tuning._stacks(16, per_candidate)) == 1
-        monkeypatch.setattr(tuning, "CHUNK_ENTRIES", 5 * per_candidate)
-        assert len(tuning._stacks(16, points * 12)) > 2     # rank-one band chunks
-        assert len(tuning._stacks(16, per_candidate)) == 4  # refinement stacks of 5
+        per_candidate = 2 * (12 * 12 + objective.n_modes)  # at a golden step's two points
+        assert len(response._stacks(16, points * 12)) == 1
+        assert len(response._stacks(16, per_candidate)) == 1
+        monkeypatch.setattr(response, "CHUNK_ENTRIES", 5 * per_candidate)
+        assert len(response._stacks(16, points * 12)) > 2     # rank-one band chunks
+        assert len(response._stacks(16, per_candidate)) == 4  # two-point golden stacks of 5
         stacked = objective.coordinate_peaks(current, 3, self.LAWS, band)
         assert np.max(np.abs(stacked[0] - whole[0]) / whole[0]) <= 1e-12
         assert np.max(np.abs(stacked[1] - whole[1]) / whole[1]) <= 1e-12
+
+    def test_relabeling_moves_the_sweep_with_its_patch(self, array_objective, array_model,
+                                                       point_force, target_point, ref_config):
+        """Listing the patches, and their current loads, in another order:
+        the coordinate sweep of patch perm[i] of the relabeled array gives
+        the peaks of patch i of the original. (The descent itself visits
+        patches in list order, so it has no such invariant.)"""
+        objective, band = array_objective
+        perm = [5, 11, 2, 8, 0, 9, 3, 7, 10, 1, 6, 4]
+        patches, current = [None] * 12, [None] * 12
+        for i, j in enumerate(perm):
+            patches[j], current[j] = array_model.patches[i], self.CURRENT[i]
+        moved = VelocityObjective(
+            with_coupling(build_model(ref_config.plate, patches, BasisSpec(6, 6, 10))),
+            point_force, target_point, ref_config.grid.frequencies())
+        base = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
+        relabeled = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
+        for i, j in enumerate(perm):
+            want = objective.coordinate_peaks(base, i, self.LAWS, band)
+            got = moved.coordinate_peaks(relabeled, j, self.LAWS, band)
+            assert np.max(np.abs(got[0] - want[0]) / want[0]) <= 1e-12
+            assert np.max(np.abs(got[1] - want[1]) / want[1]) <= 1e-12
 
     def test_bad_index_or_empty_laws_rejected(self, array_objective):
         objective, band = array_objective
