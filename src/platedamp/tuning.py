@@ -4,13 +4,13 @@ The tuning objective is the peak magnitude of the velocity FRF at the
 measurement point inside a frequency band (by default a window around
 the first mode). Sweeps are log-spaced in resistance; for each
 candidate the peak is located on the band's grid points and then
-sharpened by a golden-section search between the grid neighbours of
-that point, with a fixed number of steps, so peak heights are not
-quantized by the grid.
+sharpened by a fixed number of safeguarded parabolic steps between the
+grid neighbours of that point, so peak heights are not quantized by the
+grid.
 
 This module only searches. A sweep evaluates all of its candidates at
 the band's grid points in one call of the response module's kernel, and
-each golden-section step evaluates all of them again in one call; the
+each parabolic step evaluates all of them again in one call; the
 kernel stacks the candidates. A coordinate sweep of the per-patch
 descent changes the load of one node only, so its band points take the
 kernel's rank-one update instead.
@@ -28,41 +28,53 @@ from .response import (HarmonicForce, ImpedanceLaw, ShuntTopology, _check_couple
                        _Kernel, _load_arrays)
 from .ritz import ModalModel
 
-# Golden-section refinement: each step keeps GOLDEN of the bracket, so
-# GOLDEN_STEPS evaluations leave GOLDEN**(GOLDEN_STEPS - 1) of it, the
-# fewest steps that are no wider than the (2/10)**8 left by eight
-# rounds of 11-point uniform subdivision.
+# Peak refinement: parabolic steps on 1/|v|^2, close to a quadratic in f
+# near a resonance (Brent, Algorithms for Minimization without Derivatives,
+# 1973, ch. 5). Evaluated points stay SPACING of the grid bracket apart, the
+# final width of a 28-evaluation golden-section search, so no vertex is
+# left to rounding and batched and single runs agree.
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_STEPS = 28
+PARABOLIC_STEPS = 6
+SPACING = GOLDEN ** 27
 
-def _golden_search(velocity, lo, hi, best_v, best_f):
-    """Golden-section search for the maximum of ``velocity`` inside each
-    bracket [lo, hi] (L,).
 
-    ``velocity`` maps frequencies (L, q) to values (L, q). The first call
-    evaluates both interior points, every later call one new point,
-    GOLDEN_STEPS evaluations in all. An evaluated point replaces the
-    running best (best_v, best_f) only when it is strictly higher.
-    Returns the final best values and their frequencies.
+def _parabolic_search(velocity, pts, vals):
+    """Maxima of C candidates with values ``vals`` (C, P) at the ascending
+    ``pts`` (P,), refined off the grid: best values and frequencies (C,).
+
+    The grid argmax x and its neighbours a < b bracket the peak. Each step
+    evaluates the vertex of the parabola through (f, 1/v^2) at a, x and b
+    if it lies inside the bracket at least tol = SPACING * (b - a) from
+    each (a NaN or inf vertex never does), else the golden point of the
+    larger side, for every candidate whose golden point keeps tol, in one
+    ``velocity(rows, f)`` call. A finite point becomes x only when
+    strictly higher; the bracket then shrinks to x's neighbours.
     """
-    def keep(best_v, best_f, v, f):
-        better = v > best_v
-        return np.where(better, v, best_v), np.where(better, f, best_f)
-
-    a, b = lo, hi
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    vals = velocity(np.stack([c, d], axis=1))
-    fc, fd = vals[:, 0], vals[:, 1]
-    best_v, best_f = keep(*keep(best_v, best_f, fc, c), fd, d)
-    for _ in range(GOLDEN_STEPS - 2):
-        left = fc > fd  # the maximum lies in [a, d], else in [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fnew = velocity(new[:, None])[:, 0]
-        best_v, best_f = keep(best_v, best_f, fnew, new)
-        c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
-                        np.where(left, fnew, fd), np.where(left, fc, fnew))
-    return best_v, best_f
+    c = np.arange(vals.shape[0])
+    i = np.argmax(vals, axis=1)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.size - 1)
+    a, x, b = pts[lo], pts[i], pts[hi]
+    va, vx, vb = vals[c, lo], vals[c, i], vals[c, hi]
+    tol = SPACING * (b - a)
+    for _ in range(PARABOLIC_STEPS):
+        side = np.where(b - x > x - a, b - x, a - x)
+        with np.errstate(all="ignore"):  # a 0/0 or inf vertex takes the golden point
+            ga, gx, gb = 1.0 / va**2, 1.0 / vx**2, 1.0 / vb**2
+            p = (x - a)**2 * (gx - gb) - (x - b)**2 * (gx - ga)
+            u = x - p / (2.0 * ((x - a) * (gx - gb) - (x - b) * (gx - ga)))
+        ok = (u - a >= tol) & (b - u >= tol) & (np.abs(u - x) >= tol)  # False on NaN
+        u = np.where(ok, u, x + (1.0 - GOLDEN) * side)
+        s = np.flatnonzero((1.0 - GOLDEN) * np.abs(side) > tol)
+        if not s.size:
+            break
+        u, vu = u[s], velocity(s, u[s])
+        better = (vu > vx[s]) & np.isfinite(vu)  # NaN or inf never becomes the best
+        end, vend = np.where(better, x[s], u), np.where(better, vx[s], vu)
+        left = better == (u > x[s])  # the new end replaces a, else b
+        a[s], va[s] = np.where(left, end, a[s]), np.where(left, vend, va[s])
+        b[s], vb[s] = np.where(left, b[s], end), np.where(left, vb[s], vend)
+        x[s], vx[s] = np.where(better, u, x[s]), np.where(better, vu, vx[s])
+    return vx, x
 
 
 @dataclass(frozen=True)
@@ -138,8 +150,7 @@ class VelocityObjective:
     ``peaks_in_band`` evaluates a list of candidate topologies of one
     wiring at once, and ``coordinate_peaks`` the candidates of one
     coordinate sweep, which change a single node's load. Each makes one
-    kernel call for the band's grid points and one per golden-section
-    step.
+    kernel call for the band's grid points and one per parabolic step.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
@@ -173,9 +184,9 @@ class VelocityObjective:
         the grid, for each of a list of topologies of one wiring.
 
         Each candidate brackets its grid argmax between its neighbors,
-        then narrows the bracket by a golden-section search of
-        GOLDEN_STEPS evaluations, the fixed count keeping the search
-        deterministic. Returns two arrays with one entry per topology.
+        then narrows the bracket by PARABOLIC_STEPS safeguarded parabolic
+        steps, the fixed count keeping the search deterministic. Returns
+        two arrays with one entry per topology.
         """
         if not topologies:
             raise DomainError("peaks_in_band needs at least one topology")
@@ -218,27 +229,21 @@ class VelocityObjective:
     def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray):
         """Refined peaks and their frequencies of C candidates with node
         loads ``ohms`` and ``henries`` (C, m) and values ``vals`` (C, P)
-        at the band points: one golden-section search over all of them."""
-        i = np.argmax(vals, axis=1)
-        best_v, best_f = vals[np.arange(vals.shape[0]), i], pts[i]
-        lo = pts[np.maximum(i - 1, 0)]
-        hi = pts[np.minimum(i + 1, pts.size - 1)]
-        live = np.flatnonzero(hi > lo)
-        if live.size:
-            ohms, henries = ohms[live], henries[live]
-            best_v[live], best_f[live] = _golden_search(
-                lambda f: self._kernel.velocity(f, nodes, ohms, henries),
-                lo[live], hi[live], best_v[live], best_f[live])
-        return best_v, best_f
+        at the band points: one parabolic search over all of them."""
+        return _parabolic_search(
+            lambda rows, f: self._kernel.velocity(f[:, None], nodes, ohms[rows],
+                                                  henries[rows])[:, 0], pts, vals)
 
 
 def mode_windows(model: ModalModel, count: int, grid_hz) -> list[tuple[float, float]]:
     """Frequency windows around the first ``count`` modes.
 
     Half-width is 8 percent of the modal frequency, shrunk near
-    neighboring modes so windows never overlap, and clipped to the grid.
+    neighboring modes so windows never overlap, and clipped to the grid
+    if the mode lies on it; a mode off the grid keeps its whole window.
     """
     grid_hz = np.asarray(grid_hz, dtype=float)
+    glo, ghi = float(grid_hz.min()), float(grid_hz.max())
     f = model.frequencies_hz
     count = min(count, f.size)
     out = []
@@ -249,8 +254,9 @@ def mode_windows(model: ModalModel, count: int, grid_hz) -> list[tuple[float, fl
             half = min(half, 0.45 * (fr - f[r - 1]))
         if r + 1 < f.size:
             half = min(half, 0.45 * (f[r + 1] - fr))
-        lo = max(fr - half, float(grid_hz.min()))
-        hi = min(fr + half, float(grid_hz.max()))
+        lo, hi = fr - half, fr + half
+        if glo <= fr <= ghi:
+            lo, hi = max(lo, glo), min(hi, ghi)
         out.append((float(lo), float(hi)))
     return out
 
@@ -337,7 +343,8 @@ def percent_reduction(frf_oc, frf_shunted, windows, topology: str = "",
 
     Both FRFs must share one frequency grid. A window whose maximum sits
     on the window edge (no interior local maximum) is flagged rather
-    than silently reported.
+    than silently reported. A window without grid points, or reaching
+    past the grid as only that of a mode off it does, gets NaN peaks.
     """
     if not np.array_equal(frf_oc.frequencies_hz, frf_shunted.frequencies_hz):
         raise DomainError("percent_reduction requires identical frequency grids")
@@ -345,10 +352,12 @@ def percent_reduction(frf_oc, frf_shunted, windows, topology: str = "",
     entries = []
     for m, (lo, hi) in enumerate(windows, start=1):
         idx = np.where((f >= lo) & (f <= hi))[0]
-        if idx.size == 0:
+        empty = ("mode lies outside the frequency grid" if lo < f.min() or hi > f.max()
+                 else "window contains no grid point" if idx.size == 0 else "")
+        if empty:
             entries.append(ModeReduction(m, (lo, hi), float("nan"), float("nan"),
                                          float("nan"), float("nan"), float("nan"),
-                                         True, "window contains no grid point"))
+                                         True, empty))
             continue
         flagged = False
         note = ""

@@ -155,6 +155,12 @@ class TestSweepCommand:
                                               ("count", 400)]
         assert list(meta["sweep"].items()) == [("r_min_ohms", 100.0), ("r_max_ohms", 1e6),
                                                ("points", 20)]
+        for row in report["reductions"]:
+            assert set(row) >= {"mode", "window_hz", "oc_peak_ms_per_n", "oc_peak_hz",
+                                "shunted_peak_ms_per_n", "shunted_peak_hz",
+                                "reduction_pct", "flagged"}
+            lo, hi = row["window_hz"]
+            assert 1.0 <= lo < hi <= 250.0
 
     def test_connected_topology_swept_when_configured(self, light_dict, tmp_path):
         light_dict["topology"] = {"mode": "connected",
@@ -239,8 +245,9 @@ def strict_json(path):
 class TestStrictReport:
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_window_without_grid_points_writes_null(self, light_dict, tmp_path, command):
-        """On a 1-80 Hz grid the windows of modes 2 and 3 hold no grid
-        point; their peaks are null, flagged with a note, not NaN."""
+        """On a 1-80 Hz grid modes 2 and 3 lie above the grid; their
+        windows are not inverted, and their peaks are null, flagged with
+        a note, not NaN."""
         light_dict["grid"] = {"start_hz": 1.0, "stop_hz": 80.0, "count": 800}
         path = tmp_path / "low.json"
         path.write_text(json.dumps(light_dict))
@@ -253,10 +260,14 @@ class TestStrictReport:
             rows = [dict(side, mode=row["mode"]) for row in report["modes"]
                     for side in (row["separated"], row["connected"])]
         empty = [r for r in rows if r["mode"] > 1]
-        assert empty and all(r["flagged"] and r["note"] == "window contains no grid point"
+        assert empty and all(r["flagged"] and r["note"] == "mode lies outside the frequency grid"
                              and r["oc_peak_ms_per_n"] is None and r["reduction_pct"] is None
                              for r in empty)
         assert all(r["reduction_pct"] is not None for r in rows if r["mode"] == 1)
+        windows = ([r["window_hz"] for r in report["reductions"]] if command == "sweep"
+                   else [row["window_hz"] for row in report["modes"]])
+        assert len(windows) == 3 and all(lo < hi for lo, hi in windows)
+        assert all(lo > 80.0 for lo, _ in windows[1:])
 
     def test_non_finite_number_raises_and_writes_nothing(self, tmp_path):
         with pytest.raises(SolverError):

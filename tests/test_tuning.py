@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from platedamp import (BasisSpec, DomainError, FrfResult, HarmonicForce, ImpedanceLaw,
-                       ShuntTopology, SweepSpec, VelocityObjective, build_model,
-                       frf_connected, frf_separated, mode_windows,
+                       ShuntTopology, SolverError, SweepSpec, VelocityObjective,
+                       build_model, frf_connected, frf_separated, mode_windows,
                        optimize_per_patch, percent_reduction, sweep_resistance,
                        with_coupling)
 from platedamp import response
 from platedamp.response import CHUNK_ENTRIES
-from platedamp.tuning import GOLDEN, GOLDEN_STEPS, _golden_search
+from platedamp.tuning import PARABOLIC_STEPS, SPACING, _parabolic_search
 
-from oracles import (REFINE_POINTS, REFINE_ROUNDS, frf_loop_connected, frf_loop_separated,
-                     peak_in_band_loop)
+from oracles import frf_loop_connected, frf_loop_separated, peak_in_band_loop
 
 
 def chunk_size(objective, band, nodes):
@@ -116,6 +115,18 @@ class TestModeWindows:
         for (_, hi), (lo2, _) in zip(wins, wins[1:]):
             assert hi <= lo2
 
+    def test_mode_off_the_grid_keeps_its_whole_window(self, ref_model):
+        """A mode above or below the grid is not clipped into an inverted
+        window; a mode on the grid is clipped to it."""
+        f = ref_model.frequencies_hz
+        whole = mode_windows(ref_model, 3, np.linspace(1.0, 250.0, 100))
+        above = mode_windows(ref_model, 3, np.linspace(1.0, 0.5 * (f[0] + f[1]), 100))
+        below = mode_windows(ref_model, 3, np.linspace(f[1] + 1.0, 250.0, 100))
+        assert above[1:] == whole[1:] and below[:2] == whole[:2]
+        assert above[0] == (whole[0][0], min(whole[0][1], 0.5 * (f[0] + f[1])))
+        assert below[2][0] == max(whole[2][0], f[1] + 1.0)
+        assert all(lo < hi for lo, hi in above + below)
+
 
 class TestPercentReduction:
     def _fake_frf(self, grid, vel):
@@ -148,6 +159,17 @@ class TestPercentReduction:
                                 [(15.0, 25.0)])
         assert rep.entries[0].flagged
         assert rep.entries[0].note
+
+    def test_window_off_the_grid_or_between_points_has_no_peaks(self):
+        grid = np.linspace(10.0, 30.0, 21)
+        bump = self._fake_frf(grid, 1.0 / (1.0 + ((grid - 20.0) / 2.0) ** 2))
+        rep = percent_reduction(bump, bump, [(15.0, 25.0), (28.0, 32.0), (7.0, 9.0),
+                                             (12.2, 12.8)])
+        notes = [e.note for e in rep.entries]
+        assert notes == ["", "mode lies outside the frequency grid",
+                         "mode lies outside the frequency grid", "window contains no grid point"]
+        assert all(e.flagged and np.isnan(e.oc_peak) and np.isnan(e.reduction_pct)
+                   for e in rep.entries[1:])
 
     def test_mismatched_grids_rejected(self):
         g1 = np.linspace(10.0, 30.0, 100)
@@ -326,40 +348,166 @@ class TestBatchedPeaks:
         assert np.array_equal(chunked[2].objective_values, whole[2].objective_values)
 
 
-class TestGoldenSection:
-    def test_step_count_is_the_fewest_as_narrow_as_subdivision(self):
-        """The worst-case final bracket of GOLDEN_STEPS evaluations is no
-        wider than that of the uniform subdivision it replaced; one step
-        fewer would be."""
-        subdivision = (2 / (REFINE_POINTS - 1)) ** REFINE_ROUNDS  # two of ten spacings
-        assert subdivision == pytest.approx(0.2**8, rel=1e-12)
-        assert GOLDEN ** (GOLDEN_STEPS - 1) <= subdivision < GOLDEN ** (GOLDEN_STEPS - 2)
+def recorded(function):
+    """``function`` of frequencies (C,) as a ``_parabolic_search`` velocity,
+    with every evaluated frequency appended to its candidate's list."""
+    seen = {}
 
-    def test_search_lands_within_the_bracket_bound(self):
-        """On a unimodal peak anywhere in its bracket, ends included, the
-        best evaluated point lies within (2/10)^8 of the bracket width of
-        the true maximum, after exactly GOLDEN_STEPS evaluations."""
-        lo = np.array([0.0, 0.0, 10.0, 10.0, 3.0, 3.0, 3.0])
-        hi = np.array([1.0, 1.0, 10.5, 10.5, 7.0, 7.0, 7.0])
-        peak = np.array([0.0, 1.0, 10.0, 10.5, 3.1, 5.0, 6.99])
-        evaluations = []
+    def velocity(rows, f):
+        for r, fr in zip(rows, f):
+            seen.setdefault(int(r), []).append(float(fr))
+        return function(rows, f)
 
-        def velocity(f):
-            evaluations.append(f.shape[1])
-            assert np.all((f > lo[:, None]) & (f < hi[:, None]))
-            return -np.abs(f - peak[:, None])
+    return velocity, seen
 
-        best_v, best_f = _golden_search(velocity, lo, hi, np.full(7, -np.inf), np.zeros(7))
-        assert sum(evaluations) == GOLDEN_STEPS
-        assert np.all(np.abs(best_f - peak) <= 0.2**8 * (hi - lo))
-        assert np.array_equal(best_v, -np.abs(best_f - peak))
 
-    def test_only_strictly_higher_points_replace_the_best(self):
-        lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        best_v, best_f = _golden_search(lambda f: np.ones(f.shape), lo, hi,
-                                        np.array([1.0, 0.5]), np.array([0.25, 0.25]))
-        assert best_v.tolist() == [1.0, 1.0]
-        assert best_f[0] == 0.25 and best_f[1] != 0.25
+class TestParabolicSearch:
+    PTS = np.linspace(10.0, 20.0, 11)
+
+    def search(self, function):
+        """Search the candidates of ``function(rows, f)`` from its values at
+        PTS; returns the peaks, their frequencies and every evaluated point."""
+        rows = np.arange(len(function.peaks))
+        vals = np.stack([function(np.full(self.PTS.size, r), self.PTS) for r in rows])
+        velocity, seen = recorded(function)
+        best_v, best_f = _parabolic_search(velocity, self.PTS, vals)
+        return best_v, best_f, seen
+
+    @staticmethod
+    def quadratic(peaks):
+        """1/|v|^2 = 1 + 3 (f - peak)^2 for each candidate's peak."""
+        def function(rows, f):
+            return 1.0 / np.sqrt(1.0 + 3.0 * (f - function.peaks[rows]) ** 2)
+        function.peaks = np.asarray(peaks)
+        return function
+
+    @staticmethod
+    def resonance(peaks, zeta=0.01):
+        """|velocity| of a single damped mode at each candidate's frequency."""
+        def function(rows, f):
+            fn = function.peaks[rows]
+            return f / np.hypot(fn**2 - f**2, 2.0 * zeta * fn * f)
+        function.peaks = np.asarray(peaks)
+        return function
+
+    def test_one_kernel_call_per_step_for_the_whole_stack(self, array_objective,
+                                                        monkeypatch):
+        """Refining a stack of candidates makes PARABOLIC_STEPS kernel
+        calls, each with one frequency of every candidate."""
+        objective, band = array_objective
+        shapes = []
+        velocity = objective._kernel.velocity
+
+        def counted(freqs_hz, *args):
+            shapes.append(np.shape(freqs_hz))
+            return velocity(freqs_hz, *args)
+
+        monkeypatch.setattr(objective._kernel, "velocity", counted)
+        topologies = [ShuntTopology.uniform("separated", 12, ImpedanceLaw.resistor(r))
+                      for r in np.geomspace(100.0, 1e6, 9)]
+        objective.peaks_in_band(topologies, band)
+        points = objective.band_points(band).size
+        assert shapes == [(points,)] + [(9, 1)] * PARABOLIC_STEPS
+        shapes.clear()
+        current = ShuntTopology.separated([ImpedanceLaw.resistor(r)
+                                           for r in TestCoordinatePeaks.CURRENT])
+        objective.coordinate_peaks(current, 4, TestCoordinatePeaks.LAWS, band)
+        assert shapes == [(16, 1)] * PARABOLIC_STEPS
+
+    def test_exact_quadratic_gives_its_vertex(self):
+        """Where 1/|v|^2 is a parabola, the first step lands on its vertex,
+        wherever the vertex lies between the grid neighbours."""
+        peaks = [13.0, 13.37, 15.61, 16.5, 10.73, 19.25, 14.0 - 3e-3]
+        best_v, best_f, _ = self.search(self.quadratic(peaks))
+        assert np.max(np.abs(best_f - peaks) / peaks) <= 1e-12
+        assert np.max(np.abs(best_v - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["quadratic", "resonance"])
+    def test_no_evaluated_point_within_tol_of_another(self, kind):
+        """No evaluated point comes within tol = SPACING * (b - a) of a grid
+        point or of another evaluated point, peaks on or next to the grid
+        included. A vertex nearer than tol to the best point is not
+        evaluated, so the best point may stay about tol off the peak."""
+        peaks = [13.0, 13.0 + 1e-9, 13.5, 13.37, 16.5 - 1e-7, 10.02, 19.62, 17.5]
+        function = getattr(self, kind)(peaks)
+        best_v, best_f, seen = self.search(function)
+        tol = SPACING * 2.0
+        for r, evaluated in seen.items():
+            assert len(evaluated) == PARABOLIC_STEPS
+            points = np.sort(np.concatenate([self.PTS, evaluated]))
+            assert np.min(np.diff(points)) >= tol
+        assert np.all(best_v == function(np.arange(len(peaks)), best_f))
+        assert np.all(np.abs(best_f - peaks) <= 2.0 * tol)
+
+    def test_peak_on_a_band_end_stays_finite_and_inside(self, ref_model, point_force,
+                                                        target_point, ref_config):
+        """A monotone band keeps its end point; so does a flat one, whose
+        equal values never replace the first grid maximum."""
+        ramp = self.quadratic([5.0, 25.0, 10.0 - 1e-3, 20.0 + 1e-3])
+        best_v, best_f, seen = self.search(ramp)
+        assert best_f.tolist() == [10.0, 20.0, 10.0, 20.0]
+        assert np.all(best_v == ramp(np.arange(4), best_f))
+        assert all(10.0 < f < 20.0 for evaluated in seen.values() for f in evaluated)
+
+        flat_v, flat_f = _parabolic_search(lambda rows, f: np.ones(f.shape), self.PTS,
+                                           np.ones((1, self.PTS.size)))
+        assert flat_v.tolist() == [1.0] and flat_f.tolist() == [10.0]
+
+        grid = ref_config.grid.frequencies()
+        objective = VelocityObjective(ref_model, point_force, target_point, grid)
+        f1 = ref_model.frequencies_hz[0]
+        topologies = [ShuntTopology.uniform("separated", 3, ImpedanceLaw.resistor(r))
+                      for r in (1e2, 1e4, 1e6)]
+        for band in ((0.8 * f1, 0.95 * f1), (1.05 * f1, 1.2 * f1)):
+            pts = objective.band_points(band)
+            peaks, freqs = objective.peaks_in_band(topologies, band)
+            assert np.all(np.isfinite(peaks)) and np.all(np.isfinite(freqs))
+            end = pts[-1] if band[1] < f1 else pts[0]
+            assert np.all(freqs == end)
+
+    def test_band_of_one_grid_point_makes_no_call(self):
+        calls = []
+        best_v, best_f = _parabolic_search(lambda rows, f: calls.append(f),
+                                           np.array([12.0]), np.array([[3.0], [4.0]]))
+        assert not calls
+        assert best_v.tolist() == [3.0, 4.0] and best_f.tolist() == [12.0, 12.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, np.inf])
+    @pytest.mark.parametrize("step", [0, 2, PARABOLIC_STEPS - 1])
+    def test_non_finite_or_zero_step_fails_closed(self, ref_model, point_force,
+                                                  target_point, ref_config, monkeypatch,
+                                                  step, bad):
+        """A step whose velocity comes back NaN, inf or zero never gives the
+        peak or its frequency: the result is finite and no lower than the
+        grid maximum, or the search raises SolverError."""
+        grid = ref_config.grid.frequencies()
+        objective = VelocityObjective(ref_model, point_force, target_point, grid)
+        band = mode_windows(ref_model, 1, grid)[0]
+        topologies = [ShuntTopology.uniform("separated", 3, ImpedanceLaw.resistor(r))
+                      for r in (1e3, 1e4, 1e5)]
+        pts = objective.band_points(band)
+        grid_peaks = np.array([objective.velocity_abs(t, pts).max() for t in topologies])
+        velocity = objective._kernel.velocity
+        calls, poisoned = [], []
+
+        def faulty(freqs_hz, *args):
+            calls.append(None)
+            out = velocity(freqs_hz, *args)
+            if len(calls) == step + 2:  # the band's grid points take the first call
+                poisoned.extend(np.ravel(freqs_hz))
+                out = np.full_like(out, bad)
+            return out
+
+        monkeypatch.setattr(objective._kernel, "velocity", faulty)
+        try:
+            peaks, freqs = objective.peaks_in_band(topologies, band)
+        except SolverError:
+            return
+        assert poisoned
+        assert np.all(np.isfinite(peaks)) and np.all(np.isfinite(freqs))
+        assert np.all(peaks >= grid_peaks)
+        assert not set(freqs.tolist()) & set(poisoned)
+        assert np.all((freqs >= band[0]) & (freqs <= band[1]))
 
 
 @pytest.fixture(scope="module")
@@ -396,12 +544,12 @@ class TestCoordinatePeaks:
         current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
         whole = objective.coordinate_peaks(current, 3, self.LAWS, band)
         points = objective.band_points(band).size
-        per_candidate = 2 * (12 * 12 + objective.n_modes)  # at a golden step's two points
+        per_candidate = 12 * 12 + objective.n_modes  # at a parabolic step's one point
         assert len(response._stacks(16, points * 12)) == 1
         assert len(response._stacks(16, per_candidate)) == 1
         monkeypatch.setattr(response, "CHUNK_ENTRIES", 5 * per_candidate)
         assert len(response._stacks(16, points * 12)) > 2     # rank-one band chunks
-        assert len(response._stacks(16, per_candidate)) == 4  # two-point golden stacks of 5
+        assert len(response._stacks(16, per_candidate)) == 4  # one-point step stacks of 5
         stacked = objective.coordinate_peaks(current, 3, self.LAWS, band)
         assert np.max(np.abs(stacked[0] - whole[0]) / whole[0]) <= 1e-12
         assert np.max(np.abs(stacked[1] - whole[1]) / whole[1]) <= 1e-12
