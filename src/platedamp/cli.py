@@ -10,7 +10,8 @@ Commands:
              write a combined report.json plus sweep/FRF data for both
 
 All numbers are written with 17 significant digits and fixed newlines,
-so repeated runs produce byte-identical files. Exit codes: 0 success,
+so repeated runs produce byte-identical files; CSV blocks of rows take
+one ``%`` call each, and NaN or inf is refused. Exit codes: 0 success,
 2 configuration error, 3 numerical failure.
 """
 
@@ -35,12 +36,18 @@ from .ritz import ModalModel, build_model
 from .tuning import (ReductionReport, SweepResult, SweepSpec, mode_windows,
                      percent_reduction, sweep_resistance)
 
+_CSV_BLOCK_ROWS = 512  # rows formatted by one ``%`` call, so one block is alive at a time
+
 
 def _write_csv(path: str, header: list[str], columns) -> None:
     rows = np.column_stack(columns)
+    if not np.isfinite(rows).all():
+        raise SolverError(f"non-finite number in {os.path.basename(path)}")
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        for block in np.split(rows, range(_CSV_BLOCK_ROWS, len(rows), _CSV_BLOCK_ROWS)):
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: str, obj) -> None:

@@ -43,27 +43,34 @@ def _parabolic_search(velocity, pts, vals):
     ``pts`` (P,), refined off the grid: best values and frequencies (C,).
 
     The grid argmax x and its neighbours a < b bracket the peak. Each step
-    evaluates the vertex of the parabola through (f, 1/v^2) at a, x and b
-    if it lies inside the bracket at least tol = SPACING * (b - a) from
+    evaluates the vertex of the parabola through (f, 1/v^2) at a, x and b if
+    it lies inside the bracket at least tol = SPACING * (2 grid steps) from
     each (a NaN or inf vertex never does), else the golden point of the
     larger side, for every candidate whose golden point keeps tol, in one
-    ``velocity(rows, f)`` call. A finite point becomes x only when
-    strictly higher; the bracket then shrinks to x's neighbours.
+    ``velocity(rows, f)`` call. At a band end (x = a or b) the point last
+    dropped from the bracket stands in, and the fallback is 1.5 tol inward.
+    A finite point becomes x only when strictly higher; the bracket then
+    shrinks to x's neighbours.
     """
     c = np.arange(vals.shape[0])
     i = np.argmax(vals, axis=1)
     lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, pts.size - 1)
-    a, x, b = pts[lo], pts[i], pts[hi]
-    va, vx, vb = vals[c, lo], vals[c, i], vals[c, hi]
-    tol = SPACING * (b - a)
+    up, down = np.minimum(lo + 2, pts.size - 1), np.maximum(hi - 2, 0)  # tol spans two steps
+    j = np.where(i == 0, up, down)
+    a, x, b, w = pts[lo], pts[i], pts[hi], pts[j]
+    va, vx, vb, vw = vals[c, lo], vals[c, i], vals[c, hi], vals[c, j]
+    tol = SPACING * (pts[up] - pts[down])
     for _ in range(PARABOLIC_STEPS):
         side = np.where(b - x > x - a, b - x, a - x)
+        edge = (a == x) | (b == x)  # x on a band end: w stands in for the missing side
+        a3, va3 = np.where(a == x, w, a), np.where(a == x, vw, va)
+        b3, vb3 = np.where(b == x, w, b), np.where(b == x, vw, vb)
         with np.errstate(all="ignore"):  # a 0/0 or inf vertex takes the golden point
-            ga, gx, gb = 1.0 / va**2, 1.0 / vx**2, 1.0 / vb**2
-            p = (x - a)**2 * (gx - gb) - (x - b)**2 * (gx - ga)
-            u = x - p / (2.0 * ((x - a) * (gx - gb) - (x - b) * (gx - ga)))
+            ga, gx, gb = 1.0 / va3**2, 1.0 / vx**2, 1.0 / vb3**2
+            p = (x - a3)**2 * (gx - gb) - (x - b3)**2 * (gx - ga)
+            u = x - p / (2.0 * ((x - a3) * (gx - gb) - (x - b3) * (gx - ga)))
         ok = (u - a >= tol) & (b - u >= tol) & (np.abs(u - x) >= tol)  # False on NaN
-        u = np.where(ok, u, x + (1.0 - GOLDEN) * side)
+        u = np.where(ok, u, x + np.where(edge, np.sign(side) * 1.5 * tol, (1.0 - GOLDEN) * side))
         s = np.flatnonzero((1.0 - GOLDEN) * np.abs(side) > tol)
         if not s.size:
             break
@@ -71,6 +78,7 @@ def _parabolic_search(velocity, pts, vals):
         better = (vu > vx[s]) & np.isfinite(vu)  # NaN or inf never becomes the best
         end, vend = np.where(better, x[s], u), np.where(better, vx[s], vu)
         left = better == (u > x[s])  # the new end replaces a, else b
+        w[s], vw[s] = np.where(left, a[s], b[s]), np.where(left, va[s], vb[s])
         a[s], va[s] = np.where(left, end, a[s]), np.where(left, vend, va[s])
         b[s], vb[s] = np.where(left, b[s], end), np.where(left, vb[s], vend)
         x[s], vx[s] = np.where(better, u, x[s]), np.where(better, vu, vx[s])

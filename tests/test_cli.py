@@ -3,10 +3,11 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
-from platedamp import SolverError, build_model
-from platedamp.cli import _write_json, main
+from platedamp import FrfResult, SolverError, build_model, cli
+from platedamp.cli import _CSV_BLOCK_ROWS, _write_csv, _write_json, main
 from platedamp.config import parse_config_dict, to_dict
 
 FRF_HEADER = "freq_hz,disp_re,disp_im,vel_re,vel_im,|vel|,v1_re,v1_im,v2_re,v2_im,v3_re,v3_im"
@@ -273,6 +274,68 @@ class TestStrictReport:
         with pytest.raises(SolverError):
             _write_json(str(tmp_path / "report.json"), {"reduction_pct": float("nan")})
         assert not (tmp_path / "report.json").exists()
+
+
+class TestCsvWriter:
+    """``_write_csv`` writes the bytes of ``np.savetxt(fmt="%.17g",
+    delimiter=",")`` after the header line."""
+
+    EDGES = [-0.0, 5e-324, 1e308, 1e16, 1e17, 0.1, 3.0, -42.0, 1e16 - 2.0, 1.0 / 3.0,
+             -1.7976931348623157e308, 2.2250738585072014e-308, 123456789.0, -1e-300]
+
+    @staticmethod
+    def columns(rows, kind):
+        """Columns cycling through EDGES and seeded values of every magnitude;
+        "table" puts an ``np.arange`` column (modes.csv's ``mode``) first."""
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows * 14) * 10.0 ** rng.integers(-30, 30, rows * 14)
+        values[::3] = np.resize(TestCsvWriter.EDGES, values[::3].size)
+        if kind == "integers":
+            return [np.arange(1, rows + 1)]
+        if kind == "floats":
+            return [values[:rows]]
+        return [np.arange(1, rows + 1), values[:rows * 13].reshape(rows, 13)]
+
+    @pytest.mark.parametrize("kind", ["integers", "floats", "table"])
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                      _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
+    def test_same_bytes_as_savetxt(self, tmp_path, rows, kind):
+        columns = self.columns(rows, kind)
+        table = np.column_stack(columns)
+        header = [f"c{k}" for k in range(table.shape[1])]
+        assert table.shape == (rows, 14 if kind == "table" else 1)
+        _write_csv(str(tmp_path / "block.csv"), header, columns)
+        with open(tmp_path / "savetxt.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+        written = read(tmp_path / "block.csv")
+        assert written == read(tmp_path / "savetxt.csv")
+        assert written.count(b"\n") == rows + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_number_raises_and_writes_nothing(self, tmp_path, bad):
+        values = np.arange(5.0)
+        values[3] = bad
+        with pytest.raises(SolverError, match="frf.csv"):
+            _write_csv(str(tmp_path / "frf.csv"), ["a", "b"], [np.arange(5), values])
+        assert not (tmp_path / "frf.csv").exists()
+
+    def test_nan_in_frf_exits_3_and_writes_no_csv(self, light_config_path, tmp_path,
+                                                  monkeypatch, capsys):
+        real = cli.frf
+
+        def poisoned(*args):
+            result = real(*args)
+            velocity = result.velocity.copy()
+            velocity[7] = complex(np.nan, 0.0)
+            return FrfResult(result.frequencies_hz, result.displacement, velocity,
+                             result.voltages)
+
+        monkeypatch.setattr(cli, "frf", poisoned)
+        out = tmp_path / "out"
+        assert main(["frf", "--config", str(light_config_path), "--out", str(out)]) == 3
+        assert "non-finite number in frf.csv" in capsys.readouterr().err
+        assert not (out / "frf.csv").exists()
 
 
 class TestEntryPoint:

@@ -465,6 +465,18 @@ class TestParabolicSearch:
             end = pts[-1] if band[1] < f1 else pts[0]
             assert np.all(freqs == end)
 
+    @pytest.mark.parametrize("peak", [19.9999, 19.99, 10.0001, 10.01, 15.3])
+    def test_resonance_next_to_a_band_end_is_found(self, peak):
+        """A damped mode's |velocity| peaks exactly at its natural frequency.
+        Just inside a band end the grid argmax is the end itself, and the
+        search still reaches the peak as closely as it does inside the band."""
+        function = self.resonance([peak])
+        best_v, best_f, seen = self.search(function)
+        exact = function(np.array([0]), np.array([peak]))[0]
+        assert exact - best_v[0] <= 1e-9 * exact
+        assert abs(best_f[0] - peak) <= 1e-6 * peak
+        assert len(seen[0]) <= PARABOLIC_STEPS
+
     def test_band_of_one_grid_point_makes_no_call(self):
         calls = []
         best_v, best_f = _parabolic_search(lambda rows, f: calls.append(f),
