@@ -10,14 +10,19 @@ Commands:
              write a combined report.json plus sweep/FRF data for both
 
 All numbers are written with 17 significant digits and fixed newlines,
-so repeated runs produce byte-identical files; CSV blocks of rows take
-one ``%`` call each, and NaN or inf is refused. Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+so repeated runs produce byte-identical files. A CSV file holds exactly the
+bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes for its rows:
+``_csv_format`` works out the digits and layout of a block of numbers at
+once with numpy and passes only the numbers it cannot certify, such as exact
+ties, to CPython's own formatting. NaN or inf is refused before a file is
+opened. Exit codes: 0 success, 2 configuration error or unusable ``--out``,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,18 +41,142 @@ from .ritz import ModalModel, build_model
 from .tuning import (ReductionReport, SweepResult, SweepSpec, mode_windows,
                      percent_reduction, sweep_resistance)
 
-_CSV_BLOCK_ROWS = 512  # rows formatted by one ``%`` call, so one block is alive at a time
+_CSV_BLOCK_VALUES = 2048  # numbers formatted per block: one block's arrays stay under 1 MB
+_POW10_SPAN = 300  # the table holds 10**n for |n| <= 300; other scales take the fallback
+# A number's field before padding is dropped: sign, "0.000", the digits d0..d16 each
+# followed by a slot for the point (d_i at byte 6 + 2i), "e", the exponent's sign and
+# three digits, and the separator.
+_FIELD = 45
+
+
+@functools.cache
+def _csv_tables():
+    """Tables for ``_csv_digits`` and ``_csv_format``, built on the first write.
+
+    ``pow10[:, n + _POW10_SPAN]`` is 10**n as a double-double ``hi + lo``, with
+    ``hi`` split into its upper 26 bits and the rest for Dekker's product.
+    ``keep[(neg * 23 + cat) * 17 + k - 1]`` marks the field bytes ``%.17g``
+    prints for a number with sign ``neg``, ``k`` digits kept after trailing
+    zeros are dropped, and category ``cat``: X + 4 for fixed notation
+    (-4 <= X <= 16), 21 for a two-digit exponent, 22 for a three-digit one.
+    ``template`` is a field with every constant byte in place; ``quads[i]``
+    and ``exponents[X + 324]`` are the characters of ``"%04d" % i`` and of
+    ``"%+04d" % X``.
+    """
+    pow10 = np.empty((4, 2 * _POW10_SPAN + 1))
+    for i, n in enumerate(range(-_POW10_SPAN, _POW10_SPAN + 1)):
+        num, den = (10 ** n, 1) if n >= 0 else (1, 10 ** -n)
+        hi = num / den  # int / int rounds correctly
+        a, b = hi.as_integer_ratio()
+        split = 134217729.0 * hi
+        upper = split - (split - hi)
+        pow10[:, i] = hi, (num * b - a * den) / (den * b), upper, hi - upper
+
+    neg, cat, k = (g[..., None] for g in np.meshgrid(
+        [0, 1], np.arange(23), np.arange(1, 18), indexing="ij"))
+    fixed, x = cat <= 20, cat - 4
+    col = np.arange(_FIELD)
+    i = (col - 6) // 2  # the digit at, or just before, this byte
+    digits = (col >= 6) & (col <= 38)
+    keep = ((col == 0) & (neg == 1)  # sign
+            | (col >= 1) & (col <= 5) & fixed & (x < 0) & (col - 3 < -x - 1)  # "0.00"
+            | digits & (col % 2 == 0) & ((i < k) | fixed & (i <= x))  # digits, integer zeros
+            | digits & (col % 2 == 1) & (i + 1 < k) & (i == np.where(fixed, x, 0))  # point
+            | (col >= 39) & (col <= 43) & ~fixed & ((col != 41) | (cat == 22))  # exponent
+            | (col == 44))  # separator
+    template = np.full(_FIELD, ord("0"), np.uint8)
+    template[[0, 2, 39, 44]] = list(b"-.e,")
+    template[7:39:2] = ord(".")
+
+    def decimal(values, width):  # the characters of "%0*d" % (width, v), v >= 0
+        return (values[:, None] // 10 ** np.arange(width - 1, -1, -1, dtype=np.int16) % 10
+                + ord("0")).astype(np.uint8)
+
+    exponent = np.arange(-324, 309, dtype=np.int16)
+    exponents = np.column_stack([np.where(exponent < 0, ord("-"), ord("+")).astype(np.uint8),
+                                 decimal(np.abs(exponent), 3)])
+    return (pow10, keep.reshape(-1, _FIELD), template,
+            decimal(np.arange(10000, dtype=np.int16), 4), exponents)
+
+
+def _csv_digits(x):
+    """Each |x| rounded to 17 significant digits, as ``"%.16e" % x`` rounds it:
+    the integer D in [1e16, 1e17) and the decimal exponent X of D * 10**(X - 16).
+    A zero gives D = X = 0.
+
+    With n = 16 - floor(log10 |x|), clipped to the table, y = |x| * 10**n is
+    found as p + q to about 1e-14 by Dekker's exact product with the
+    double-double power; pure float64, no FMA. D = round(y) and X = 16 - n are
+    certain, whatever log10 returned, when floor(y) and D lie in [1e16, 1e17)
+    and frac(y) is more than 1e-6 from one half. Every other number (ties, a carry into
+    the next decade, a log10 one off next to a power of ten, a split that
+    overflows to NaN, a scale past the table) is parsed from ``"%.16e" % x``.
+    """
+    pow10 = _csv_tables()[0]
+    ax = np.abs(x)
+    zero = ax == 0.0
+    ax[zero] = 1.0
+    n = np.clip(16 - np.floor(np.log10(ax)).astype(np.int64), -_POW10_SPAN, _POW10_SPAN)
+    hi, lo, hi_upper, hi_lower = pow10.take(n + _POW10_SPAN, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = 134217729.0 * ax
+        upper -= upper - ax
+        lower = ax - upper
+        p = ax * hi
+        q = upper * hi_upper - p
+        q += upper * hi_lower
+        q += lower * hi_upper
+        q += lower * hi_lower  # ax * hi == p + q exactly
+        q += ax * lo
+        floor_q = np.floor(q)
+        frac = q - floor_q
+        ok = np.abs(frac - 0.5) > 1e-6
+    floor_y = p.astype(np.int64) + np.where(ok, floor_q, 0.0).astype(np.int64)
+    D = floor_y + (frac > 0.5)
+    ok &= (floor_y >= 10 ** 16) & (D < 10 ** 17)
+    X = 16 - n
+    slow = np.flatnonzero(~ok)
+    if len(slow):
+        text = ["%.16e" % v for v in ax[slow].tolist()]
+        D[slow] = [int(s[0] + s[2:18]) for s in text]
+        X[slow] = [int(s[19:]) for s in text]
+    D[zero] = 0
+    X[zero] = 0
+    return D, X
+
+
+def _csv_format(rows):
+    """The bytes ``np.savetxt(fh, rows, fmt="%.17g", delimiter=",")`` writes for
+    a 2-D float64 block, as a uint8 array."""
+    _, keep, template, quads, exponents = _csv_tables()
+    x = rows.ravel()
+    D, X = _csv_digits(x)
+    chars = np.empty((len(x), _FIELD), np.uint8)
+    chars[:] = template
+    zero = D == 0
+    for i in (13, 9, 5, 1):  # digits i..i+3, four at a time, last first
+        top = D // 10000
+        chars[:, 6 + 2 * i:14 + 2 * i:2] = quads.take(D - 10000 * top, axis=0)
+        D = top
+    chars[:, 6] = D + ord("0")
+    chars[:, 40:44] = exponents.take(X + 324, axis=0)
+    chars[rows.shape[1] - 1::rows.shape[1], 44] = ord("\n")
+    k = 17 - np.argmax(chars[:, 38:5:-2] != ord("0"), axis=1)
+    k[zero] = 1
+    cat = np.where((X >= -4) & (X <= 16), X + 4, np.where(np.abs(X) >= 100, 22, 21))
+    code = (np.signbit(x) * 23 + cat) * 17 + k - 1
+    return np.compress(keep.take(code, axis=0).ravel(), chars.ravel())
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
-    rows = np.column_stack(columns)
+    rows = np.column_stack(columns).astype(np.float64, copy=False)
     if not np.isfinite(rows).all():
         raise SolverError(f"non-finite number in {os.path.basename(path)}")
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for block in np.split(rows, range(_CSV_BLOCK_ROWS, len(rows), _CSV_BLOCK_ROWS)):
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    step = max(1, _CSV_BLOCK_VALUES // rows.shape[1])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(rows), step):
+            fh.write(_csv_format(rows[start:start + step]))
 
 
 def _write_json(path: str, obj) -> None:
@@ -233,11 +362,14 @@ def main(argv=None) -> int:
         print(f"platedamp: config error: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](config, args.out, args.threads)
     except (ConfigError, DomainError) as exc:
         print(f"platedamp: config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"platedamp: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (AssemblyError, SolverError, np.linalg.LinAlgError) as exc:
         print(f"platedamp: numerical failure ({type(exc).__name__}): {exc}",

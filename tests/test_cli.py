@@ -1,13 +1,18 @@
+import io
 import json
 import subprocess
 import sys
 import threading
+from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platedamp import FrfResult, SolverError, build_model, cli
-from platedamp.cli import _CSV_BLOCK_ROWS, _write_csv, _write_json, main
+from platedamp.cli import _CSV_BLOCK_VALUES, _csv_format, _write_csv, _write_json, main
 from platedamp.config import parse_config_dict, to_dict
 
 FRF_HEADER = "freq_hz,disp_re,disp_im,vel_re,vel_im,|vel|,v1_re,v1_im,v2_re,v2_im,v3_re,v3_im"
@@ -72,6 +77,22 @@ class TestExitCodes:
         rc = main(["frf", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_out_is_an_existing_file(self, light_config_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        rc = main(["modes", "--config", str(light_config_path), "--out", str(out)])
+        assert rc == 2
+        assert "platedamp: cannot write output:" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    def test_output_file_cannot_be_opened(self, light_config_path, tmp_path, capsys):
+        """A directory where modes.csv should go makes the open fail, as an
+        unwritable --out does, also for root."""
+        (tmp_path / "o" / "modes.csv").mkdir(parents=True)
+        rc = main(["modes", "--config", str(light_config_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "platedamp: cannot write output:" in capsys.readouterr().err
 
 
     def test_undamped_resonance_on_grid_fails_closed(self, light_dict, tmp_path):
@@ -296,10 +317,7 @@ class TestCsvWriter:
             return [values[:rows]]
         return [np.arange(1, rows + 1), values[:rows * 13].reshape(rows, 13)]
 
-    @pytest.mark.parametrize("kind", ["integers", "floats", "table"])
-    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-                                      _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
-    def test_same_bytes_as_savetxt(self, tmp_path, rows, kind):
+    def assert_same_bytes(self, tmp_path, rows, kind):
         columns = self.columns(rows, kind)
         table = np.column_stack(columns)
         header = [f"c{k}" for k in range(table.shape[1])]
@@ -311,6 +329,19 @@ class TestCsvWriter:
         written = read(tmp_path / "block.csv")
         assert written == read(tmp_path / "savetxt.csv")
         assert written.count(b"\n") == rows + 1
+
+    @pytest.mark.parametrize("kind", ["integers", "floats", "table"])
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025])
+    def test_same_bytes_as_savetxt(self, tmp_path, rows, kind):
+        self.assert_same_bytes(tmp_path, rows, kind)
+
+    @pytest.mark.parametrize("kind", ["integers", "floats", "table"])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["block-1", "block", "block+1", "2block+1"])
+    def test_same_bytes_around_the_block_boundary(self, tmp_path, blocks, extra, kind):
+        """A block is as many rows as fit in _CSV_BLOCK_VALUES numbers."""
+        ncols = 14 if kind == "table" else 1
+        self.assert_same_bytes(tmp_path, blocks * (_CSV_BLOCK_VALUES // ncols) + extra, kind)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_number_raises_and_writes_nothing(self, tmp_path, bad):
@@ -336,6 +367,88 @@ class TestCsvWriter:
         assert main(["frf", "--config", str(light_config_path), "--out", str(out)]) == 3
         assert "non-finite number in frf.csv" in capsys.readouterr().err
         assert not (out / "frf.csv").exists()
+
+
+def percent_g(values):
+    """The oracle: CPython's ``"%.17g" % x``, one number per line."""
+    return "".join("%.17g\n" % x for x in np.asarray(values, float).tolist()).encode()
+
+
+def formatted(values):
+    return _csv_format(np.asarray(values, float).reshape(-1, 1)).tobytes()
+
+
+class TestCsvFormat:
+    """``_csv_format`` against ``"%.17g" % x`` on the numbers where a
+    digit-by-arithmetic formatter goes wrong first."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_any_finite_float(self, values):
+        assert formatted(values) == percent_g(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(14).integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert formatted(values) == percent_g(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values])
+        assert formatted(values) == percent_g(values)
+
+    def test_seventeen_nines_carry_into_the_next_decade(self):
+        """Each double lies below its power of ten, within half a unit of the
+        17th digit, so its 17 digits round up to 1 and a new exponent."""
+        assert formatted([9.99999999999999999e-5]) == b"0.0001\n"
+        values = [1e-243, 1e-14, 1e98]
+        assert all(Fraction(x) < Fraction(10) ** k for x, k in zip(values, [-243, -14, 98]))
+        assert formatted(values) == b"1e-243\n1e-14\n1e+98\n"
+
+    def test_exact_ties_round_half_even(self):
+        """Odd m in [2**52, 2**53) over 4 ends in .25 or .75: the 18th digit
+        is an exact 5, so only the exact decimal of the double decides."""
+        assert formatted([(2 ** 53 - 1) / 4]) == b"2251799813685247.8\n"
+        odd = np.random.default_rng(4).integers(2 ** 52, 2 ** 53, 2000) | 1
+        values = np.concatenate([odd / 4.0, odd / 8.0, odd * 2.0 ** -40, odd * 2.0 ** 9])
+        assert formatted(values) == percent_g(values)
+
+    def test_scales_beyond_the_power_table(self):
+        values = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-290, 1.2345e-285,
+                  1.5e300, 1e305, 1.7976931348623157e308]
+        values += [-v for v in values]
+        assert formatted(values) == percent_g(values)
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_a_decade_guessed_wrong_takes_the_fallback(self, monkeypatch, shift):
+        """The digits are checked against the scale actually applied, so a
+        log10 one decade off costs speed, never bytes."""
+        values = np.random.default_rng(3).standard_normal(500) * 10.0 ** np.arange(-250, 250)
+        real = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: real(a) + shift)
+        assert formatted(values) == percent_g(values)
+
+
+class TestCsvOracle:
+    """Every CSV the CLI writes for the bundled reference is the bytes
+    ``np.savetxt`` writes for the values it parses back."""
+
+    @pytest.mark.parametrize("command", ["modes", "compare"])
+    def test_reference_outputs_equal_savetxt(self, tmp_path, command):
+        config = str(resources.files("platedamp").joinpath("data/reference.json"))
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 0
+        paths = sorted(tmp_path.glob("*.csv"))
+        assert paths
+        for path in paths:
+            written = path.read_bytes()
+            header = written.split(b"\n", 1)[0].decode()
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            buf = io.BytesIO()
+            np.savetxt(buf, values, fmt="%.17g", delimiter=",", header=header, comments="")
+            assert buf.getvalue() == written, path.name
 
 
 class TestEntryPoint:
