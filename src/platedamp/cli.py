@@ -41,7 +41,7 @@ from .ritz import ModalModel, build_model
 from .tuning import (ReductionReport, SweepResult, SweepSpec, mode_windows,
                      percent_reduction, sweep_resistance)
 
-_CSV_BLOCK_VALUES = 2048  # numbers formatted per block: one block's arrays stay under 1 MB
+_CSV_BLOCK_VALUES = 4096  # numbers formatted per block: one block's arrays stay under 1 MB
 _POW10_SPAN = 300  # the table holds 10**n for |n| <= 300; other scales take the fallback
 # A number's field before padding is dropped: sign, "0.000", the digits d0..d16 each
 # followed by a slot for the point (d_i at byte 6 + 2i), "e", the exponent's sign and
@@ -147,7 +147,7 @@ def _csv_digits(x):
 
 def _csv_format(rows):
     """The bytes ``np.savetxt(fh, rows, fmt="%.17g", delimiter=",")`` writes for
-    a 2-D float64 block, as a uint8 array."""
+    a 2-D float64 block."""
     _, keep, template, quads, exponents = _csv_tables()
     x = rows.ravel()
     D, X = _csv_digits(x)
@@ -165,18 +165,23 @@ def _csv_format(rows):
     k[zero] = 1
     cat = np.where((X >= -4) & (X <= 16), X + 4, np.where(np.abs(X) >= 100, 22, 21))
     code = (np.signbit(x) * 23 + cat) * 17 + k - 1
-    return np.compress(keep.take(code, axis=0).ravel(), chars.ravel())
+    chars *= keep.take(code, axis=0)  # a dropped byte becomes 0, which no field holds
+    return chars.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
-    rows = np.column_stack(columns).astype(np.float64, copy=False)
-    if not np.isfinite(rows).all():
+    """Write the header line, then the rows of ``columns`` (1-D columns and
+    2-D groups of columns of equal length), each block of rows cut straight
+    from the columns."""
+    if not all(np.isfinite(c).all() for c in columns):
         raise SolverError(f"non-finite number in {os.path.basename(path)}")
-    step = max(1, _CSV_BLOCK_VALUES // rows.shape[1])
+    width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
+    step = max(1, _CSV_BLOCK_VALUES // width)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(rows), step):
-            fh.write(_csv_format(rows[start:start + step]))
+        for start in range(0, len(columns[0]), step):
+            rows = np.column_stack([c[start:start + step] for c in columns])
+            fh.write(_csv_format(rows.astype(np.float64, copy=False)))
 
 
 def _write_json(path: str, obj) -> None:
@@ -207,12 +212,12 @@ def write_frf_csv(path: str, result: FrfResult) -> None:
     header = ["freq_hz", "disp_re", "disp_im", "vel_re", "vel_im", "|vel|"]
     for i in range(k):
         header += [f"v{i + 1}_re", f"v{i + 1}_im"]
-    volts = result.voltages
     _write_csv(path, header, [result.frequencies_hz,
                               result.displacement.real, result.displacement.imag,
                               result.velocity.real, result.velocity.imag,
                               np.abs(result.velocity),
-                              np.stack((volts.real, volts.imag), axis=-1).reshape(len(volts), -1)])
+                              # v1_re, v1_im, v2_re, ...: the voltages' own memory layout
+                              np.ascontiguousarray(result.voltages).view(np.float64)])
 
 
 def write_sweep_csv(path: str, sweep_result: SweepResult) -> None:

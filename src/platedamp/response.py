@@ -7,18 +7,24 @@ load. Separated wiring has one node per patch; connected wiring has a
 single node carrying the summed coupling and capacitance, whose voltage
 every patch sees; the purely mechanical response has no node. Eliminating
 the modal coordinates leaves a dense complex system in the node voltages
-whose off-diagonals carry the structure-mediated interaction.
+whose off-diagonals carry the structure-mediated interaction. Nodes are
+kept in a canonical order, the patches sorted by footprint corner
+(x1, y1) as ``ritz`` adds them, so listing the patches in another order
+permutes the voltage columns and changes no other bit.
 
 One block kernel builds and solves that system for a block of
-frequencies at once. Its load-independent part, the structural block
-j*omega * theta^T diag(inv) theta, is one matrix product against the
-node coupling outer products; the loads enter only on the diagonal, so
-a stack of candidate loads can share one structural block. The kernel
+frequencies at once. Its load-independent parts (the structural block
+j*omega * theta^T diag(inv) theta, the right-hand side and the target
+terms) all come from one real matrix product: the real and imaginary
+parts of the modal inverse inv against a per-wiring table of coupling
+and mode-value products. The loads enter only on the diagonal, so a
+stack of candidate loads can share one structural block. The kernel
 evaluates every stack of candidate loads a sweep asks for, cut into
 stacks of about CHUNK_ENTRIES complex entries; FRF grids are cut into
 consecutive blocks of BLOCK_POINTS. Both bound memory and run in order
-on the calling thread; the BLAS library may use the other cores inside
-each one's products.
+on the calling thread. Each call of the product is cut into rows of at
+most _PRODUCT_MADDS multiply-adds, small enough that the BLAS library
+runs it inline instead of handing it to a worker thread.
 
 Open and short circuits are numerical surrogates (1e9 and 1e-3 ohm)
 rather than separate code paths; their adequacy is covered by tests.
@@ -42,6 +48,12 @@ RETAIN_BAND_FACTOR = 4.0
 
 BLOCK_POINTS = 256
 
+# Multiply-adds of one call of the structural product. OpenBLAS hands a
+# dgemm of about 1e6 multiply-adds or more to its worker threads, which then
+# spin for about 0.13 s; a block's rows are cut so that every call stays
+# below that and runs inline on the calling thread.
+_PRODUCT_MADDS = 2**19
+
 # Complex entries of one stack of candidate load sets: max(1, CHUNK_ENTRIES
 # // (Q * (m*m + n))) candidates at Q frequencies each, m voltage nodes and
 # n retained modes, or CHUNK_ENTRIES // (F * m) in a rank-one stack.
@@ -53,6 +65,15 @@ def _stacks(count: int, entries: int) -> list[slice]:
     CHUNK_ENTRIES complex entries at ``entries`` per candidate."""
     size = max(1, CHUNK_ENTRIES // entries)
     return [slice(i, i + size) for i in range(0, count, size)]
+
+
+def _times_jw(w, re, im):
+    """j*w * (re + j*im) for real ``w`` (F, 1) and ``re``, ``im`` (F, c),
+    written straight into one new complex array."""
+    z = np.empty(re.shape, dtype=complex)
+    np.multiply(im, -w, out=z.real)
+    np.multiply(re, w, out=z.imag)
+    return z
 
 
 def _impedance(ohms, henries, omega):
@@ -184,25 +205,31 @@ def _check_coupled(model: ModalModel):
         raise DomainError("model has no coupling data; run electromech.with_coupling first")
 
 
-def _load_arrays(topologies):
-    """R and L of every node load of C topologies of one wiring, each (C, m)."""
-    ohms = np.array([[law.ohms for law in t.loads] for t in topologies], dtype=float)
-    henries = np.array([[law.henries for law in t.loads] for t in topologies], dtype=float)
+def _load_arrays(topologies, load_index):
+    """R and L of the m node loads of C topologies of one wiring, each
+    (C, m): node j takes each topology's load ``load_index[j]``."""
+    ohms = np.array([[t.loads[i].ohms for i in load_index] for t in topologies], dtype=float)
+    henries = np.array([[t.loads[i].henries for i in load_index] for t in topologies],
+                       dtype=float)
     return ohms, henries
 
 
 class _Nodes(NamedTuple):
-    """Voltage nodes of one wiring: ``incidence`` (K, m) maps node voltages
-    to the K patches; ``theta`` (n, m) and ``caps`` (m,) are the summed
-    coupling columns and capacitances of each node's patches and ``outer``
-    (n, m*m) holds the products theta_ri * theta_rj. ``ohms`` and
-    ``henries`` (..., m) are the node loads; a leading axis stacks
-    candidate load sets that share the wiring."""
+    """Voltage nodes of one wiring, in canonical order: ``patch_node``
+    (K,) is the node of each listed patch and ``load_index`` (m,) the
+    listed load each node takes. ``caps`` (m,) are the summed
+    capacitances of each node's patches. With theta (n, m) their summed
+    coupling columns, ``table`` (n, m*m + 2m + 1) holds per retained mode
+    r the products [theta_ri theta_rj | phi0_r theta_ri | phit_r theta_ri
+    | phi0_r phit_r], phi0 and phit being the mode values at the force
+    and target points. ``ohms`` and ``henries`` (..., m) are the node
+    loads; a leading axis stacks candidate load sets that share the
+    wiring."""
 
-    incidence: np.ndarray
-    theta: np.ndarray
+    patch_node: np.ndarray
+    load_index: np.ndarray
     caps: np.ndarray
-    outer: np.ndarray
+    table: np.ndarray
     ohms: np.ndarray
     henries: np.ndarray
 
@@ -223,44 +250,63 @@ class _Kernel:
 
     def nodes(self, topology: ShuntTopology | None) -> _Nodes:
         """One node per patch (separated), one node for all patches
-        (connected), or none (``None``: the purely mechanical response)."""
-        k = len(self.model.patches)
+        (connected), or none (``None``: the purely mechanical response).
+        Separated nodes, and the terms of connected sums, follow the
+        patches sorted by footprint corner (x1, y1)."""
+        patches = self.model.patches
+        k = len(patches)
+        order = sorted(range(k), key=lambda i: (patches[i].x1, patches[i].y1))
+        patch_node = np.zeros(k, dtype=int)
         if topology is None:
-            return _Nodes(np.zeros((k, 0)), np.zeros((self.n, 0)), np.zeros(0),
-                          np.zeros((self.n, 0)), np.zeros(0), np.zeros(0))
-        _check_coupled(self.model)
-        if topology.mode == "connected":
-            incidence = np.ones((k, 1))
-        elif len(topology.loads) == k:
-            incidence = np.eye(k)
+            theta, caps, load_index = np.zeros((self.n, 0)), np.zeros(0), np.zeros(0, dtype=int)
+            ohms = henries = np.zeros(0)
         else:
-            raise DomainError(f"expected {k} loads, got {len(topology.loads)}")
-        theta = self.model.coupling[:self.n] @ incidence
-        outer = (theta[:, :, None] * theta[:, None, :]).reshape(self.n, -1)
-        ohms, henries = _load_arrays([topology])
-        return _Nodes(incidence, theta, self.model.capacitances @ incidence, outer,
-                      ohms[0], henries[0])
+            _check_coupled(self.model)
+            theta, caps = self.model.coupling[:self.n, order], self.model.capacitances[order]
+            if topology.mode == "connected":
+                theta, caps = theta.sum(axis=1, keepdims=True), caps.sum(keepdims=True)
+                load_index = np.zeros(1, dtype=int)
+            elif len(topology.loads) == k:
+                load_index = np.array(order, dtype=int)
+                patch_node[load_index] = np.arange(k)
+            else:
+                raise DomainError(f"expected {k} loads, got {len(topology.loads)}")
+            ohms, henries = (a[0] for a in _load_arrays([topology], load_index))
+        table = np.hstack([(theta[:, :, None] * theta[:, None, :]).reshape(self.n, -1),
+                           self.phi0[:, None] * theta, self.phit[:, None] * theta,
+                           (self.phi0 * self.phit)[:, None]])
+        return _Nodes(patch_node, load_index, caps, table, ohms, henries)
 
     def structure(self, omega: np.ndarray, nodes: _Nodes):
         """The load-independent blocks at frequencies ``omega`` of any shape.
 
         With the modal inverse inv_r = 1 / (omega_r^2 - omega^2 + 2j zeta_r
         omega_r omega), returns the structural block S = j*omega *
-        theta^T diag(inv) theta (..., m, m), one GEMM against ``outer``;
-        the right-hand side b (..., m) per newton; and d0 (...) and g
-        (..., m) such that the target displacement is d0 + sum_i v_i g_i
-        for node voltages v.
+        theta^T diag(inv) theta (..., m, m); the right-hand side b (..., m)
+        per newton; and d0 (...) and g (..., m) such that the target
+        displacement is d0 + sum_i v_i g_i for node voltages v. All four
+        are columns of inv @ ``table``, taken as one real product of the
+        stacked real and imaginary parts of inv, with no complex division,
+        in calls of at most _PRODUCT_MADDS multiply-adds.
         """
-        m = nodes.theta.shape[1]
+        m = nodes.caps.size
         w = omega.reshape(-1, 1)
+        a = self.omega_n**2 - w**2
+        c = 2.0 * self.zeta * self.omega_n * w
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in respond
-            inv = 1.0 / (self.omega_n**2 - w**2 + 2j * self.zeta * self.omega_n * w)
-            jw = 1j * w
-            S = jw * (inv @ nodes.outer)
-            drive = self.phi0 * inv
-            b = -jw * (drive @ nodes.theta)
-            d0 = drive @ self.phit
-            g = (inv * self.phit) @ nodes.theta
+            mag = a * a + c * c
+            inv = np.concatenate((a / mag, -c / mag))  # (2F, n): Re inv, then Im inv
+        table = nodes.table
+        out = np.empty((len(inv), table.shape[1]))
+        rows = max(1, _PRODUCT_MADDS // table.size)
+        for i in range(0, len(inv), rows):
+            np.matmul(inv[i:i + rows], table, out=out[i:i + rows])
+        re, im = out[:len(w)], out[len(w):]  # of inv @ table
+        mm = m * m
+        S = _times_jw(w, re[:, :mm], im[:, :mm])
+        b = _times_jw(-w, re[:, mm:mm + m], im[:, mm:mm + m])
+        g = re[:, mm + m:-1] + 1j * im[:, mm + m:-1]
+        d0 = re[:, -1] + 1j * im[:, -1]
         shape = omega.shape
         return (S.reshape(shape + (m, m)), b.reshape(shape + (m,)), d0.reshape(shape),
                 g.reshape(shape + (m,)))
@@ -300,7 +346,7 @@ class _Kernel:
         shared = omega.ndim == 1
         blocks = self.structure(omega, nodes) if shared else None
         parts = []
-        for s in _stacks(len(ohms), omega.shape[-1] * (nodes.theta.shape[1]**2 + self.n)):
+        for s in _stacks(len(ohms), omega.shape[-1] * (nodes.caps.size**2 + self.n)):
             stack = nodes._replace(ohms=ohms[s, None], henries=henries[s, None])
             w = omega if shared else omega[s]
             disp = self.respond(w, stack, blocks if shared else self.structure(w, stack))[0]
@@ -364,7 +410,9 @@ class _Kernel:
             w = omega[i:i + BLOCK_POINTS]
             parts.append(self.respond(w, nodes, self.structure(w, nodes)))
         disp = np.concatenate([d for d, _ in parts])
-        volts = np.concatenate([v for _, v in parts]) @ nodes.incidence.T
+        v = np.concatenate([v for _, v in parts])
+        volts = (v.take(nodes.patch_node, axis=1) if v.shape[1]
+                 else np.zeros((len(v), len(nodes.patch_node)), dtype=complex))
         return disp, 1j * omega * disp, volts
 
 
@@ -375,14 +423,16 @@ def assemble_circuit_system(omega: float, model: ModalModel, loads, force: Harmo
     A's diagonal carries the branch admittance 1/Z_k + j*omega*C_k plus
     the self term of the structure-mediated interaction; off-diagonals
     are symmetric in the two patch indices. b is linear in the force.
-    This is the kernel's system at a single frequency.
+    This is the kernel's system at a single frequency, its rows and
+    columns in the listed order of the patches and loads.
     """
     kernel = _Kernel(model, force, (force.x, force.y), None,  # target unused here
                      model.n_modes if n_modes is None else n_modes)
     omega = np.array([omega], dtype=float)
     nodes = kernel.nodes(ShuntTopology.separated(loads))
     A, b = kernel.system(omega, nodes, kernel.structure(omega, nodes))
-    return A[0], force.amplitude * b[0]
+    p = nodes.patch_node
+    return A[0][np.ix_(p, p)], force.amplitude * b[0][p]
 
 
 def solve_voltages(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -202,7 +202,7 @@ class VelocityObjective:
         if any(t.mode != first.mode or len(t.loads) != len(first.loads) for t in topologies):
             raise DomainError("candidate topologies must share one wiring")
         nodes = self._kernel.nodes(first)
-        ohms, henries = _load_arrays(topologies)
+        ohms, henries = _load_arrays(topologies, nodes.load_index)
         pts = self.band_points(band)
         return self._refine(nodes, ohms, henries, pts,
                             self._kernel.velocity(pts, nodes, ohms, henries))
@@ -210,8 +210,9 @@ class VelocityObjective:
     def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
                          band: tuple[float, float]):
         """Peak |velocity| inside the band and its frequency, refined off
-        the grid, for ``topology`` with the load of node ``index`` (the
-        patch, for separated wiring) replaced by each of ``laws``.
+        the grid, for ``topology`` with its load ``index`` (that of the
+        listed patch ``index``, for separated wiring) replaced by each of
+        ``laws``.
 
         This is one coordinate sweep of the per-patch descent, and gives
         what ``peaks_in_band`` gives for the explicit topologies, up to
@@ -223,15 +224,16 @@ class VelocityObjective:
         if not laws:
             raise DomainError("coordinate_peaks needs at least one load")
         nodes = self._kernel.nodes(topology)
-        m = nodes.theta.shape[1]
+        m = nodes.caps.size
         if not 0 <= index < m:
-            raise DomainError(f"node index {index} outside 0..{m - 1}")
+            raise DomainError(f"load index {index} outside 0..{m - 1}")
+        node = int(np.flatnonzero(nodes.load_index == index)[0])
         ohms = np.repeat(nodes.ohms[None], len(laws), axis=0)
         henries = np.repeat(nodes.henries[None], len(laws), axis=0)
-        ohms[:, index] = [law.ohms for law in laws]
-        henries[:, index] = [law.henries for law in laws]
+        ohms[:, node] = [law.ohms for law in laws]
+        henries[:, node] = [law.henries for law in laws]
         pts = self.band_points(band)
-        vals = self._kernel.rank_one(pts, nodes, index, ohms[:, index], henries[:, index])
+        vals = self._kernel.rank_one(pts, nodes, node, ohms[:, node], henries[:, node])
         return self._refine(nodes, ohms, henries, pts, vals)
 
     def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray):

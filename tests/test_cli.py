@@ -375,7 +375,7 @@ def percent_g(values):
 
 
 def formatted(values):
-    return _csv_format(np.asarray(values, float).reshape(-1, 1)).tobytes()
+    return _csv_format(np.asarray(values, float).reshape(-1, 1))
 
 
 class TestCsvFormat:

@@ -13,6 +13,9 @@ from platedamp import (BasisSpec, DomainError, HarmonicForce, ImpedanceLaw,
                        optimize_per_patch, retained_mode_count, solve_voltages,
                        sweep_resistance, with_coupling)
 
+from platedamp import response
+from platedamp.response import _Kernel
+
 from oracles import (displacement_from_modal, monolithic_connected,
                      monolithic_separated, static_ritz_displacement)
 
@@ -128,6 +131,134 @@ class TestCircuitAssembly:
         B[1, 1] = np.nan
         with pytest.raises(SolverError):
             solve_voltages(np.eye(2, dtype=complex), B)
+
+
+@pytest.fixture(scope="module")
+def reversed_model(ref_config):
+    """The reference model with its three patches listed against footprint
+    order (the reference lists them sorted by (x1, y1))."""
+    return with_coupling(build_model(ref_config.plate, ref_config.patches[::-1],
+                                     ref_config.basis))
+
+
+@pytest.fixture(scope="module")
+def shuffled_array_model(ref_config):
+    """Twelve reference patches on a 4x3 layout, listed in a shuffled order."""
+    plate, patch = ref_config.plate, ref_config.patches[0]
+    cells = [(i, j) for j in range(3) for i in range(4)]
+    order = [7, 2, 11, 0, 5, 9, 3, 10, 1, 6, 8, 4]
+    patches = [dataclasses.replace(patch, x1=(i + 0.5) * plate.length_a / 4 - 0.03,
+                                   x2=(i + 0.5) * plate.length_a / 4 + 0.03,
+                                   y1=(j + 0.5) * plate.width_b / 3 - 0.03,
+                                   y2=(j + 0.5) * plate.width_b / 3 + 0.03)
+               for i, j in (cells[c] for c in order)]
+    return with_coupling(build_model(plate, patches, BasisSpec(6, 6, 10)))
+
+
+def footprint_theta(model, n, mode):
+    """Node coupling columns (n, m): separated nodes follow the patches
+    sorted by footprint corner, a connected node sums every column."""
+    if mode is None:
+        return np.zeros((n, 0))
+    order = sorted(range(len(model.patches)),
+                   key=lambda i: (model.patches[i].x1, model.patches[i].y1))
+    theta = model.coupling[:n, order]
+    return theta.sum(axis=1, keepdims=True) if mode == "connected" else theta
+
+
+def structure_oracle(kernel, omega, theta):
+    """S, b, d0 and g of ``_Kernel.structure`` at frequencies ``omega``
+    (F,), formed by complex division and complex products."""
+    m = theta.shape[1]
+    w = omega.reshape(-1, 1)
+    inv = 1.0 / (kernel.omega_n**2 - w**2 + 2j * kernel.zeta * kernel.omega_n * w)
+    outer = (theta[:, :, None] * theta[:, None, :]).reshape(kernel.n, -1)
+    drive = kernel.phi0 * inv
+    return ((1j * w * (inv @ outer)).reshape(w.size, m, m), -1j * w * (drive @ theta),
+            drive @ kernel.phit, (inv * kernel.phit) @ theta)
+
+
+class TestStructure:
+    """``_Kernel.structure`` takes S, b, d0 and g from one real product of
+    the modal inverse's real and imaginary parts with the wiring's table."""
+
+    def assert_matches_oracle(self, model, mode, omega, point_force, target_point):
+        kernel = _Kernel(model, point_force, target_point, omega.ravel() / (2 * np.pi), None)
+        k = len(model.patches)
+        nodes = kernel.nodes(None if mode is None
+                             else ShuntTopology.uniform(mode, k, ImpedanceLaw.resistor(1e4)))
+        blocks = kernel.structure(omega, nodes)
+        oracle = structure_oracle(kernel, omega.ravel(), footprint_theta(model, kernel.n, mode))
+        for got, want in zip(blocks, oracle):
+            assert got.shape == omega.shape + want.shape[1:]
+            got = got.reshape(want.shape)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        return nodes
+
+    @pytest.mark.parametrize("mode", ["separated", "connected", None])
+    def test_three_patches_match_complex_expressions(self, reversed_model, point_force,
+                                                     target_point, mode):
+        omega = 2 * np.pi * np.linspace(1.0, 250.0, 256)
+        self.assert_matches_oracle(reversed_model, mode, omega, point_force, target_point)
+
+    def test_twelve_patches_cut_into_row_chunks(self, shuffled_array_model, point_force,
+                                                target_point):
+        omega = 2 * np.pi * np.linspace(1.0, 250.0, 256).reshape(128, 2)
+        nodes = self.assert_matches_oracle(shuffled_array_model, "separated", omega,
+                                           point_force, target_point)
+        assert nodes.table.shape[1] == 12 * 12 + 2 * 12 + 1
+        assert 2 * omega.size * nodes.table.size > 4 * response._PRODUCT_MADDS
+
+    def test_each_listed_patch_carries_its_own_load(self, reversed_model, point_force):
+        """A and b of patches listed against footprint order, each on its own
+        load, come back in listed order: each diagonal entry carries its own
+        patch's 1/z + j*omega*C."""
+        model = reversed_model
+        omega = 2 * np.pi * 47.0
+        loads = [ImpedanceLaw.resistor(2e3), ImpedanceLaw.series_rl(800.0, 0.4),
+                 ImpedanceLaw.resistor(6e4)]
+        A, b = assemble_circuit_system(omega, model, loads, point_force)
+        inv = 1.0 / (model.frequencies**2 - omega**2
+                     + 2j * model.damping_ratios * model.frequencies * omega)
+        S = 1j * omega * (model.coupling.T * inv) @ model.coupling
+        y = [1.0 / law.impedance(omega) + 1j * omega * c
+             for law, c in zip(loads, model.capacitances)]
+        for i in range(3):
+            assert abs(A[i, i] - S[i, i] - y[i]) <= 1e-12 * abs(y[i])
+        assert np.linalg.norm(A - S - np.diag(y)) <= 1e-13 * np.linalg.norm(A)
+        phi0 = model.mode_shapes_at(point_force.x, point_force.y)
+        b_ref = -1j * omega * point_force.amplitude * (phi0 * inv) @ model.coupling
+        assert np.linalg.norm(b - b_ref) <= 1e-13 * np.linalg.norm(b_ref)
+
+
+class TestVoltageColumns:
+    def test_connected_patches_share_one_voltage_bit_for_bit(self, ref_model, point_force,
+                                                              target_point, grid_500):
+        topology = ShuntTopology.connected(ImpedanceLaw.resistor(7e3))
+        volts = frf_connected(ref_model, topology, point_force, target_point,
+                              grid_500).voltages
+        assert volts.shape == (grid_500.size, 3)
+        for i in range(1, 3):
+            assert np.array_equal(volts[:, i], volts[:, 0])
+
+    def test_separated_voltages_come_back_in_listed_order(self, ref_model, reversed_model,
+                                                          point_force, target_point,
+                                                          grid_500):
+        """The same patches and loads, listed sorted and reversed: the same
+        bits, the voltage columns reversed; each column also matches the
+        monolithic solve of the reversed listing."""
+        loads = [ImpedanceLaw.resistor(r) for r in (1.5e3, 2.2e4, 9e4)]
+        listed = frf_separated(reversed_model, ShuntTopology.separated(loads[::-1]),
+                               point_force, target_point, grid_500)
+        sorted_ = frf_separated(ref_model, ShuntTopology.separated(loads), point_force,
+                                target_point, grid_500)
+        assert np.array_equal(listed.voltages, sorted_.voltages[:, ::-1])
+        assert np.array_equal(listed.displacement, sorted_.displacement)
+        n = retained_mode_count(reversed_model, grid_500)
+        for j in (40, 107, 300):
+            _, v_ref = monolithic_separated(reversed_model, loads[::-1], point_force,
+                                            2 * np.pi * grid_500[j], n)
+            assert np.max(rel_diff(listed.voltages[j], v_ref)) < 1e-8
 
 
 class TestMirrorSymmetry:
@@ -468,7 +599,9 @@ class TestInvariants:
     @given(case=shunted_layouts(), data=st.data())
     def test_relabeling_permutes_voltages(self, case, data, aluminum_plate, pzt_patch):
         """Listing the patches, and their loads, in another order permutes
-        the voltage columns and leaves the displacement unchanged."""
+        the voltage columns and leaves the displacement unchanged, bit for
+        bit: assembly and the kernel's nodes, connected sums included,
+        follow the footprint order."""
         fractions, mode, loads, p, q = case
         k = len(fractions)
         perm = data.draw(st.permutations(range(k)).filter(lambda p: k == 1 or p != sorted(p)))
@@ -477,5 +610,5 @@ class TestInvariants:
         base, moved = (frf(model, topology, HarmonicForce(1.0, *pp), qq, grid)
                        for model, topology, grid, pp, qq in
                        (build_case(c, aluminum_plate, pzt_patch) for c in (case, relabeled)))
-        assert np.max(rel_diff(moved.displacement, base.displacement)) <= 1e-12
-        assert np.max(rel_diff(moved.voltages, base.voltages[:, perm])) <= 1e-12
+        assert np.array_equal(moved.displacement, base.displacement)
+        assert np.array_equal(moved.voltages, base.voltages[:, perm])
