@@ -247,6 +247,15 @@ class _Kernel:
         self.zeta = model.damping_ratios[:n]
         self.phi0 = model.mode_shapes_at(force.x, force.y)[:n]
         self.phit = model.mode_shapes_at(target[0], target[1])[:n]
+        self._two_zeta_omega = 2.0 * self.zeta * self.omega_n
+
+    def scratch(self, rows: int, cols: int):
+        """Temporaries of ``structure`` for up to ``rows`` frequencies and a
+        table of ``cols`` columns: inv (2*rows, n), the squared magnitude of
+        1/inv and one more (rows, n), and the product (2*rows, cols)."""
+        n = self.n
+        return (np.empty((2 * rows, n)), np.empty((rows, n)), np.empty((rows, n)),
+                np.empty((2 * rows, cols)))
 
     def nodes(self, topology: ShuntTopology | None) -> _Nodes:
         """One node per patch (separated), one node for all patches
@@ -277,7 +286,7 @@ class _Kernel:
                            (self.phi0 * self.phit)[:, None]])
         return _Nodes(patch_node, load_index, caps, table, ohms, henries)
 
-    def structure(self, omega: np.ndarray, nodes: _Nodes):
+    def structure(self, omega: np.ndarray, nodes: _Nodes, scratch=None):
         """The load-independent blocks at frequencies ``omega`` of any shape.
 
         With the modal inverse inv_r = 1 / (omega_r^2 - omega^2 + 2j zeta_r
@@ -287,17 +296,24 @@ class _Kernel:
         displacement is d0 + sum_i v_i g_i for node voltages v. All four
         are columns of inv @ ``table``, taken as one real product of the
         stacked real and imaginary parts of inv, with no complex division,
-        in calls of at most _PRODUCT_MADDS multiply-adds.
+        in calls of at most _PRODUCT_MADDS multiply-adds. The temporaries go
+        into ``scratch`` from ``self.scratch``, large enough for
+        ``omega.size`` rows, or into new arrays without it; the four results
+        are always new arrays.
         """
         m = nodes.caps.size
         w = omega.reshape(-1, 1)
-        a = self.omega_n**2 - w**2
-        c = 2.0 * self.zeta * self.omega_n * w
+        f = len(w)
+        inv, mag, tmp, out = scratch or self.scratch(f, nodes.table.shape[1])
+        inv, mag, tmp, out = inv[:2 * f], mag[:f], tmp[:f], out[:2 * f]
+        a, c = inv[:f], inv[f:]  # overwritten by Re inv and Im inv
+        np.subtract(self.omega_n**2, w**2, out=a)
+        np.multiply(self._two_zeta_omega, w, out=c)
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in respond
-            mag = a * a + c * c
-            inv = np.concatenate((a / mag, -c / mag))  # (2F, n): Re inv, then Im inv
+            np.add(np.multiply(a, a, out=mag), np.multiply(c, c, out=tmp), out=mag)
+            np.divide(a, mag, out=a)
+            np.negative(np.divide(c, mag, out=c), out=c)
         table = nodes.table
-        out = np.empty((len(inv), table.shape[1]))
         rows = max(1, _PRODUCT_MADDS // table.size)
         for i in range(0, len(inv), rows):
             np.matmul(inv[i:i + rows], table, out=out[i:i + rows])
@@ -402,13 +418,14 @@ class _Kernel:
     def run(self, freqs_hz: np.ndarray, topology: ShuntTopology | None):
         """Displacement and velocity (F,) and patch voltages (F, K) per
         newton over a grid, evaluated in consecutive blocks of
-        BLOCK_POINTS."""
+        BLOCK_POINTS that share one set of structure temporaries."""
         nodes = self.nodes(topology)
         omega = 2.0 * np.pi * freqs_hz
+        scratch = self.scratch(min(omega.size, BLOCK_POINTS), nodes.table.shape[1])
         parts = []
         for i in range(0, omega.size, BLOCK_POINTS):
             w = omega[i:i + BLOCK_POINTS]
-            parts.append(self.respond(w, nodes, self.structure(w, nodes)))
+            parts.append(self.respond(w, nodes, self.structure(w, nodes, scratch)))
         disp = np.concatenate([d for d, _ in parts])
         v = np.concatenate([v for _, v in parts])
         volts = (v.take(nodes.patch_node, axis=1) if v.shape[1]

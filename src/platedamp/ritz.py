@@ -10,11 +10,21 @@ Gauss-Legendre quadrature over its own interval, where the integrand is
 smooth. Patch deltas are added in a canonical order (sorted by the
 footprint's lower-left corner), so the matrices do not depend on the
 order in which the patches are listed, bit for bit.
+
+Models of at most _ONE_THREAD_MAX_DOF trial functions are assembled and
+solved with OpenBLAS limited to one thread. Their products are too small
+for a second thread to pay: OpenBLAS would hand some of them to its worker,
+which then spins for about 0.13 s of CPU, and the thread split changes the
+rounding of the results.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,6 +86,77 @@ class ModalModel:
         bx = basis.eval_matrix(self.basis.n_x, self.plate.length_a, [x])[0]
         by = basis.eval_matrix(self.basis.n_y, self.plate.width_b, [y])[0]
         return np.outer(bx, by).reshape(-1) @ self.mode_coeffs
+
+
+# Largest model whose dense linear algebra runs on one OpenBLAS thread. On a
+# 2-vCPU machine, assembling and solving took 18-22 ms on one thread against
+# 18-25 ms on two at 256 DOF, 27-34 against 26-29 ms at 324 DOF, and 326-344
+# against 236-253 ms at 900 DOF; one thread also spares the worker's spin.
+_ONE_THREAD_MAX_DOF = 256
+
+
+_THREAD_SYMBOLS = tuple((f"{prefix}_get_num_threads{suffix}",
+                         f"{prefix}_set_num_threads{suffix}")
+                        for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+
+
+@lru_cache(maxsize=None)
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this
+    process, found through /proc/self/maps; empty when there is none (another
+    BLAS, or no /proc)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({path for path in (line.split()[-1] for line in fh)
+                            if "openblas" in os.path.basename(path).lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+_one_thread_lock = threading.Lock()
+_one_thread_users = 0
+_saved_threads: list[int] = []
+
+
+@contextmanager
+def _one_blas_thread(n_dof: int):
+    """Limit OpenBLAS to one thread while ``n_dof <= _ONE_THREAD_MAX_DOF``,
+    and restore its previous thread count on exit. The count is process-wide:
+    a BLAS call of another Python thread made meanwhile also runs on one
+    thread, and concurrent users restore it when the last one leaves."""
+    global _one_thread_users
+    libs = _openblas() if n_dof <= _ONE_THREAD_MAX_DOF else ()
+    if not libs:
+        yield
+        return
+    with _one_thread_lock:
+        if _one_thread_users == 0:
+            _saved_threads[:] = [get() for get, _ in libs]
+            for _, set_ in libs:
+                set_(1)
+        _one_thread_users += 1
+    try:
+        yield
+    finally:
+        with _one_thread_lock:
+            _one_thread_users -= 1
+            if _one_thread_users == 0:
+                for (_, set_), count in zip(libs, _saved_threads):
+                    set_(count)
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +247,9 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
         ys = np.stack(ys).reshape(len(ys), ny * ny)
         return (xs.T @ ys).reshape(nx, nx, ny, ny).transpose(0, 2, 1, 3).reshape(n, n)
 
-    M = kron_sum(xm, ym)
-    K = kron_sum(xk, yk)
+    with _one_blas_thread(n):
+        M = kron_sum(xm, ym)
+        K = kron_sum(xk, yk)
     return 0.5 * (M + M.T), 0.5 * (K + K.T)
 
 
@@ -199,18 +281,21 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
     eigenvectors come back mass-normalized, each with its
     largest-magnitude coefficient positive (the first one on a tie), so
     their signs do not depend on LAPACK. A uniform modal damping ratio
-    is attached. Coupling and capacitance stay unset here.
+    is attached. Coupling and capacitance stay unset here. Up to
+    _ONE_THREAD_MAX_DOF, the factor, products and eigensolve run on one
+    OpenBLAS thread.
     """
     if not np.all(np.isfinite(M)) or not np.all(np.isfinite(K)):
         raise AssemblyError("non-finite entries in mass or stiffness matrix")
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError("mass matrix is singular or indefinite") from exc
-    Li = _lower_inverse(L)
-    C = Li @ K @ Li.T
-    evals, W = np.linalg.eigh(0.5 * (C + C.T))
-    vecs = Li.T @ W
+    with _one_blas_thread(M.shape[0]):
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError("mass matrix is singular or indefinite") from exc
+        Li = _lower_inverse(L)
+        C = Li @ K @ Li.T
+        evals, W = np.linalg.eigh(0.5 * (C + C.T))
+        vecs = Li.T @ W
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     vecs *= np.where(lead < 0.0, -1.0, 1.0)
     omega = np.sqrt(np.clip(evals, 0.0, None))

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -478,3 +479,24 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+
+class TestBlasThreads:
+    def test_reference_outputs_do_not_depend_on_openblas_threads(self, tmp_path):
+        """compare and modes on the bundled reference write the same bytes
+        with OPENBLAS_NUM_THREADS=1 as with the default thread count."""
+        config = str(resources.files("platedamp").joinpath("data/reference.json"))
+        default_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        envs = {"one": {**default_env, "OPENBLAS_NUM_THREADS": "1"}, "default": default_env}
+        for command in ("compare", "modes"):
+            outs = {}
+            for name, env in envs.items():
+                outs[name] = tmp_path / f"{command}_{name}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "platedamp.cli", command, "--config", config,
+                     "--out", str(outs[name])], capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+            names = sorted(p.name for p in outs["one"].iterdir())
+            assert names and names == sorted(p.name for p in outs["default"].iterdir())
+            for file in names:
+                assert read(outs["one"] / file) == read(outs["default"] / file), file

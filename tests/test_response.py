@@ -231,6 +231,104 @@ class TestStructure:
         assert np.linalg.norm(b - b_ref) <= 1e-13 * np.linalg.norm(b_ref)
 
 
+def allocating_structure(kernel, omega, nodes, scratch=None):
+    """``_Kernel.structure`` as it was before it took scratch buffers: the
+    same operations in the same order, each temporary a new array."""
+    m = nodes.caps.size
+    w = omega.reshape(-1, 1)
+    a = kernel.omega_n**2 - w**2
+    c = 2.0 * kernel.zeta * kernel.omega_n * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = a * a + c * c
+        inv = np.concatenate((a / mag, -c / mag))
+    table = nodes.table
+    out = np.empty((len(inv), table.shape[1]))
+    rows = max(1, response._PRODUCT_MADDS // table.size)
+    for i in range(0, len(inv), rows):
+        np.matmul(inv[i:i + rows], table, out=out[i:i + rows])
+    re, im = out[:len(w)], out[len(w):]
+    mm = m * m
+    S = response._times_jw(w, re[:, :mm], im[:, :mm])
+    b = response._times_jw(-w, re[:, mm:mm + m], im[:, mm:mm + m])
+    g = re[:, mm + m:-1] + 1j * im[:, mm + m:-1]
+    d0 = re[:, -1] + 1j * im[:, -1]
+    shape = omega.shape
+    return (S.reshape(shape + (m, m)), b.reshape(shape + (m,)), d0.reshape(shape),
+            g.reshape(shape + (m,)))
+
+
+class TestScratchBuffers:
+    """``_Kernel.run`` gives the blocks of a grid one set of structure
+    temporaries; what ``structure`` returns is new, and the buffers change
+    no bit."""
+
+    @pytest.fixture()
+    def kernel(self, reversed_model, point_force, target_point):
+        return _Kernel(reversed_model, point_force, target_point, [250.0], None)
+
+    @staticmethod
+    def separated(kernel, *ohms):
+        return kernel.nodes(ShuntTopology.separated(ImpedanceLaw.resistor(r) for r in ohms))
+
+    def test_same_bits_as_new_temporaries(self, kernel):
+        omega = 2 * np.pi * np.linspace(1.0, 250.0, 256)
+        for nodes in (self.separated(kernel, 2e3, 3e4, 9e4), kernel.nodes(None)):
+            scratch = kernel.scratch(256, nodes.table.shape[1])
+            for w in (omega, omega[:37] * 0.5, omega.reshape(128, 2)):
+                want = allocating_structure(kernel, w, nodes)
+                for got in (kernel.structure(w, nodes, scratch), kernel.structure(w, nodes)):
+                    for x, y in zip(got, want):
+                        assert x.shape == y.shape and np.array_equal(x, y)
+
+    def test_results_survive_later_calls(self, kernel):
+        nodes = self.separated(kernel, 2e3, 3e4, 9e4)
+        scratch = kernel.scratch(256, nodes.table.shape[1])
+        omega = 2 * np.pi * np.linspace(1.0, 250.0, 256)
+        first = kernel.structure(omega, nodes, scratch)
+        kept = [x.copy() for x in first]
+        assert not any(np.shares_memory(x, buf) for x in first for buf in scratch)
+        kernel.structure(omega + 1.0, nodes, scratch)
+        kernel.structure(omega[:100] * 0.5, nodes, scratch)
+        for got, want in zip(first, kept):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["separated", "connected", None])
+    def test_short_last_block_matches_one_kernel_per_block(self, reversed_model,
+                                                           point_force, target_point, mode):
+        grid = np.linspace(1.0, 250.0, 2 * response.BLOCK_POINTS + 37)
+        k = len(reversed_model.patches)
+        topology = (None if mode is None
+                    else ShuntTopology.uniform(mode, k, ImpedanceLaw.resistor(5e3)))
+        whole = _Kernel(reversed_model, point_force, target_point, grid, None).run(grid, topology)
+        blocks = [_Kernel(reversed_model, point_force, target_point, grid, None)
+                  .run(grid[i:i + response.BLOCK_POINTS], topology)
+                  for i in range(0, grid.size, response.BLOCK_POINTS)]
+        for got, parts in zip(whole, zip(*blocks)):
+            assert np.array_equal(got, np.concatenate(parts))
+
+    def test_sweeps_and_frf_unchanged(self, kernel, monkeypatch):
+        """velocity over shared and per-candidate frequencies, rank_one and
+        an FRF of a short last block give the bits they give with every
+        temporary of ``structure`` a new array."""
+        nodes = self.separated(kernel, 2e3, 3e4, 9e4)
+        ohms = np.array([[1e3, 3e4, 9e4], [5e3, 3e4, 9e4], [2e4, 3e4, 9e4]])
+        henries = np.zeros_like(ohms)
+        pts = np.linspace(60.0, 90.0, 41)
+        grid = np.linspace(1.0, 250.0, response.BLOCK_POINTS + 37)
+        topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in (2e3, 3e4, 9e4)])
+
+        def sweeps():
+            return (kernel.velocity(pts, nodes, ohms, henries),
+                    kernel.velocity(np.array([[61.3], [74.9], [88.2]]), nodes, ohms, henries),
+                    kernel.rank_one(pts, nodes, 0, ohms[:, 0], henries[:, 0]),
+                    *kernel.run(grid, topology))
+
+        got = sweeps()
+        monkeypatch.setattr(_Kernel, "structure", allocating_structure)
+        for x, y in zip(got, sweeps()):
+            assert np.array_equal(x, y)
+
+
 class TestVoltageColumns:
     def test_connected_patches_share_one_voltage_bit_for_bit(self, ref_model, point_force,
                                                               target_point, grid_500):

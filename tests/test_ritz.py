@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -235,3 +237,114 @@ class TestConvergence:
         assert gaps[0] < 1e-2
         assert gaps[1] < gaps[0]
         assert gaps[2] < 1e-6
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """Every OpenBLAS in the process set to two threads for the test, then
+    back to its own count; skipped where numpy runs on another BLAS."""
+    libs = ritz._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS mapped into this process")
+    before = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(2)
+    yield lambda: [get() for get, _ in libs]
+    for (_, set_), count in zip(libs, before):
+        set_(count)
+
+
+def spy_on(monkeypatch, name, threads):
+    """Replace np.linalg.<name> by a wrapper that records the OpenBLAS
+    thread counts at each call."""
+    real = getattr(np.linalg, name)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+class TestOneBlasThread:
+    """Models of at most ritz._ONE_THREAD_MAX_DOF DOF are built on one
+    OpenBLAS thread, and the caller's thread count comes back afterwards."""
+
+    def test_small_eigensolve_runs_on_one_thread_and_restores(self, ref_config,
+                                                              two_blas_threads, monkeypatch):
+        twos = two_blas_threads()
+        M, K = assemble_system(ref_config.plate, ref_config.patches, ref_config.basis)
+        seen = spy_on(monkeypatch, "eigh", two_blas_threads)
+        solve_modes(M, K, 0.01, plate=ref_config.plate, patches=ref_config.patches,
+                    spec=ref_config.basis)
+        assert seen == [[1] * len(twos)]
+        assert two_blas_threads() == twos
+
+    def test_count_restored_after_an_assembly_error(self, two_blas_threads, monkeypatch):
+        twos = two_blas_threads()
+        seen = spy_on(monkeypatch, "cholesky", two_blas_threads)
+        with pytest.raises(AssemblyError, match="indefinite"):
+            solve_modes(-np.eye(10), np.eye(10), 0.0, plate=None, patches=[], spec=None)
+        assert seen == [[1] * len(twos)]
+        assert two_blas_threads() == twos
+
+    def test_large_model_keeps_its_threads(self, two_blas_threads, monkeypatch):
+        n = 900
+        assert n > ritz._ONE_THREAD_MAX_DOF
+        twos = two_blas_threads()
+        seen = spy_on(monkeypatch, "eigh", two_blas_threads)
+        solve_modes(np.eye(n), np.diag(np.arange(1.0, n + 1.0)), 0.0, plate=None,
+                    patches=[], spec=None)
+        assert seen == [twos]
+        assert two_blas_threads() == twos
+
+    def test_concurrent_builds_restore_the_count(self, two_blas_threads):
+        """Threads entering and leaving the guard at once: each sees one
+        thread inside, and the count comes back once the last one leaves."""
+        twos = two_blas_threads()
+        inside = []
+        start = threading.Barrier(4)
+
+        def enter_often():
+            start.wait(timeout=30)
+            for _ in range(1000):
+                with ritz._one_blas_thread(100):
+                    inside.append(two_blas_threads() == [1] * len(twos))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_often) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(inside) == 4 * 1000 and all(inside)
+        assert two_blas_threads() == twos
+
+    def test_assembly_and_eigensolve_enter_the_guard(self, ref_config, monkeypatch):
+        sizes = []
+        guard = ritz._one_blas_thread
+
+        def recording(n_dof):
+            sizes.append(n_dof)
+            return guard(n_dof)
+
+        monkeypatch.setattr(ritz, "_one_blas_thread", recording)
+        build_model(ref_config.plate, ref_config.patches, ref_config.basis)
+        assert sizes == [ref_config.basis.n_dof] * 2
+
+    def test_without_openblas_the_build_is_unchanged(self, ref_config, monkeypatch):
+        args = (ref_config.plate, ref_config.patches, ref_config.basis)
+        model = build_model(*args)
+        monkeypatch.setattr(ritz, "_openblas", lambda: ())
+        plain = build_model(*args)
+        assert np.max(np.abs(plain.frequencies - model.frequencies)
+                      / model.frequencies) <= 1e-12
+        V = model.mode_coeffs
+        assert np.linalg.norm(plain.mode_coeffs - V) <= 1e-12 * np.linalg.norm(V)
