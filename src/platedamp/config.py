@@ -195,6 +195,17 @@ def _parse_topology(data, n_patches: int) -> ShuntTopology:
     raise ConfigError("field 'topology.mode' must be 'separated' or 'connected'")
 
 
+def _check_interior(plate: PlateSpec, x: float, y: float, name: str) -> None:
+    """Reject a point off the plate, or on a clamped edge, where every
+    trial function vanishes and the response would be rounding noise."""
+    if not plate.contains(x, y):
+        raise ConfigError(f"{name} lies outside the plate")
+    for axis, value, far in (("x", x, plate.length_a), ("y", y, plate.width_b)):
+        if value in (0.0, far):
+            raise ConfigError(f"{name} ({x:g}, {y:g}) m lies on the clamped edge "
+                              f"{axis} = {value:g} m, where every mode shape vanishes")
+
+
 def parse_config_dict(raw: dict) -> ScenarioConfig:
     """Build a validated scenario from an already-decoded JSON object."""
     top = _section(raw, "config",
@@ -215,13 +226,11 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     topology = _parse_topology(top["topology"], len(patches))
 
     force = _read(HarmonicForce, top["force"], "force", FORCE_KEYS)
-    if not plate.contains(force.x, force.y):
-        raise ConfigError("force location lies outside the plate")
+    _check_interior(plate, force.x, force.y, "force location")
 
     td = _section(top["target"], "target", ("x_m", "y_m"))
     target = (_number(td["x_m"], "target.x_m"), _number(td["y_m"], "target.y_m"))
-    if not plate.contains(*target):
-        raise ConfigError("target point lies outside the plate")
+    _check_interior(plate, *target, "target point")
 
     grid = _read(GridSpec, top["grid"], "grid", GRID_KEYS)
     basis = _read(BasisSpec, top["basis"], "basis", BASIS_KEYS)

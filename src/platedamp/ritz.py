@@ -250,26 +250,31 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
     with _one_blas_thread(n):
         M = kron_sum(xm, ym)
         K = kron_sum(xk, yk)
-    return 0.5 * (M + M.T), 0.5 * (K + K.T)
+    for A in (M, K):  # in place, the bits of 0.5 * (A + A.T)
+        A += A.T
+        A *= 0.5
+    return M, K
 
 
-def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by 2x2 block recursion.
+def _lower_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion, written
+    into ``out`` (a new array when None), whose upper triangle must be zero.
 
     numpy has no triangular solve. At 900 DOF a general inverse of the
     whole factor takes about four times as long as inverting the two
     diagonal blocks and forming the off-diagonal one with two products.
     """
     n = L.shape[0]
+    if out is None:
+        out = np.zeros_like(L)
     if n <= 64:
-        return np.tril(np.linalg.inv(L))
+        out[...] = np.tril(np.linalg.inv(L))
+        return out
     h = n // 2
-    A = _lower_inverse(L[:h, :h])
-    B = _lower_inverse(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = A
-    out[h:, h:] = B
-    out[h:, :h] = -B @ (L[h:, :h] @ A)
+    A = _lower_inverse(L[:h, :h], out[:h, :h])
+    B = _lower_inverse(L[h:, h:], out[h:, h:])
+    T = L[h:, :h] @ A
+    np.matmul(B, np.negative(T, out=T), out=out[h:, :h])  # the bits of -B @ T
     return out
 
 
@@ -281,23 +286,46 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
     eigenvectors come back mass-normalized, each with its
     largest-magnitude coefficient positive (the first one on a tie), so
     their signs do not depend on LAPACK. A uniform modal damping ratio
-    is attached. Coupling and capacitance stay unset here. Up to
-    _ONE_THREAD_MAX_DOF, the factor, products and eigensolve run on one
-    OpenBLAS thread.
+    is attached. Coupling and capacitance stay unset here; M and K are
+    not written to. Up to _ONE_THREAD_MAX_DOF, the factor, products and
+    eigensolve run on one OpenBLAS thread.
     """
+    return _solve([M, K], modal_damping_xi, plate=plate, patches=patches, spec=spec)
+
+
+def _solve(system: list, modal_damping_xi: float, *, plate, patches, spec) -> ModalModel:
+    """``solve_modes`` of the list ``system = [M, K]``, which it empties, so
+    that an n x n array no caller holds is freed as soon as it is consumed:
+    M after the factor, K after the first product."""
+    M, K = system
+    system.clear()
+    n = M.shape[0]
     if not np.all(np.isfinite(M)) or not np.all(np.isfinite(K)):
         raise AssemblyError("non-finite entries in mass or stiffness matrix")
-    with _one_blas_thread(M.shape[0]):
+    with _one_blas_thread(n):
         try:
             L = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("mass matrix is singular or indefinite") from exc
+        del M
         Li = _lower_inverse(L)
-        C = Li @ K @ Li.T
-        evals, W = np.linalg.eigh(0.5 * (C + C.T))
+        del L
+        C = Li @ K
+        del K
+        C = C @ Li.T
+        C += C.T  # in place, the bits of 0.5 * (C + C.T)
+        C *= 0.5
+        evals, W = np.linalg.eigh(C)
+        del C
         vecs = Li.T @ W
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs *= np.where(lead < 0.0, -1.0, 1.0)
+        del Li, W
+    # The sign of each column's first largest-magnitude coefficient, from its
+    # largest and smallest entries: no |vecs| copy.
+    cols = np.arange(vecs.shape[1])
+    hi, lo = vecs.argmax(axis=0), vecs.argmin(axis=0)
+    top, bottom = vecs[hi, cols], vecs[lo, cols]
+    negative = (-bottom > top) | ((-bottom == top) & (lo < hi))
+    vecs *= np.where(negative, -1.0, 1.0)
     omega = np.sqrt(np.clip(evals, 0.0, None))
     for arr in (omega, vecs):
         arr.setflags(write=False)
@@ -314,6 +342,7 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
 
 
 def build_model(plate: PlateSpec, patches, spec: BasisSpec) -> ModalModel:
-    """Assemble and solve in one step (coupling still unset)."""
-    M, K = assemble_system(plate, patches, spec)
-    return solve_modes(M, K, plate.modal_damping_xi, plate=plate, patches=patches, spec=spec)
+    """Assemble and solve in one step (coupling still unset). The solve
+    holds the only references to M and K, and frees each once consumed."""
+    return _solve(list(assemble_system(plate, patches, spec)), plate.modal_damping_xi,
+                  plate=plate, patches=patches, spec=spec)

@@ -155,6 +155,74 @@ def frf_loop_connected(model, load, force, target, grid_hz, n_modes):
     return disp, volts
 
 
+def state_space_frf(model, topology, force, target, grid_hz, n_modes):
+    """Displacement (F,) and patch voltages (F, K) per newton from the poles
+    and residues of the time-domain system, with no frequency-domain solve.
+
+    The states are x = [q, q', v, i]: n modal amplitudes and their rates,
+    one voltage per node (one node per patch when separated, one node with
+    the summed coupling and capacitance when connected) and one inductor
+    current per series-RL node. The rows are
+
+        q'' + 2 zeta Omega q' + Omega^2 q - theta v = phi0 F
+        C v' + theta^T q' + (v / R, or i for an RL node) = 0
+        L i' = v - R i
+
+    written as x' = S x + s F. With S = P diag(lam) P^-1 from
+    ``np.linalg.eig``, the response at j*omega is
+    x = P diag(1 / (j*omega - lam)) P^-1 s, and each output a row of it.
+    One step of iterative refinement then adds the same pole-residue sum
+    of the residual s - (j*omega - S) x: a short-circuited node's pole
+    -1/(RC), near -1e11 1/s, costs the plain sum about 1e-9 of accuracy
+    against 4e-15 after the step (reference scenario, shorted patches).
+    """
+    n = n_modes
+    loads = topology.loads
+    theta = model.coupling[:n, :]
+    caps = model.capacitances
+    if topology.mode == "connected":
+        theta, caps = theta.sum(axis=1, keepdims=True), caps.sum(keepdims=True)
+    m = len(loads)
+    rl = [k for k, law in enumerate(loads) if law.henries > 0.0]
+    size = 2 * n + m + len(rl)
+    omg, zeta = model.frequencies[:n], model.damping_ratios[:n]
+    A = np.zeros((size, size))
+    inertia = np.ones(size)  # the diagonal matrix multiplying x'
+    q, rate, volt = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
+    A[q, rate] = np.eye(n)
+    A[rate, q] = -np.diag(omg**2)
+    A[rate, rate] = -np.diag(2.0 * zeta * omg)
+    A[rate, volt] = theta
+    A[volt, rate] = -theta.T
+    inertia[volt] = caps
+    for k, law in enumerate(loads):
+        node = 2 * n + k
+        if law.henries > 0.0:
+            current = 2 * n + m + rl.index(k)
+            A[node, current] = -1.0
+            A[current, node] = 1.0
+            A[current, current] = -law.ohms
+            inertia[current] = law.henries
+        else:
+            A[node, node] = -1.0 / law.ohms
+    drive = np.zeros(size)
+    drive[rate] = model.mode_shapes_at(force.x, force.y)[:n]
+    S, s = A / inertia[:, None], drive / inertia
+    lam, P = np.linalg.eig(S)
+    jw = 2j * np.pi * np.asarray(grid_hz, dtype=float)
+
+    def pole_residue(rhs):  # (j*omega - S)^-1 rhs for rhs (size, F)
+        return P @ (np.linalg.solve(P, rhs) / (jw - lam[:, None]))
+
+    states = pole_residue(np.repeat(s[:, None], jw.size, axis=1))  # (size, F)
+    states += pole_residue(s[:, None] - (jw * states - S @ states))
+    disp = model.mode_shapes_at(target[0], target[1])[:n] @ states[q]
+    volts = states[volt].T
+    if topology.mode == "connected":
+        volts = np.repeat(volts, len(model.patches), axis=1)
+    return disp, volts
+
+
 REFINE_ROUNDS = 8
 REFINE_POINTS = 11
 

@@ -60,6 +60,16 @@ class TestExitCodes:
         assert rc == 2
         assert "poisson" in capsys.readouterr().err
 
+    def test_target_on_a_clamped_edge(self, light_dict, tmp_path, capsys):
+        light_dict["target"]["x_m"] = 0
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(light_dict))
+        out = tmp_path / "o"
+        rc = main(["compare", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "clamped edge x = 0 m" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_patch_thickness(self, light_dict, tmp_path, capsys):
         light_dict["patches"][0]["thickness_m"] = 0
         path = tmp_path / "flat.json"

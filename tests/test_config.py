@@ -140,6 +140,24 @@ class TestGeometryChecks:
         with pytest.raises(ConfigError, match="target"):
             parse_config_dict(ref_dict)
 
+    @pytest.mark.parametrize("point", ["force", "target"])
+    @pytest.mark.parametrize("key, edge", [("x_m", "x = 0"), ("x_m", "x = a"),
+                                           ("y_m", "y = 0"), ("y_m", "y = b")])
+    def test_point_on_a_clamped_edge(self, ref_dict, point, key, edge):
+        """Every trial function vanishes on the clamped boundary, so a force
+        or target there would give a response of rounding noise."""
+        far = ref_dict["plate"]["length_a_m" if key == "x_m" else "width_b_m"]
+        value = 0.0 if edge.endswith("0") else far
+        ref_dict[point][key] = value
+        with pytest.raises(ConfigError, match=rf"^{point} .*\) m lies on the clamped edge "
+                                              rf"{key[0]} = {value:g} m"):
+            parse_config_dict(ref_dict)
+
+    def test_point_just_inside_an_edge_is_accepted(self, ref_dict):
+        ref_dict["target"]["x_m"] = 1e-3
+        ref_dict["force"]["y_m"] = ref_dict["plate"]["width_b_m"] - 1e-3
+        parse_config_dict(ref_dict)
+
 
 class TestPatchThickness:
     @pytest.mark.parametrize("thickness", [0.0, -2.67e-4])

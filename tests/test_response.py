@@ -17,7 +17,7 @@ from platedamp import response
 from platedamp.response import _Kernel
 
 from oracles import (displacement_from_modal, monolithic_connected,
-                     monolithic_separated, static_ritz_displacement)
+                     monolithic_separated, state_space_frf, static_ritz_displacement)
 
 
 def rel_diff(a, b):
@@ -710,3 +710,34 @@ class TestInvariants:
                        (build_case(c, aluminum_plate, pzt_patch) for c in (case, relabeled)))
         assert np.array_equal(moved.displacement, base.displacement)
         assert np.array_equal(moved.voltages, base.voltages[:, perm])
+
+
+def assert_matches_state_space(model, topology, force, target, grid):
+    """frf() agrees with the pole-residue FRF of the time-domain system at
+    1e-10 norm-wise, displacement and voltages."""
+    res = frf(model, topology, force, target, grid)
+    disp, volts = state_space_frf(model, topology, force, target, grid,
+                                  retained_mode_count(model, grid))
+    assert np.linalg.norm(res.displacement - disp) <= 1e-10 * np.linalg.norm(disp)
+    assert np.linalg.norm(res.voltages - volts) <= 1e-10 * np.linalg.norm(volts)
+
+
+class TestStateSpaceOracle:
+    """The block kernel against x = [q, q', v, i] solved through its poles."""
+
+    @pytest.mark.parametrize("topology", [
+        ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in (3e3, 1.5e4, 8e4)]),
+        ShuntTopology.connected(ImpedanceLaw.resistor(5e3)),
+        ShuntTopology.separated([ImpedanceLaw.series_rl(120.0, 0.35),
+                                 ImpedanceLaw.series_rl(50.0, 2.0), ImpedanceLaw.resistor(1e4)]),
+        ShuntTopology.connected(ImpedanceLaw.series_rl(120.0, 0.35)),
+    ], ids=["separated-R", "connected-R", "separated-RL", "connected-RL"])
+    def test_reference(self, ref_model, ref_config, topology):
+        assert_matches_state_space(ref_model, topology, ref_config.force, ref_config.target,
+                                   ref_config.grid.frequencies())
+
+    @settings(derandomize=True, deadline=None, max_examples=15, database=None)
+    @given(case=shunted_layouts())
+    def test_random_layouts(self, case, aluminum_plate, pzt_patch):
+        model, topology, grid, p, q = build_case(case, aluminum_plate, pzt_patch)
+        assert_matches_state_space(model, topology, HarmonicForce(1.0, *p), q, grid)

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,101 @@ class TestEigensolve:
         assert np.max(np.abs(V.T @ M @ V - np.eye(V.shape[1]))) <= 1e-13
         lead = np.argmax(np.abs(V), axis=0)
         assert np.all(V[lead, np.arange(V.shape[1])] > 0.0)
+
+
+def allocating_lower_inverse(L):
+    """The block recursion with a new output and new blocks at every level:
+    the reference for ``ritz._lower_inverse``, which fills one output."""
+    n = L.shape[0]
+    if n <= 64:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    A = allocating_lower_inverse(L[:h, :h])
+    B = allocating_lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = A
+    out[h:, h:] = B
+    out[h:, :h] = -B @ (L[h:, :h] @ A)
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def system_18(ref_config):
+    """Reference plate and patches at 18x18 (324 DOF, above the one-thread
+    cutoff, where the factor inverse recurses three levels)."""
+    spec = BasisSpec(18, 18, ref_config.basis.quadrature_order)
+    return spec, assemble_system(ref_config.plate, ref_config.patches, spec)
+
+
+class TestLeanBuild:
+    """The build frees each n x n array once consumed and copies none it
+    does not need, with the arithmetic of the allocating build."""
+
+    def test_traced_peak_of_the_build(self, ref_config, system_18):
+        spec = system_18[0]
+        n = spec.n_dof
+        assert n > ritz._ONE_THREAD_MAX_DOF
+        args = (ref_config.plate, ref_config.patches, spec)
+        build_model(*args)  # caches filled outside the trace
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            build_model(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 4.0 * n * n * 8
+
+    def test_solve_leaves_the_callers_matrices_alone(self, ref_config, system_18):
+        spec, (M, K) = system_18
+        before = M.copy(), K.copy()
+        solve_modes(M, K, 0.0, plate=ref_config.plate, patches=ref_config.patches, spec=spec)
+        assert same_bits(M, before[0]) and same_bits(K, before[1])
+
+    def test_build_equals_assemble_then_solve(self, ref_config, system_18):
+        spec, (M, K) = system_18
+        args = (ref_config.plate, ref_config.patches, spec)
+        built = build_model(*args)
+        solved = solve_modes(M, K, ref_config.plate.modal_damping_xi, plate=ref_config.plate,
+                             patches=ref_config.patches, spec=spec)
+        assert same_bits(built.frequencies, solved.frequencies)
+        assert same_bits(built.mode_coeffs, solved.mode_coeffs)
+        M2, K2 = assemble_system(*args)
+        assert same_bits(M2, M) and same_bits(K2, K)
+
+    @pytest.mark.parametrize("n", [64, 100, 324, 900])
+    def test_lower_inverse_matches_the_allocating_recursion(self, n):
+        rng = np.random.default_rng(n)
+        L = np.tril(rng.standard_normal((n, n))) / np.sqrt(n) + np.diag(1.0 + rng.random(n))
+        assert same_bits(ritz._lower_inverse(L), allocating_lower_inverse(L))
+
+    def test_signs_pinned_on_ties(self, monkeypatch):
+        """The first largest-magnitude coefficient of every column comes out
+        positive, also where the largest magnitude appears with both signs."""
+        W = np.array([[0.5, -0.5, 0.1, 0.3, -0.25],
+                      [-0.5, 0.5, -0.6, -0.2, 0.25],
+                      [0.25, 0.25, 0.6, 0.1, 0.25],
+                      [0.0, 0.0, 0.0, 0.0, -0.25]])
+        ties = np.random.default_rng(2).integers(-3, 4, (4, 200)).astype(float)
+        W = np.hstack([W, ties[:, np.abs(ties).max(axis=0) > 0]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda C: (np.arange(W.shape[1], dtype=float),
+                                                          W.copy()))
+        n = W.shape[0]
+        model = solve_modes(np.eye(n), np.eye(n), 0.0, plate=None, patches=[], spec=None)
+        cols = np.arange(W.shape[1])
+        lead = W[np.argmax(np.abs(W), axis=0), cols]  # the rule as an |W| scan
+        assert same_bits(model.mode_coeffs, W * np.where(lead < 0.0, -1.0, 1.0))
+        assert np.array_equal(model.mode_coeffs[:, :5],
+                              [[0.5, 0.5, -0.1, 0.3, 0.25], [-0.5, -0.5, 0.6, -0.2, -0.25],
+                               [0.25, -0.25, -0.6, 0.1, -0.25], [0.0, 0.0, 0.0, 0.0, 0.25]])
 
 
 class TestConvergence:
