@@ -7,9 +7,8 @@ from .errors import AssemblyError, ConfigError, DomainError, SolverError
 from .plate import (PatchSpec, PlateSpec, RigiditySet, neutral_axis_offset,
                     rigidities, validate_layout)
 from .response import (FrfResult, HarmonicForce, ImpedanceLaw, ShuntTopology,
-                       assemble_circuit_system, frf, frf_connected,
-                       frf_mechanical, frf_separated, retained_mode_count,
-                       solve_voltages)
+                       assemble_circuit_system, frf, frf_connected, frf_separated,
+                       retained_mode_count, solve_voltages)
 from .ritz import (BasisSpec, ModalModel, assemble_system, build_model,
                    solve_modes)
 from .tuning import (ModeReduction, ReductionReport, SweepResult, SweepSpec,
@@ -25,8 +24,8 @@ __all__ = [
     "ShuntTopology", "SolverError", "SweepResult", "SweepSpec",
     "VelocityObjective", "assemble_circuit_system", "assemble_system",
     "build_model", "coupling_matrix", "coupling_vector", "frf", "frf_connected",
-    "frf_mechanical", "frf_separated", "mode_windows", "neutral_axis_offset",
-    "optimize_per_patch", "parse_config", "patch_capacitance", "percent_reduction",
-    "reference_config", "retained_mode_count", "rigidities", "solve_modes",
-    "solve_voltages", "sweep_resistance", "validate_layout", "with_coupling",
+    "frf_separated", "mode_windows", "neutral_axis_offset", "optimize_per_patch",
+    "parse_config", "patch_capacitance", "percent_reduction", "reference_config",
+    "retained_mode_count", "rigidities", "solve_modes", "solve_voltages",
+    "sweep_resistance", "validate_layout", "with_coupling",
 ]

@@ -96,43 +96,26 @@ def _numerators(indices, length: float, x: np.ndarray, orders):
     return np.stack(rows), beta, 1.0 - 2.0 * eL * s - eL2
 
 
-def _modes(indices, length: float, x: np.ndarray, orders) -> np.ndarray:
-    """Derivatives of the given orders (0 to 2) of the mode functions of
-    the given indices at ``x``, shaped as ``_numerators``."""
-    if any(d not in (0, 1, 2) for d in orders):
-        raise ValueError("derivative orders other than 0, 1 and 2 are unsupported")
-    out, beta, den = _numerators(indices, length, x, orders)
-    for row, d in zip(out, orders):
-        row *= beta ** d
-    return out / den
-
-
-def evaluate(index: int, length: float, x, derivative_order: int = 0):
-    """Mode function (or derivative) of the clamped-clamped beam.
-
-    ``derivative_order`` may be 0, 1 or 2. ``x`` may be a scalar or
-    array with 0 <= x <= length.
-    """
-    x = np.asarray(x, dtype=float)
-    return _modes((index,), length, x, (derivative_order,))[0, ..., 0][()]
-
-
-def integral(index, length: float, lo: float, hi: float):
-    """Exact integral of the mode function over [lo, hi] within [0, length];
-    a sequence of indices gives an array, one integral per index."""
-    single = np.ndim(index) == 0
-    (anti,), beta, den = _numerators([index] if single else list(index), length,
+def integral(n_funcs: int, length: float, lo: float, hi: float) -> np.ndarray:
+    """Exact integrals over [lo, hi] within [0, length] of the first
+    ``n_funcs`` mode functions, shape (n_funcs,)."""
+    (anti,), beta, den = _numerators(range(1, n_funcs + 1), length,
                                      np.array([lo, hi], dtype=float), (-1,))
-    out = (anti[1] - anti[0]) / (beta * den)
-    return float(out[0]) if single else out
+    return (anti[1] - anti[0]) / (beta * den)
 
 
 def eval_matrix(n_funcs: int, length: float, x, derivative_order=0) -> np.ndarray:
-    """The first ``n_funcs`` mode functions (or derivatives) at the points
-    ``x``, shape (len(x), n_funcs); a sequence of orders stacks them on a
-    leading axis, from one evaluation of the shared terms."""
+    """The first ``n_funcs`` mode functions (or derivatives of order 0, 1
+    or 2) at the points ``x`` in [0, length], shape (len(x), n_funcs); a
+    sequence of orders stacks them on a leading axis, from one evaluation
+    of the shared terms."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     single = np.ndim(derivative_order) == 0
-    out = _modes(range(1, n_funcs + 1), length, x,
-                 (derivative_order,) if single else tuple(derivative_order))
+    orders = (derivative_order,) if single else tuple(derivative_order)
+    if any(d not in (0, 1, 2) for d in orders):
+        raise ValueError("derivative orders other than 0, 1 and 2 are unsupported")
+    out, beta, den = _numerators(range(1, n_funcs + 1), length, x, orders)
+    for row, d in zip(out, orders):
+        row *= beta ** d
+    out = out / den
     return out[0] if single else out

@@ -9,13 +9,14 @@ Commands:
     compare  run separated and connected with their own sweep optima and
              write a combined report.json plus sweep/FRF data for both
 
-All numbers are written with 17 significant digits and fixed newlines,
-so repeated runs produce byte-identical files. A CSV file holds exactly the
-bytes ``np.savetxt(fmt="%.17g", delimiter=",")`` writes for its rows:
-``_csv_format`` works out the digits and layout of a block of numbers at
-once with numpy and passes only the numbers it cannot certify, such as exact
-ties, to CPython's own formatting. NaN or inf is refused before a file is
-opened. Exit codes: 0 success, 2 configuration error or unusable ``--out``,
+CSV numbers are written with 17 significant digits, and report.json numbers
+as ``json.dumps`` writes them: the shortest repr that reads back to the same
+double. With fixed newlines, repeated runs produce byte-identical files. A
+CSV file holds exactly the bytes ``np.savetxt(fmt="%.17g", delimiter=",")``
+writes for its rows: ``_csv_format`` works out the digits and layout of a
+block of numbers at once with numpy and passes only the numbers it cannot
+certify, such as exact ties, to CPython's own formatting. NaN or inf is
+refused before a file is opened. Exit codes: 0 success, 2 configuration error or unusable ``--out``,
 3 numerical failure.
 """
 
@@ -309,6 +310,8 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str, threads: int) -> None:
 
 
 def cmd_compare(config: ScenarioConfig, out_dir: str, threads: int) -> None:
+    if not config.patches:
+        raise DomainError("compare runs the connected wiring, which requires at least one patch")
     model = _build(config)
     sweep = config.sweep if config.sweep is not None else SweepSpec()
     sides = {}
@@ -340,8 +343,9 @@ def cmd_compare(config: ScenarioConfig, out_dir: str, threads: int) -> None:
     })
 
 
-# Every handler takes (config, out_dir, threads). ``threads``, like the
-# --threads flag, is ignored and kept only because bench/job.py passes it.
+# Every handler takes (config, out_dir, threads). ``threads`` is ignored and
+# kept because bench/job.py calls the handlers with it. The --threads flag is
+# ignored too, and kept so that command lines which pass it still parse.
 COMMANDS = {
     "modes": cmd_modes,
     "frf": cmd_frf,

@@ -34,7 +34,7 @@ class GridSpec:
     def __post_init__(self):
         if not 0.0 < self.start_hz < self.stop_hz:
             raise DomainError("grid requires 0 < start_hz < stop_hz")
-        if self.count < 2:
+        if not self.count >= 2:
             raise DomainError("grid requires count >= 2")
 
     def frequencies(self) -> np.ndarray:

@@ -47,8 +47,8 @@ def _laplacian_footprint_integrals(model: ModalModel, patch: PatchSpec) -> np.nd
     dphi = dx1[1] - dx1[0]
     dy1 = basis.eval_matrix(spec.n_y, plate.width_b, [patch.y1, patch.y2], 1)
     dpsi = dy1[1] - dy1[0]
-    int_phi = basis.integral(range(1, spec.n_x + 1), plate.length_a, patch.x1, patch.x2)
-    int_psi = basis.integral(range(1, spec.n_y + 1), plate.width_b, patch.y1, patch.y2)
+    int_phi = basis.integral(spec.n_x, plate.length_a, patch.x1, patch.x2)
+    int_psi = basis.integral(spec.n_y, plate.width_b, patch.y1, patch.y2)
     return (np.outer(dphi, int_psi) + np.outer(int_phi, dpsi)).reshape(-1)
 
 

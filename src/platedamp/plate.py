@@ -1,9 +1,9 @@
 """Host plate and patch geometry/material model.
 
 Provides the plate and patch specifications, the layout check, the
-neutral-surface offset caused by a one-sided patch, and the bending
-rigidities of host and patch layers that enter the plate's equation of
-motion.
+canonical patch order, the neutral-surface offset caused by a one-sided
+patch, and the bending rigidities of host and patch layers that enter the
+plate's equation of motion.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ class PatchSpec:
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
-    def covers(self, x: float, y: float) -> bool:
-        """Half-open footprint test: lower/left edges closed, upper/right open."""
-        return self.x1 <= x < self.x2 and self.y1 <= y < self.y2
-
 
 @dataclass(frozen=True)
 class RigiditySet:
@@ -126,6 +122,19 @@ def validate_layout(plate: PlateSpec, patches) -> None:
                 raise DomainError(f"patch {i} and patch {j}: footprints overlap")
 
 
+def patch_order(patches) -> list[int]:
+    """Indices of ``patches`` in the canonical order, sorted by footprint
+    corner (x1, y1): the order of the assembly's patch terms and of the
+    voltage nodes, so that relabeling patches changes no bit."""
+    return sorted(range(len(patches)), key=lambda i: (patches[i].x1, patches[i].y1))
+
+
+def bare_rigidity(plate: PlateSpec) -> float:
+    """Bending rigidity Ds = Ys hs^3 / (12 (1 - nu_s^2)) of the bare host
+    about its mid-plane, in N*m."""
+    return plate.youngs_Ys / (1.0 - plate.poisson_nus**2) * (plate.thickness_hs**3 / 12.0)
+
+
 def neutral_axis_offset(plate: PlateSpec, patch: PatchSpec) -> float:
     """Offset of the bending neutral surface from the host mid-plane.
 
@@ -151,13 +160,11 @@ def rigidities(plate: PlateSpec, patch: PatchSpec) -> RigiditySet:
     hs, hp = plate.thickness_hs, patch.thickness_hp
     z0 = neutral_axis_offset(plate, patch)
     host = plate.youngs_Ys / (1.0 - plate.poisson_nus**2)
-    second_moment = hs**3 / 12.0
-    Ds = host * second_moment
-    Dsp = host * (second_moment + z0**2 * hp)
+    Dsp = host * (hs**3 / 12.0 + z0**2 * hp)
     layer = (hp**3 / 3.0 + hs**2 * hp / 4.0 + hs * hp**2 / 2.0
              - z0 * (hp * hs + hp**2) + z0**2 * hp)
     return RigiditySet(
-        Ds=Ds,
+        Ds=bare_rigidity(plate),
         Dsp=Dsp,
         D11p=patch.c11_bar * layer,
         D12p=patch.c12_bar * layer,

@@ -8,8 +8,8 @@ single node carrying the summed coupling and capacitance, whose voltage
 every patch sees; the purely mechanical response has no node. Eliminating
 the modal coordinates leaves a dense complex system in the node voltages
 whose off-diagonals carry the structure-mediated interaction. Nodes are
-kept in a canonical order, the patches sorted by footprint corner
-(x1, y1) as ``ritz`` adds them, so listing the patches in another order
+kept in the canonical patch order of ``plate.patch_order``, in which
+``ritz`` adds the patches too, so listing the patches in another order
 permutes the voltage columns and changes no other bit.
 
 One block kernel builds and solves that system for a block of
@@ -38,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SolverError
+from .plate import patch_order
 from .ritz import ModalModel
 
 OPEN_OHMS = 1e9
@@ -261,10 +262,9 @@ class _Kernel:
         """One node per patch (separated), one node for all patches
         (connected), or none (``None``: the purely mechanical response).
         Separated nodes, and the terms of connected sums, follow the
-        patches sorted by footprint corner (x1, y1)."""
-        patches = self.model.patches
-        k = len(patches)
-        order = sorted(range(k), key=lambda i: (patches[i].x1, patches[i].y1))
+        patches in ``plate.patch_order``."""
+        k = len(self.model.patches)
+        order = patch_order(self.model.patches)
         patch_node = np.zeros(k, dtype=int)
         if topology is None:
             theta, caps, load_index = np.zeros((self.n, 0)), np.zeros(0), np.zeros(0, dtype=int)
@@ -273,6 +273,8 @@ class _Kernel:
             _check_coupled(self.model)
             theta, caps = self.model.coupling[:self.n, order], self.model.capacitances[order]
             if topology.mode == "connected":
+                if not k:
+                    raise DomainError("connected topology requires at least one patch")
                 theta, caps = theta.sum(axis=1, keepdims=True), caps.sum(keepdims=True)
                 load_index = np.zeros(1, dtype=int)
             elif len(topology.loads) == k:
@@ -481,8 +483,14 @@ def _check_residual(resid: np.ndarray, b: np.ndarray, axis: int = -1):
         raise SolverError("circuit solve residual exceeds tolerance")
 
 
-def _frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,
-         target, grid_hz, n_modes: int | None) -> FrfResult:
+def frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,
+        target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
+    """FRF over a grid of one wiring: separated, connected or, for
+    ``topology=None``, the purely mechanical response with all
+    electromechanical feedback dropped. Every patch of a connected wiring
+    reports the common node's voltage. A load count other than the patch
+    count, a connected wiring without patches or a model without coupling
+    data raises DomainError."""
     grid_hz = np.asarray(grid_hz, dtype=float)
     disp, vel, volts = _Kernel(model, force, target, grid_hz, n_modes).run(grid_hz, topology)
     return FrfResult(grid_hz.copy(), disp, vel, volts)
@@ -490,36 +498,15 @@ def _frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce
 
 def frf_separated(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
                   target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
-    """FRF with each patch on its own load."""
+    """``frf`` of a separated topology; any other raises DomainError."""
     if topology.mode != "separated":
         raise DomainError("frf_separated requires a separated topology")
-    return _frf(model, topology, force, target, grid_hz, n_modes)
+    return frf(model, topology, force, target, grid_hz, n_modes=n_modes)
 
 
 def frf_connected(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
                   target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
-    """FRF with all patches wired to one common node and a single load.
-
-    The kernel sees a single node carrying the summed coupling and
-    capacitance; every patch reports that node's voltage.
-    """
+    """``frf`` of a connected topology; any other raises DomainError."""
     if topology.mode != "connected":
         raise DomainError("frf_connected requires a connected topology")
-    _check_coupled(model)
-    if not model.patches:
-        raise DomainError("connected topology requires at least one patch")
-    return _frf(model, topology, force, target, grid_hz, n_modes)
-
-
-def frf_mechanical(model: ModalModel, force: HarmonicForce, target, grid_hz,
-                   *, n_modes: int | None = None) -> FrfResult:
-    """Purely mechanical FRF with all electromechanical feedback dropped."""
-    return _frf(model, None, force, target, grid_hz, n_modes)
-
-
-def frf(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
-        target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
-    """Dispatch on topology mode."""
-    if topology.mode == "connected":
-        return frf_connected(model, topology, force, target, grid_hz, n_modes=n_modes)
-    return frf_separated(model, topology, force, target, grid_hz, n_modes=n_modes)
+    return frf(model, topology, force, target, grid_hz, n_modes=n_modes)

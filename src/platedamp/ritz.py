@@ -7,9 +7,10 @@ matrices: one term for the bare plate over the whole domain plus one
 delta term for each patch over its footprint (footprints never
 overlap, so the sum is exact). Every Gram is computed by composite
 Gauss-Legendre quadrature over its own interval, where the integrand is
-smooth. Patch deltas are added in a canonical order (sorted by the
-footprint's lower-left corner), so the matrices do not depend on the
-order in which the patches are listed, bit for bit.
+smooth. Patch deltas are added in the canonical order of
+``plate.patch_order`` (sorted by the footprint's lower-left corner), so
+the matrices do not depend on the order in which the patches are listed,
+bit for bit.
 
 Models of at most _ONE_THREAD_MAX_DOF trial functions are assembled and
 solved with OpenBLAS limited to one thread. Their products are too small
@@ -32,7 +33,8 @@ import numpy as np
 
 from . import basis
 from .errors import AssemblyError, DomainError
-from .plate import PatchSpec, PlateSpec, rigidities, validate_layout
+from .plate import (PatchSpec, PlateSpec, bare_rigidity, patch_order, rigidities,
+                    validate_layout)
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,9 @@ class BasisSpec:
     quadrature_order: int = 10
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_y < 1:
+        if not (self.n_x >= 1 and self.n_y >= 1):
             raise DomainError("basis.n_x and basis.n_y must be >= 1")
-        if self.quadrature_order < 2:
+        if not self.quadrature_order >= 2:
             raise DomainError("basis.quadrature_order must be >= 2")
 
     @property
@@ -218,12 +220,12 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
     nx, ny = spec.n_x, spec.n_y
     a, b = plate.length_a, plate.width_b
     nu = plate.poisson_nus
-    Ds = plate.youngs_Ys * plate.thickness_hs**3 / (12.0 * (1.0 - nu**2))
+    Ds = bare_rigidity(plate)
 
     # (x interval, y interval, mass per area, A11 = A22, A12, A66)
     regions = [((0.0, a), (0.0, b), plate.density_rhos * plate.thickness_hs,
                 Ds, nu * Ds, 2.0 * (1.0 - nu) * Ds)]
-    for p in sorted(patches, key=lambda p: (p.x1, p.y1)):
+    for p in (patches[i] for i in patch_order(patches)):
         r = rigidities(plate, p)
         shift = r.Dsp - Ds
         regions.append(((p.x1, p.x2), (p.y1, p.y2), p.density_rhop * p.thickness_hp,

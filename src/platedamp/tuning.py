@@ -98,9 +98,9 @@ class SweepSpec:
     def __post_init__(self):
         if not 0.0 < self.r_min < self.r_max < math.inf:
             raise DomainError("sweep requires 0 < r_min < r_max < inf")
-        if self.points < 2:
+        if not self.points >= 2:
             raise DomainError("sweep requires points >= 2")
-        if self.report_modes < 1:
+        if not self.report_modes >= 1:
             raise DomainError("sweep requires report_modes >= 1")
         if self.objective_band is not None:
             lo, hi = self.objective_band

@@ -318,7 +318,8 @@ def assemble_system_cell_mesh(plate, patches, spec):
         for iy in range(len(y_breaks) - 1):
             Y0, Y1, Y2, Y20 = y_cells[iy]
             ym = 0.5 * (y_breaks[iy] + y_breaks[iy + 1])
-            cover = next((k for k, p in enumerate(patches) if p.covers(xm, ym)), None)
+            cover = next((k for k, p in enumerate(patches)
+                          if p.x1 <= xm < p.x2 and p.y1 <= ym < p.y2), None)
             if cover is None:
                 m_c = m_bare
                 A11 = A22 = Ds

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from platedamp import (BasisSpec, ImpedanceLaw, ShuntTopology, SweepSpec,
-                       assemble_circuit_system, build_model, frf_connected,
-                       frf_mechanical, frf_separated, mode_windows,
+                       assemble_circuit_system, build_model, frf, frf_connected,
+                       frf_separated, mode_windows,
                        optimize_per_patch, percent_reduction,
                        retained_mode_count, solve_voltages, sweep_resistance,
                        with_coupling)
@@ -114,7 +114,7 @@ def test_criterion_5_short_open_limits(ref_model, k1_model, point_force,
     for model, loads in ((ref_model, 3), (k1_model, 1)):
         topo = ShuntTopology.separated([ImpedanceLaw.short()] * loads)
         shorted = frf_separated(model, topo, point_force, target_point, grid_500)
-        mech = frf_mechanical(model, point_force, target_point, grid_500)
+        mech = frf(model, None, point_force, target_point, grid_500)
         worst = float(np.max(rel_diff(shorted.displacement, mech.displacement)))
         assert worst < 1e-6, f"short-limit mismatch {worst:.2e}"
     # open limit: with one patch the two topologies share a single

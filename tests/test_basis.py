@@ -39,22 +39,22 @@ class TestClampedEnds:
     def test_deflection_and_slope_vanish_at_both_ends(self, i):
         scale = basis.eigenvalue(i) / L
         for order, tol in ((0, 1e-11), (1, 1e-11 * scale)):
-            vals = basis.evaluate(i, L, np.array([0.0, L]), order)
+            vals = basis.eval_matrix(i, L, [0.0, L], order)[:, -1]
             assert np.all(np.abs(vals) < tol)
 
     def test_unsupported_derivative_order(self):
         with pytest.raises(ValueError, match="unsupported"):
-            basis.evaluate(1, L, 0.1, 3)
+            basis.eval_matrix(1, L, [0.1], 3)
         with pytest.raises(ValueError, match="unsupported"):
             basis.eval_matrix(3, L, [0.1], (0, -1))
 
     def test_coordinate_outside_span(self):
         """The guard fails closed on NaN, and bounds the integral too."""
-        for call in (lambda: basis.evaluate(1, L, -0.01),
-                     lambda: basis.evaluate(1, L, np.nan),
+        for call in (lambda: basis.eval_matrix(1, L, -0.01),
+                     lambda: basis.eval_matrix(1, L, np.nan),
                      lambda: basis.eval_matrix(4, L, [0.1, np.nan], (0, 2)),
                      lambda: basis.integral(2, 1.0, -5.0, 7.0),
-                     lambda: basis.integral([1, 2], L, 0.1, np.nan)):
+                     lambda: basis.integral(2, L, 0.1, np.nan)):
             with pytest.raises(ValueError, match="outside"):
                 call()
 
@@ -62,12 +62,13 @@ class TestClampedEnds:
 class TestEvalMatrix:
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_columns_are_the_single_mode_functions(self, order):
-        """The (points, functions) evaluation equals evaluating one index
-        at a time, bit for bit, ends of the span included."""
+        """Function i of the (points, functions) evaluation equals the
+        last column of the evaluation of the first i functions, bit for
+        bit, ends of the span included."""
         x = np.linspace(0.0, L, 97)
         B = basis.eval_matrix(30, L, x, order)
         assert B.shape == (x.size, 30)
-        loop = np.column_stack([basis.evaluate(i, L, x, order) for i in range(1, 31)])
+        loop = np.column_stack([basis.eval_matrix(i, L, x, order)[:, -1] for i in range(1, 31)])
         assert np.array_equal(B, loop)
 
     def test_stacked_orders_equal_one_order_at_a_time(self):
@@ -93,7 +94,7 @@ class TestNormalization:
         nodes, wts = leggauss(40 * i)
         x = 0.5 * L * (nodes + 1.0)
         w = 0.5 * L * wts
-        phi = basis.evaluate(i, L, x)
+        phi = basis.eval_matrix(i, L, x)[:, -1]
         assert np.max(np.abs(phi)) < 2.1
         assert np.sum(w * phi * phi) == pytest.approx(L, rel=1e-9)
 
@@ -103,7 +104,7 @@ class TestAgainstArbitraryPrecision:
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_matches_mpmath_reference(self, i, order):
         xs = np.linspace(0.0, L, 17)
-        ours = basis.evaluate(i, L, xs, order)
+        ours = basis.eval_matrix(i, L, xs, order)[:, -1]
         ref = beam_mode_mp(i, L, xs, order)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(ours - ref)) < 1e-11 * scale
@@ -114,11 +115,14 @@ class TestIntegral:
         (1, 0.0, L), (2, 0.1, 0.31), (7, 0.2238, 0.2962), (13, 0.0, 0.07),
     ])
     def test_matches_adaptive_quadrature(self, i, lo, hi):
-        ana = basis.integral(i, L, lo, hi)
-        num = quad(lambda t: float(basis.evaluate(i, L, t)), lo, hi, limit=400)[0]
+        ana = basis.integral(i, L, lo, hi)[-1]
+        num = quad(lambda t: basis.eval_matrix(i, L, t)[0, -1], lo, hi, limit=400)[0]
         assert ana == pytest.approx(num, abs=1e-12 * L)
 
     def test_sequence_of_indices_equals_one_index_at_a_time(self):
-        ints = basis.integral(range(1, 31), L, 0.2238, 0.2962)
+        """Integral i of the first 30 equals the last integral of the
+        first i, bit for bit."""
+        ints = basis.integral(30, L, 0.2238, 0.2962)
         assert ints.shape == (30,)
-        assert np.array_equal(ints, [basis.integral(i, L, 0.2238, 0.2962) for i in range(1, 31)])
+        assert np.array_equal(ints, [basis.integral(i, L, 0.2238, 0.2962)[-1]
+                                     for i in range(1, 31)])

@@ -70,6 +70,20 @@ class TestExitCodes:
         assert "clamped edge x = 0 m" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_without_patches(self, light_dict, tmp_path, capsys):
+        """compare always runs the connected wiring too, so a scenario
+        without patches is refused before any file is written."""
+        light_dict["patches"] = []
+        light_dict["topology"] = {"mode": "separated", "loads": []}
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(light_dict))
+        out = tmp_path / "o"
+        rc = main(["compare", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "at least one patch" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+
     def test_zero_patch_thickness(self, light_dict, tmp_path, capsys):
         light_dict["patches"][0]["thickness_m"] = 0
         path = tmp_path / "flat.json"

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from platedamp import ConfigError, parse_config, reference_config
+from platedamp import ConfigError, DomainError, GridSpec, parse_config, reference_config
 from platedamp.config import parse_config_dict, to_dict
 
 
@@ -227,6 +227,8 @@ class TestOptionals:
         ref_dict["grid"]["count"] = 1
         with pytest.raises(ConfigError, match="count"):
             parse_config_dict(ref_dict)
+        with pytest.raises(DomainError, match="count"):
+            GridSpec(1.0, 2.0, float("nan"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from platedamp import (BasisSpec, DomainError, HarmonicForce, ImpedanceLaw,
                        PatchSpec, PlateSpec, ShuntTopology, SolverError, SweepSpec,
                        VelocityObjective, assemble_circuit_system, build_model, frf,
-                       frf_connected, frf_mechanical, frf_separated, mode_windows,
+                       frf_connected, frf_separated, mode_windows,
                        optimize_per_patch, retained_mode_count, solve_voltages,
                        sweep_resistance, with_coupling)
 
@@ -441,14 +441,14 @@ class TestLimits:
                                                    target_point, grid_500):
         topo = ShuntTopology.separated([ImpedanceLaw.short()] * 3)
         shorted = frf_separated(ref_model, topo, point_force, target_point, grid_500)
-        mech = frf_mechanical(ref_model, point_force, target_point, grid_500)
+        mech = frf(ref_model, None, point_force, target_point, grid_500)
         assert np.max(rel_diff(shorted.displacement, mech.displacement)) < 1e-6
 
     def test_connected_short_recovers_mechanical_frf(self, ref_model, point_force,
                                                      target_point, grid_500):
         topo = ShuntTopology.connected(ImpedanceLaw.short())
         shorted = frf_connected(ref_model, topo, point_force, target_point, grid_500)
-        mech = frf_mechanical(ref_model, point_force, target_point, grid_500)
+        mech = frf(ref_model, None, point_force, target_point, grid_500)
         assert np.max(rel_diff(shorted.displacement, mech.displacement)) < 1e-6
 
     def test_single_patch_topologies_coincide(self, k1_model, point_force,
@@ -513,9 +513,48 @@ class TestFrfContracts:
         grid = np.linspace(5.0, 200.0, 30)
         sep = frf_separated(model, ShuntTopology.separated([]), point_force,
                             target_point, grid)
-        mech = frf_mechanical(model, point_force, target_point, grid)
+        mech = frf(model, None, point_force, target_point, grid)
         assert np.array_equal(sep.displacement, mech.displacement)
         assert sep.voltages.shape == (30, 0)
+
+    @pytest.mark.parametrize("n_modes", [None, 40])
+    def test_mechanical_frf_is_the_kernel_without_nodes(self, ref_model, bare_model_10,
+                                                        point_force, target_point, n_modes):
+        """``frf(model, None, ...)`` is the kernel's node-free run and no
+        more, bit for bit, and needs no coupling data."""
+        grid = np.linspace(1.0, 250.0, 700)
+        for model in (ref_model, bare_model_10):
+            res = frf(model, None, point_force, target_point, grid, n_modes=n_modes)
+            disp, vel, volts = _Kernel(model, point_force, target_point, grid,
+                                       n_modes).run(grid, None)
+            assert np.array_equal(res.frequencies_hz, grid)
+            assert np.array_equal(res.displacement, disp)
+            assert np.array_equal(res.velocity, vel)
+            assert np.array_equal(res.voltages, volts)
+            assert volts.shape == (grid.size, len(model.patches)) and not volts.any()
+
+    def test_wiring_checks(self, ref_model, bare_model_10, point_force, target_point):
+        grid = np.linspace(5.0, 200.0, 10)
+        law = ImpedanceLaw.resistor(1e4)
+        separated, connected = ShuntTopology.separated([law] * 3), ShuntTopology.connected(law)
+        coupled_bare = with_coupling(bare_model_10)
+        uncoupled = dataclasses.replace(ref_model, coupling=None, capacitances=None)
+        for call, match in (
+                (lambda: frf_separated(ref_model, connected, point_force, target_point, grid),
+                 "requires a separated"),
+                (lambda: frf_connected(ref_model, separated, point_force, target_point, grid),
+                 "requires a connected"),
+                (lambda: frf(coupled_bare, connected, point_force, target_point, grid),
+                 "at least one patch"),
+                (lambda: sweep_resistance(coupled_bare, point_force, target_point, grid,
+                                          SweepSpec(points=4), "connected"),
+                 "at least one patch"),
+                (lambda: frf(ref_model, ShuntTopology.separated([law] * 2), point_force,
+                             target_point, grid), "expected 3 loads"),
+                (lambda: frf(uncoupled, connected, point_force, target_point, grid),
+                 "no coupling data")):
+            with pytest.raises(DomainError, match=match):
+                call()
 
     def test_all_outputs_finite(self, ref_model, point_force, target_point, grid_500):
         topo = ShuntTopology.connected(ImpedanceLaw.series_rl(500.0, 2.0))
@@ -565,7 +604,7 @@ class TestFailClosed:
         calls = (
             lambda: frf_separated(model, separated, point_force, target_point, grid),
             lambda: frf_connected(model, connected, point_force, target_point, grid),
-            lambda: frf_mechanical(model, point_force, target_point, grid),
+            lambda: frf(model, None, point_force, target_point, grid),
             lambda: objective.velocity_abs(separated, grid),
             lambda: objective.coordinate_peaks(separated, 1, laws, (grid[0], grid[-1])),
             lambda: sweep_resistance(model, point_force, target_point, grid,

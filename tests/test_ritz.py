@@ -9,8 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platedamp import (AssemblyError, BasisSpec, PlateSpec, assemble_system,
-                       build_model, ritz, solve_modes)
+from platedamp import (AssemblyError, BasisSpec, DomainError, PlateSpec,
+                       assemble_system, build_model, ritz, solve_modes)
 
 from oracles import assemble_system_cell_mesh, fd_plate_frequencies_hz
 
@@ -48,6 +48,12 @@ class TestAssembly:
         scale_k = np.max(np.abs(K1))
         assert np.max(np.abs(M1 - M2)) < 1e-10 * scale_m
         assert np.max(np.abs(K1 - K2)) < 1e-10 * scale_k
+
+    @pytest.mark.parametrize("counts", [(0, 4, 10), (4, float("nan"), 10), (4, 4, 1),
+                                        (4, 4, float("nan"))])
+    def test_basis_spec_rejects_small_or_nan_counts(self, counts):
+        with pytest.raises(DomainError, match="basis"):
+            BasisSpec(*counts)
 
     def test_patch_order_does_not_matter(self, ref_config):
         spec = BasisSpec(6, 6, 10)

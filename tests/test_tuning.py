@@ -95,8 +95,10 @@ class TestSweep:
     def test_invalid_spec_rejected(self):
         with pytest.raises(DomainError):
             SweepSpec(r_min=1e4, r_max=1e3)
-        with pytest.raises(DomainError):
-            SweepSpec(points=1)
+        for counts in ({"points": 1}, {"points": float("nan")}, {"report_modes": 0},
+                       {"report_modes": float("nan")}):
+            with pytest.raises(DomainError):
+                SweepSpec(**counts)
 
     @pytest.mark.parametrize("r_min,r_max", [(0.0, 1e6), (-10.0, 1e6), (float("nan"), 1e6),
                                              (float("-inf"), 1e6), (100.0, float("inf"))])
