@@ -11,16 +11,15 @@ from .response import (FrfResult, HarmonicForce, ImpedanceLaw, ShuntTopology,
                        retained_mode_count, solve_voltages)
 from .ritz import (BasisSpec, ModalModel, assemble_system, build_model,
                    solve_modes)
-from .tuning import (ModeReduction, ReductionReport, SweepResult, SweepSpec,
-                     VelocityObjective, mode_windows, optimize_per_patch,
-                     percent_reduction, sweep_resistance)
+from .tuning import (ModeReduction, SweepResult, SweepSpec, VelocityObjective,
+                     mode_windows, optimize_per_patch, percent_reduction, sweep_resistance)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "BasisSpec", "ConfigError", "DomainError", "FrfResult",
     "GridSpec", "HarmonicForce", "ImpedanceLaw", "ModalModel", "ModeReduction",
-    "PatchSpec", "PlateSpec", "ReductionReport", "RigiditySet", "ScenarioConfig",
+    "PatchSpec", "PlateSpec", "RigiditySet", "ScenarioConfig",
     "ShuntTopology", "SolverError", "SweepResult", "SweepSpec",
     "VelocityObjective", "assemble_circuit_system", "assemble_system",
     "build_model", "coupling_matrix", "coupling_vector", "frf", "frf_connected",

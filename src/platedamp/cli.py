@@ -11,13 +11,14 @@ Commands:
 
 CSV numbers are written with 17 significant digits, and report.json numbers
 as ``json.dumps`` writes them: the shortest repr that reads back to the same
-double. With fixed newlines, repeated runs produce byte-identical files. A
-CSV file holds exactly the bytes ``np.savetxt(fmt="%.17g", delimiter=",")``
-writes for its rows: ``_csv_format`` works out the digits and layout of a
-block of numbers at once with numpy and passes only the numbers it cannot
-certify, such as exact ties, to CPython's own formatting. NaN or inf is
-refused before a file is opened. Exit codes: 0 success, 2 configuration error or unusable ``--out``,
-3 numerical failure.
+double. With fixed newlines, repeated runs produce byte-identical files at
+any OpenBLAS thread count. A CSV file holds exactly the bytes
+``np.savetxt(fmt="%.17g", delimiter=",")`` writes for its rows:
+``_csv_format`` works out the digits and layout of a block of numbers at once
+with numpy and passes only the numbers it cannot certify, such as exact ties,
+to CPython's own formatting. NaN or inf is refused before a file is opened.
+Exit codes: 0 success, 2 configuration error, unusable ``--out`` or an unknown
+option, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import AssemblyError, ConfigError, DomainError, SolverError
 from .response import (FrfResult, ImpedanceLaw, ShuntTopology, frf,
                        frf_connected, frf_separated, retained_mode_count)
 from .ritz import ModalModel, build_model
-from .tuning import (ReductionReport, SweepResult, SweepSpec, mode_windows,
+from .tuning import (ModeReduction, SweepResult, SweepSpec, mode_windows,
                      percent_reduction, sweep_resistance)
 
 _CSV_BLOCK_VALUES = 4096  # numbers formatted per block: one block's arrays stay under 1 MB
@@ -227,13 +228,13 @@ def write_sweep_csv(path: str, sweep_result: SweepResult) -> None:
                 sweep_result.peak_freqs_hz])
 
 
-def _report_entries(report: ReductionReport) -> list[dict]:
+def _report_entries(reductions: tuple[ModeReduction, ...]) -> list[dict]:
     """One row per mode window; a window without grid points has no peaks: null."""
     def number(x):
         return x if math.isfinite(x) else None
 
     out = []
-    for e in report.entries:
+    for e in reductions:
         item = {
             "mode": e.mode,
             "window_hz": [e.window_hz[0], e.window_hz[1]],
@@ -264,7 +265,8 @@ def _metadata(config: ScenarioConfig, model: ModalModel) -> dict:
 
 
 def _run_topology(config: ScenarioConfig, model: ModalModel, mode: str, sweep: SweepSpec):
-    """Sweep one topology, then evaluate its OC baseline and optimum FRFs."""
+    """Sweep one topology, then evaluate its OC baseline and optimum FRFs,
+    the optimum's per-load resistances and its mode reductions."""
     grid = config.grid.frequencies()
     k = len(model.patches)
     sweep_result = sweep_resistance(model, config.force, config.target, grid,
@@ -274,9 +276,8 @@ def _run_topology(config: ScenarioConfig, model: ModalModel, mode: str, sweep: S
     frf_oc = frf(model, oc, config.force, config.target, grid)
     frf_opt = frf(model, opt, config.force, config.target, grid)
     windows = mode_windows(model, sweep.report_modes, grid)
-    report = percent_reduction(frf_oc, frf_opt, windows, topology=mode,
-                               resistances=[law.ohms for law in opt.loads])
-    return sweep_result, frf_oc, frf_opt, report
+    reductions = percent_reduction(frf_oc, frf_opt, windows)
+    return sweep_result, frf_oc, frf_opt, [law.ohms for law in opt.loads], reductions
 
 
 def cmd_modes(config: ScenarioConfig, out_dir: str, threads: int) -> None:
@@ -295,7 +296,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str, threads: int) -> None:
     model = _build(config)
     sweep = config.sweep if config.sweep is not None else SweepSpec()
     mode = config.topology.mode
-    sweep_result, _, _, report = _run_topology(config, model, mode, sweep)
+    sweep_result, _, _, resistances, reductions = _run_topology(config, model, mode, sweep)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), sweep_result)
     _write_json(os.path.join(out_dir, "report.json"), {
         "command": "sweep",
@@ -303,8 +304,8 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str, threads: int) -> None:
         "r_opt_ohms": sweep_result.r_opt,
         "objective_peak_velocity_ms_per_n": sweep_result.objective_opt,
         "objective_peak_hz": sweep_result.peak_hz_opt,
-        "resistances_ohms": list(report.resistances_ohms),
-        "reductions": _report_entries(report),
+        "resistances_ohms": resistances,
+        "reductions": _report_entries(reductions),
         "metadata": _metadata(config, model),
     })
 
@@ -317,16 +318,17 @@ def cmd_compare(config: ScenarioConfig, out_dir: str, threads: int) -> None:
     sides = {}
     mode_rows: list[dict] = []
     for mode in ("separated", "connected"):
-        sweep_result, frf_oc, frf_opt, report = _run_topology(config, model, mode, sweep)
+        sweep_result, frf_oc, frf_opt, resistances, reductions = _run_topology(
+            config, model, mode, sweep)
         write_sweep_csv(os.path.join(out_dir, f"sweep_{mode}.csv"), sweep_result)
         write_frf_csv(os.path.join(out_dir, f"frf_{mode}_oc.csv"), frf_oc)
         write_frf_csv(os.path.join(out_dir, f"frf_{mode}_opt.csv"), frf_opt)
         sides[mode] = {
             "r_opt_ohms": sweep_result.r_opt,
             "objective_peak_velocity_ms_per_n": sweep_result.objective_opt,
-            "resistances_ohms": list(report.resistances_ohms),
+            "resistances_ohms": resistances,
         }
-        for i, entry in enumerate(_report_entries(report)):
+        for i, entry in enumerate(_report_entries(reductions)):
             if len(mode_rows) <= i:
                 mode_rows.append({"mode": entry["mode"],
                                   "window_hz": entry["window_hz"]})
@@ -344,8 +346,7 @@ def cmd_compare(config: ScenarioConfig, out_dir: str, threads: int) -> None:
 
 
 # Every handler takes (config, out_dir, threads). ``threads`` is ignored and
-# kept because bench/job.py calls the handlers with it. The --threads flag is
-# ignored too, and kept so that command lines which pass it still parse.
+# kept because bench/job.py calls the handlers with it; ``main`` passes 1.
 COMMANDS = {
     "modes": cmd_modes,
     "frf": cmd_frf,
@@ -361,8 +362,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="ignored; kept for scripts that still pass it")
     args = parser.parse_args(argv)
 
     try:
@@ -373,7 +372,7 @@ def main(argv=None) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        COMMANDS[args.command](config, args.out, args.threads)
+        COMMANDS[args.command](config, args.out, 1)
     except (ConfigError, DomainError) as exc:
         print(f"platedamp: config error: {exc}", file=sys.stderr)
         return 2

@@ -115,6 +115,8 @@ class ImpedanceLaw:
         if self.henries > 0.0 and self.kind != "series_rl":
             raise DomainError(f"a {self.kind} branch takes no inductance; use series_rl")
         if self.kind in self._SURROGATES:
+            if self.ohms not in (0.0, self._SURROGATES[self.kind]):
+                raise DomainError(f"a {self.kind} branch takes no resistance; use resistor")
             object.__setattr__(self, "ohms", self._SURROGATES[self.kind])
 
     @classmethod
@@ -172,6 +174,10 @@ class HarmonicForce:
     amplitude: float
     x: float
     y: float
+
+    def __post_init__(self):
+        if not np.isfinite([self.amplitude, self.x, self.y]).all():
+            raise DomainError("force amplitude and position must be finite")
 
 
 @dataclass(frozen=True)
@@ -497,16 +503,16 @@ def frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,
 
 
 def frf_separated(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
-                  target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
+                  target, grid_hz) -> FrfResult:
     """``frf`` of a separated topology; any other raises DomainError."""
     if topology.mode != "separated":
         raise DomainError("frf_separated requires a separated topology")
-    return frf(model, topology, force, target, grid_hz, n_modes=n_modes)
+    return frf(model, topology, force, target, grid_hz)
 
 
 def frf_connected(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,
-                  target, grid_hz, *, n_modes: int | None = None) -> FrfResult:
+                  target, grid_hz) -> FrfResult:
     """``frf`` of a connected topology; any other raises DomainError."""
     if topology.mode != "connected":
         raise DomainError("frf_connected requires a connected topology")
-    return frf(model, topology, force, target, grid_hz, n_modes=n_modes)
+    return frf(model, topology, force, target, grid_hz)

@@ -127,16 +127,6 @@ class ModeReduction:
 
 
 @dataclass(frozen=True)
-class ReductionReport:
-    """Per-mode velocity reductions of one shunted run against its
-    open-circuit baseline."""
-
-    topology: str
-    resistances_ohms: tuple[float, ...]
-    entries: tuple[ModeReduction, ...]
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Objective curve of one resistance sweep."""
 
@@ -161,12 +151,11 @@ class VelocityObjective:
     kernel call for the band's grid points and one per parabolic step.
     """
 
-    def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
-                 n_modes: int | None = None):
+    def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz):
         _check_coupled(model)
         self.model = model
         self.grid_hz = np.asarray(grid_hz, dtype=float)
-        self._kernel = _Kernel(model, force, target, self.grid_hz, n_modes)
+        self._kernel = _Kernel(model, force, target, self.grid_hz, None)
         self.n_modes = self._kernel.n
 
     def velocity_abs(self, topology: ShuntTopology, freqs_hz: np.ndarray) -> np.ndarray:
@@ -347,9 +336,9 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     return current, best, base
 
 
-def percent_reduction(frf_oc, frf_shunted, windows, topology: str = "",
-                      resistances=()) -> ReductionReport:
-    """Per-window peak comparison between an OC baseline and a shunted run.
+def percent_reduction(frf_oc, frf_shunted, windows) -> tuple[ModeReduction, ...]:
+    """Per-window peak comparison between an OC baseline and a shunted run:
+    one ModeReduction per window.
 
     Both FRFs must share one frequency grid. A window whose maximum sits
     on the window edge (no interior local maximum) is flagged rather
@@ -384,5 +373,4 @@ def percent_reduction(frf_oc, frf_shunted, windows, topology: str = "",
         red = 100.0 * (1.0 - sh_peak / oc_peak)
         entries.append(ModeReduction(m, (float(lo), float(hi)), oc_peak, oc_hz,
                                      sh_peak, sh_hz, red, flagged, note))
-    return ReductionReport(topology=topology, resistances_ohms=tuple(float(r) for r in resistances),
-                           entries=tuple(entries))
+    return tuple(entries)

@@ -19,6 +19,7 @@ from platedamp import (BasisSpec, ImpedanceLaw, ShuntTopology, SweepSpec,
                        retained_mode_count, solve_voltages, sweep_resistance,
                        with_coupling)
 from platedamp.cli import main as cli_main
+from platedamp.ritz import _openblas
 
 from oracles import fd_plate_frequencies_hz, monolithic_separated
 
@@ -156,9 +157,9 @@ def _topology_reductions(model, config, point_force, target_point):
             opt = ShuntTopology.separated([ImpedanceLaw.resistor(sweep.r_opt)] * k)
         frf_oc = run(model, oc, point_force, target_point, grid)
         frf_opt = run(model, opt, point_force, target_point, grid)
-        report = percent_reduction(frf_oc, frf_opt, windows, topology=mode)
-        assert not any(e.flagged for e in report.entries)
-        out[mode] = [e.reduction_pct for e in report.entries]
+        rows = percent_reduction(frf_oc, frf_opt, windows)
+        assert not any(e.flagged for e in rows)
+        out[mode] = [e.reduction_pct for e in rows]
     return out
 
 
@@ -190,20 +191,34 @@ def test_criterion_8_distribution_gain(ref_model, ref_config, point_force,
     assert all(spec.r_min <= r <= spec.r_max for r in resistances)
 
 
-@criterion(9, "compare command is byte-identical across reruns and thread counts")
+@criterion(9, "compare command is byte-identical across reruns and OpenBLAS thread counts")
 def test_criterion_9_determinism(tmp_path):
+    """Two runs at the default OpenBLAS thread count, then one with every
+    OpenBLAS set to another count (1, or 2 where the default is 1). Without
+    OpenBLAS only the reruns are compared."""
     config = str(resources.files("platedamp").joinpath("data/reference.json"))
-    outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "8")):
+
+    def compare(name):
         out = tmp_path / name
-        rc = cli_main(["compare", "--config", config, "--out", str(out),
-                       "--threads", threads])
-        assert rc == 0
-        outs.append(out)
+        assert cli_main(["compare", "--config", config, "--out", str(out)]) == 0
+        return out
+
+    base = compare("a")
+    outs = {"reruns": compare("b")}
+    libs = _openblas()
+    if libs:
+        before = [get() for get, _ in libs]
+        try:
+            for (_, set_), count in zip(libs, before):
+                set_(2 if count == 1 else 1)
+            outs["thread counts"] = compare("c")
+        finally:
+            for (_, set_), count in zip(libs, before):
+                set_(count)
     names = ["report.json", "sweep_separated.csv", "sweep_connected.csv",
              "frf_separated_oc.csv", "frf_separated_opt.csv",
              "frf_connected_oc.csv", "frf_connected_opt.csv"]
     for name in names:
-        base = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == base, f"{name} differs across reruns"
-        assert (outs[2] / name).read_bytes() == base, f"{name} differs across threads"
+        for across, out in outs.items():
+            assert (out / name).read_bytes() == (base / name).read_bytes(), (
+                f"{name} differs across {across}")

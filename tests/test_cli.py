@@ -247,32 +247,22 @@ class TestCompare:
                      "frf_connected_oc.csv", "frf_connected_opt.csv"):
             assert (out / name).exists()
 
-    def test_threads_do_not_change_outputs(self, light_config_path, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        main(["compare", "--config", str(light_config_path), "--out", str(out1),
-              "--threads", "1"])
-        main(["compare", "--config", str(light_config_path), "--out", str(out2),
-              "--threads", "2"])
-        for name in ("report.json", "sweep_separated.csv", "frf_connected_opt.csv"):
-            assert read(out1 / name) == read(out2 / name)
-
-    def test_threads_flag_starts_no_thread(self, light_config_path, tmp_path, monkeypatch):
-        """--threads is accepted and ignored: compare runs on the calling
-        thread and writes what --threads 1 writes."""
-        out1, out4 = tmp_path / "t1", tmp_path / "t4"
-        assert main(["compare", "--config", str(light_config_path), "--out", str(out1),
-                     "--threads", "1"]) == 0
-
+    def test_compare_starts_no_thread(self, light_config_path, tmp_path, monkeypatch):
+        """compare runs on the calling thread."""
         def refuse(self):
             raise RuntimeError("compare started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert main(["compare", "--config", str(light_config_path), "--out", str(out4),
-                     "--threads", "4"]) == 0
-        names = sorted(p.name for p in out1.iterdir())
-        assert names == sorted(p.name for p in out4.iterdir())
-        for name in names:
-            assert read(out1 / name) == read(out4 / name)
+        assert main(["compare", "--config", str(light_config_path),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_threads_flag_is_refused(self, light_config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", str(light_config_path), "--out", str(tmp_path / "out"),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_input_file_untouched(self, light_config_path, tmp_path):
         before = read(light_config_path)

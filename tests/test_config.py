@@ -85,6 +85,29 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="notes"):
             parse_config_dict(ref_dict)
 
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda d: d.update(grid=[1.0, 2.0]), "section 'grid' must be a JSON object"),
+        (lambda d: d.update(patches={}), "section 'patches' must be a list"),
+        (lambda d: d["grid"].update(start_hz=d["grid"]["stop_hz"]),
+         "grid: grid requires 0 < start_hz < stop_hz"),
+        (lambda d: d["sweep"].update(band_hz=[40.0]), r"'sweep.band_hz' must be \[lo, hi\]"),
+        (lambda d: d["topology"].pop("mode"), "'topology' must be an object with a 'mode'"),
+        (lambda d: d["topology"].update(mode="parallel"), "must be 'separated' or 'connected'"),
+        (lambda d: d["topology"].update(loads={"kind": "open"}),
+         "'topology.loads' must be a list"),
+        (lambda d: d["topology"].update(loads=[{"ohms": 1.0}] * 3),
+         r"'topology.loads\[0\]' must be an object with a 'kind'"),
+        (lambda d: d.update(patches=[], topology={"mode": "connected",
+                                                  "load": {"kind": "open"}}),
+         "connected topology requires at least one patch"),
+    ], ids=["section_not_object", "patches_not_list", "grid_start_not_below_stop",
+            "band_not_a_pair", "topology_without_mode", "unknown_mode", "loads_not_list",
+            "load_without_kind", "connected_without_patches"])
+    def test_malformed_section_named(self, ref_dict, mutate, match):
+        mutate(ref_dict)
+        with pytest.raises(ConfigError, match=match):
+            parse_config_dict(ref_dict)
+
 
 # section as named in errors -> (the section in the reference dict, a key
 # of it); every sweep key has a default, so sweep has no missing-key case

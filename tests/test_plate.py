@@ -27,6 +27,8 @@ class TestSpecValidation:
     def test_patch_rejects_inverted_footprint(self, pzt_patch):
         with pytest.raises(DomainError):
             dataclasses.replace(pzt_patch, x1=0.4, x2=0.3)
+        with pytest.raises(DomainError, match="y1 < y2"):
+            dataclasses.replace(pzt_patch, y1=0.4, y2=0.3)
 
     @pytest.mark.parametrize("hp", [-1e-4, float("nan")])
     def test_patch_rejects_negative_or_nan_thickness(self, pzt_patch, hp):
@@ -37,6 +39,12 @@ class TestSpecValidation:
     def test_patch_rejects_nonfinite_e31(self, pzt_patch, e31):
         with pytest.raises(DomainError, match="e31_bar"):
             dataclasses.replace(pzt_patch, e31_bar=e31)
+
+    @pytest.mark.parametrize("field", ["c66_bar", "eps33_s", "density_rhop"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_patch_rejects_non_positive_material_constant(self, pzt_patch, field, value):
+        with pytest.raises(DomainError, match=f"patch.{field} must be strictly positive"):
+            dataclasses.replace(pzt_patch, **{field: value})
 
     def test_patch_rejects_c12_exceeding_c11(self, pzt_patch):
         with pytest.raises(DomainError):

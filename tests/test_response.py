@@ -57,6 +57,15 @@ class TestImpedanceLaw:
     def test_open_and_short_carry_their_surrogate(self):
         assert ImpedanceLaw("open") == ImpedanceLaw.open()
         assert ImpedanceLaw("short").ohms == 1e-3
+        for law in (ImpedanceLaw.open(), ImpedanceLaw.short()):
+            assert dataclasses.replace(law) == law
+
+    def test_resistance_refused_on_open_and_short(self):
+        """The surrogate is the branch's resistance: another one given to an
+        open or short branch would otherwise be dropped without a word."""
+        for kind, ohms in (("open", 5.0), ("short", 7.0), ("open", 1e-3), ("short", 1e9)):
+            with pytest.raises(DomainError, match="takes no resistance"):
+                ImpedanceLaw(kind, ohms=ohms)
 
 
 class TestCircuitAssembly:
@@ -86,6 +95,12 @@ class TestCircuitAssembly:
                                        [ImpedanceLaw.resistor(1e4)] * 3, force)
         assert np.all(b == 0.0)
 
+    @pytest.mark.parametrize("force", [(np.nan, 0.45, 0.16), (1.0, np.inf, 0.16),
+                                       (1.0, 0.45, -np.inf)])
+    def test_non_finite_force_rejected(self, force):
+        with pytest.raises(DomainError, match="force amplitude and position must be finite"):
+            HarmonicForce(*force)
+
     def test_zero_impedance_rejected(self, ref_model, point_force):
         with pytest.raises(SolverError):
             assemble_circuit_system(2 * np.pi * 60.0, ref_model,
@@ -94,6 +109,7 @@ class TestCircuitAssembly:
     def test_solve_zero_rhs(self):
         A = np.eye(2, dtype=complex)
         assert np.all(solve_voltages(A, np.zeros(2, dtype=complex)) == 0.0)
+        assert solve_voltages(np.zeros((3, 0, 0)), np.zeros((3, 0))).shape == (3, 0)
 
     def test_solve_singular_raises(self):
         A = np.zeros((2, 2), dtype=complex)
@@ -479,8 +495,8 @@ class TestLimits:
         spec = BasisSpec(8, 8, 10)
         model = with_coupling(build_model(aluminum_plate, [pzt_patch], spec))
         topo = ShuntTopology.separated([ImpedanceLaw.resistor(1e4)])
-        res = frf_separated(model, topo, point_force, target_point,
-                            np.array([0.01]), n_modes=model.n_modes)
+        res = frf(model, topo, point_force, target_point, np.array([0.01]),
+                  n_modes=model.n_modes)
         static = static_ritz_displacement(aluminum_plate, [pzt_patch], spec,
                                           point_force, target_point)
         assert abs(res.displacement[0]) == pytest.approx(abs(static), rel=1e-3)
@@ -552,7 +568,9 @@ class TestFrfContracts:
                 (lambda: frf(ref_model, ShuntTopology.separated([law] * 2), point_force,
                              target_point, grid), "expected 3 loads"),
                 (lambda: frf(uncoupled, connected, point_force, target_point, grid),
-                 "no coupling data")):
+                 "no coupling data"),
+                (lambda: ShuntTopology("parallel", (law,)), "unknown topology mode"),
+                (lambda: ShuntTopology("connected", (law, law)), "exactly one load")):
             with pytest.raises(DomainError, match=match):
                 call()
 

@@ -91,12 +91,15 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_resistance(ref_model, point_force, target_point, grid,
                              SweepSpec(objective_band=(300.0, 400.0)), "separated")
+        with pytest.raises(DomainError, match="contains no grid point"):
+            sweep_resistance(ref_model, point_force, target_point, grid,
+                             SweepSpec(objective_band=(60.0, 61.0)), "separated")
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(DomainError):
             SweepSpec(r_min=1e4, r_max=1e3)
         for counts in ({"points": 1}, {"points": float("nan")}, {"report_modes": 0},
-                       {"report_modes": float("nan")}):
+                       {"report_modes": float("nan")}, {"objective_band": (70.0, 40.0)}):
             with pytest.raises(DomainError):
                 SweepSpec(**counts)
 
@@ -141,37 +144,37 @@ class TestPercentReduction:
         topo = ShuntTopology.separated([ImpedanceLaw.open()] * 3)
         res = frf_separated(ref_model, topo, point_force, target_point, grid_500)
         wins = mode_windows(ref_model, 3, grid_500)
-        rep = percent_reduction(res, res, wins)
-        assert all(e.reduction_pct == 0.0 for e in rep.entries)
+        rows = percent_reduction(res, res, wins)
+        assert all(e.reduction_pct == 0.0 for e in rows)
 
     def test_halved_peak_gives_fifty_percent(self):
         grid = np.linspace(10.0, 30.0, 201)
         bump = 1.0 / (1.0 + ((grid - 20.0) / 2.0) ** 2)
         oc = self._fake_frf(grid, bump)
         half = self._fake_frf(grid, 0.5 * bump)
-        rep = percent_reduction(oc, half, [(15.0, 25.0)])
-        assert rep.entries[0].reduction_pct == pytest.approx(50.0, abs=1e-12)
-        assert not rep.entries[0].flagged
+        rows = percent_reduction(oc, half, [(15.0, 25.0)])
+        assert rows[0].reduction_pct == pytest.approx(50.0, abs=1e-12)
+        assert not rows[0].flagged
 
     def test_window_without_interior_maximum_is_flagged(self):
         grid = np.linspace(10.0, 30.0, 201)
         ramp = np.linspace(1.0, 2.0, 201)
-        rep = percent_reduction(self._fake_frf(grid, ramp),
-                                self._fake_frf(grid, 0.9 * ramp),
-                                [(15.0, 25.0)])
-        assert rep.entries[0].flagged
-        assert rep.entries[0].note
+        rows = percent_reduction(self._fake_frf(grid, ramp),
+                                 self._fake_frf(grid, 0.9 * ramp),
+                                 [(15.0, 25.0)])
+        assert rows[0].flagged
+        assert rows[0].note
 
     def test_window_off_the_grid_or_between_points_has_no_peaks(self):
         grid = np.linspace(10.0, 30.0, 21)
         bump = self._fake_frf(grid, 1.0 / (1.0 + ((grid - 20.0) / 2.0) ** 2))
-        rep = percent_reduction(bump, bump, [(15.0, 25.0), (28.0, 32.0), (7.0, 9.0),
-                                             (12.2, 12.8)])
-        notes = [e.note for e in rep.entries]
+        rows = percent_reduction(bump, bump, [(15.0, 25.0), (28.0, 32.0), (7.0, 9.0),
+                                              (12.2, 12.8)])
+        notes = [e.note for e in rows]
         assert notes == ["", "mode lies outside the frequency grid",
                          "mode lies outside the frequency grid", "window contains no grid point"]
         assert all(e.flagged and np.isnan(e.oc_peak) and np.isnan(e.reduction_pct)
-                   for e in rep.entries[1:])
+                   for e in rows[1:])
 
     def test_mismatched_grids_rejected(self):
         g1 = np.linspace(10.0, 30.0, 100)
@@ -183,9 +186,9 @@ class TestPercentReduction:
     def test_reduction_bounded_above_by_100(self):
         grid = np.linspace(10.0, 30.0, 201)
         bump = 1.0 / (1.0 + ((grid - 20.0) / 2.0) ** 2)
-        rep = percent_reduction(self._fake_frf(grid, bump),
-                                self._fake_frf(grid, 1e-8 * bump), [(15.0, 25.0)])
-        assert rep.entries[0].reduction_pct <= 100.0
+        rows = percent_reduction(self._fake_frf(grid, bump),
+                                 self._fake_frf(grid, 1e-8 * bump), [(15.0, 25.0)])
+        assert rows[0].reduction_pct <= 100.0
 
 
 class TestPerPatch:
