@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .plate import PatchSpec, PlateSpec, validate_layout
+from .plate import PatchSpec, PlateSpec, validate_layout, validate_point
 from .response import HarmonicForce, ImpedanceLaw, ShuntTopology
 from .ritz import BasisSpec
 from .tuning import SweepSpec
@@ -195,15 +195,11 @@ def _parse_topology(data, n_patches: int) -> ShuntTopology:
     raise ConfigError("field 'topology.mode' must be 'separated' or 'connected'")
 
 
-def _check_interior(plate: PlateSpec, x: float, y: float, name: str) -> None:
-    """Reject a point off the plate, or on a clamped edge, where every
-    trial function vanishes and the response would be rounding noise."""
-    if not plate.contains(x, y):
-        raise ConfigError(f"{name} lies outside the plate")
-    for axis, value, far in (("x", x, plate.length_a), ("y", y, plate.width_b)):
-        if value in (0.0, far):
-            raise ConfigError(f"{name} ({x:g}, {y:g}) m lies on the clamped edge "
-                              f"{axis} = {value:g} m, where every mode shape vanishes")
+def _check_point(plate: PlateSpec, x: float, y: float, name: str) -> None:
+    try:
+        validate_point(plate, x, y, name)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config_dict(raw: dict) -> ScenarioConfig:
@@ -226,11 +222,11 @@ def parse_config_dict(raw: dict) -> ScenarioConfig:
     topology = _parse_topology(top["topology"], len(patches))
 
     force = _read(HarmonicForce, top["force"], "force", FORCE_KEYS)
-    _check_interior(plate, force.x, force.y, "force location")
+    _check_point(plate, force.x, force.y, "force location")
 
     td = _section(top["target"], "target", ("x_m", "y_m"))
     target = (_number(td["x_m"], "target.x_m"), _number(td["y_m"], "target.y_m"))
-    _check_interior(plate, *target, "target point")
+    _check_point(plate, *target, "target point")
 
     grid = _read(GridSpec, top["grid"], "grid", GRID_KEYS)
     basis = _read(BasisSpec, top["basis"], "basis", BASIS_KEYS)

@@ -1,9 +1,10 @@
 """Host plate and patch geometry/material model.
 
 Provides the plate and patch specifications, the layout check, the
-canonical patch order, the neutral-surface offset caused by a one-sided
-patch, and the bending rigidities of host and patch layers that enter the
-plate's equation of motion.
+check of a force or target point, the canonical patch order, the
+neutral-surface offset caused by a one-sided patch, and the bending
+rigidities of host and patch layers that enter the plate's equation of
+motion.
 """
 
 from __future__ import annotations
@@ -120,6 +121,20 @@ def validate_layout(plate: PlateSpec, patches) -> None:
                 continue
             if p.x1 < q.x2 and q.x1 < p.x2 and p.y1 < q.y2 and q.y1 < p.y2:
                 raise DomainError(f"patch {i} and patch {j}: footprints overlap")
+
+
+def validate_point(plate: PlateSpec, x: float, y: float, name: str) -> None:
+    """Reject a point off the plate, or on a clamped edge, where every
+    trial function vanishes and a response there would be rounding noise.
+
+    Raises DomainError naming the point ``name``; NaN lies off the plate.
+    """
+    if not plate.contains(x, y):
+        raise DomainError(f"{name} lies outside the plate")
+    for axis, value, far in (("x", x, plate.length_a), ("y", y, plate.width_b)):
+        if value in (0.0, far):
+            raise DomainError(f"{name} ({x:g}, {y:g}) m lies on the clamped edge "
+                              f"{axis} = {value:g} m, where every mode shape vanishes")
 
 
 def patch_order(patches) -> list[int]:

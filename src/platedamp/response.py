@@ -18,7 +18,12 @@ j*omega * theta^T diag(inv) theta, the right-hand side and the target
 terms) all come from one real matrix product: the real and imaginary
 parts of the modal inverse inv against a per-wiring table of coupling
 and mode-value products. The loads enter only on the diagonal, so a
-stack of candidate loads can share one structural block. The kernel
+stack of candidate loads can share one structural block, and a sweep
+objective keeps the blocks at its band's grid points for all of its
+sweeps. A change of one node's load is a rank-one change of the system:
+``rank_one`` takes it for the candidates of a coordinate sweep, and
+``carry`` moves the solution of the current loads to the accepted load,
+so a descent cycle solves its band systems once. The kernel
 evaluates every stack of candidate loads a sweep asks for, cut into
 stacks of about CHUNK_ENTRIES complex entries; FRF grids are cut into
 consecutive blocks of BLOCK_POINTS. Both bound memory and run in order
@@ -38,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .plate import patch_order
+from .plate import patch_order, validate_point
 from .ritz import ModalModel
 
 OPEN_OHMS = 1e9
@@ -66,15 +71,6 @@ def _stacks(count: int, entries: int) -> list[slice]:
     CHUNK_ENTRIES complex entries at ``entries`` per candidate."""
     size = max(1, CHUNK_ENTRIES // entries)
     return [slice(i, i + size) for i in range(0, count, size)]
-
-
-def _times_jw(w, re, im):
-    """j*w * (re + j*im) for real ``w`` (F, 1) and ``re``, ``im`` (F, c),
-    written straight into one new complex array."""
-    z = np.empty(re.shape, dtype=complex)
-    np.multiply(im, -w, out=z.real)
-    np.multiply(re, w, out=z.imag)
-    return z
 
 
 def _impedance(ohms, henries, omega):
@@ -243,10 +239,14 @@ class _Nodes(NamedTuple):
 
 class _Kernel:
     """The block kernel: retained modes of one model, driven at the force
-    point and read at the target, solved against any wiring's nodes."""
+    point and read at the target, solved against any wiring's nodes. A
+    force or target point off the plate or on a clamped edge raises
+    DomainError."""
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
                  n_modes: int | None):
+        validate_point(model.plate, force.x, force.y, "force location")
+        validate_point(model.plate, target[0], target[1], "target point")
         n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
         self.model = model
         self.n = n
@@ -307,7 +307,7 @@ class _Kernel:
         in calls of at most _PRODUCT_MADDS multiply-adds. The temporaries go
         into ``scratch`` from ``self.scratch``, large enough for
         ``omega.size`` rows, or into new arrays without it; the four results
-        are always new arrays.
+        are always views of one new complex array, never of ``scratch``.
         """
         m = nodes.caps.size
         w = omega.reshape(-1, 1)
@@ -325,15 +325,18 @@ class _Kernel:
         rows = max(1, _PRODUCT_MADDS // table.size)
         for i in range(0, len(inv), rows):
             np.matmul(inv[i:i + rows], table, out=out[i:i + rows])
-        re, im = out[:len(w)], out[len(w):]  # of inv @ table
+        re, im = out[:f], out[f:]  # of inv @ table
         mm = m * m
-        S = _times_jw(w, re[:, :mm], im[:, :mm])
-        b = _times_jw(-w, re[:, mm:mm + m], im[:, mm:mm + m])
-        g = re[:, mm + m:-1] + 1j * im[:, mm + m:-1]
-        d0 = re[:, -1] + 1j * im[:, -1]
+        z = np.empty(re.shape, dtype=complex)  # S, b, g and d0, column by column
+        zr, zi = z.real, z.imag
+        np.multiply(im[:, :mm], -w, out=zr[:, :mm])  # S = j*w * (re + j*im)
+        np.multiply(re[:, :mm], w, out=zi[:, :mm])
+        np.multiply(im[:, mm:mm + m], w, out=zr[:, mm:mm + m])  # b = -j*w * (re + j*im)
+        np.multiply(re[:, mm:mm + m], -w, out=zi[:, mm:mm + m])
+        zr[:, mm + m:], zi[:, mm + m:] = re[:, mm + m:], im[:, mm + m:]  # g and d0
         shape = omega.shape
-        return (S.reshape(shape + (m, m)), b.reshape(shape + (m,)), d0.reshape(shape),
-                g.reshape(shape + (m,)))
+        return (z[:, :mm].reshape(shape + (m, m)), z[:, mm:mm + m].reshape(shape + (m,)),
+                z[:, -1].reshape(shape), z[:, mm + m:-1].reshape(shape + (m,)))
 
     def system(self, omega: np.ndarray, nodes: _Nodes, blocks):
         """Voltage-space systems A (..., m, m) and b (..., m) per newton:
@@ -343,9 +346,9 @@ class _Kernel:
         S, b = blocks[:2]
         w = omega[..., None]
         y = _admittance(nodes.ohms, nodes.henries, w) + 1j * w * nodes.caps
-        A = np.broadcast_to(S, y.shape + y.shape[-1:]).copy()
-        diag = np.arange(y.shape[-1])
-        A[..., diag, diag] += y
+        m = y.shape[-1]
+        A = np.broadcast_to(S, y.shape + (m,)).copy()
+        A.reshape(A.shape[:-2] + (m * m,))[..., ::m + 1] += y  # the diagonal, as a view
         return A, np.broadcast_to(b, y.shape)
 
     def respond(self, omega: np.ndarray, nodes: _Nodes, blocks):
@@ -362,13 +365,15 @@ class _Kernel:
         return disp, v
 
     def velocity(self, freqs_hz: np.ndarray, nodes: _Nodes, ohms: np.ndarray,
-                 henries: np.ndarray) -> np.ndarray:
+                 henries: np.ndarray, blocks=None) -> np.ndarray:
         """|velocity| per newton (C, Q) of C candidate load sets ``ohms``
         and ``henries`` (C, m) at frequencies (Q,) shared by all, which
-        then share one structural block, or (C, Q) of each one's own."""
+        then share one structural block (``blocks``, from ``structure`` at
+        those frequencies, or computed here), or (C, Q) of each one's own."""
         omega = 2.0 * np.pi * freqs_hz
         shared = omega.ndim == 1
-        blocks = self.structure(omega, nodes) if shared else None
+        if shared and blocks is None:
+            blocks = self.structure(omega, nodes)
         parts = []
         for s in _stacks(len(ohms), omega.shape[-1] * (nodes.caps.size**2 + self.n)):
             stack = nodes._replace(ohms=ohms[s, None], henries=henries[s, None])
@@ -377,44 +382,94 @@ class _Kernel:
             parts.append(np.abs(1j * w * disp))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
+    def solution(self, omega: np.ndarray, nodes: _Nodes, blocks):
+        """Voltages v0 (F, m) per newton and the inverse (F, m, m) of the
+        systems A0 of ``nodes``' own loads at frequencies ``omega`` (F,),
+        for ``blocks = structure(omega, nodes)``, from one solve for the
+        right-hand sides [b | I]. A singular system raises SolverError;
+        ``rank_one`` checks the residual of what it takes from the pair."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in rank_one
+            A, b = self.system(omega, nodes, blocks)
+        m = b.shape[-1]
+        rhs = np.zeros(b.shape + (m + 1,), dtype=complex)
+        rhs[..., 0] = b
+        rhs[:, np.arange(m), np.arange(1, m + 1)] = 1.0
+        try:
+            x = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular circuit system (topology/frequency degeneracy)") from exc
+        return x[..., 0], x[..., 1:]
+
+    def carry(self, omega: np.ndarray, nodes: _Nodes, index: int, solution, ohms: float,
+              henries: float):
+        """``nodes`` with node ``index`` taking the load ``ohms`` and
+        ``henries``, and their ``solution`` (v0, inverse) at ``omega``
+        carried along by the Sherman-Morrison step of ``rank_one``: with
+        delta the change of the node's admittance and u and r column and
+        row ``index`` of the inverse, v0 - u * delta v0_k / (1 + delta u_k)
+        and inverse - u r * delta / (1 + delta u_k). Nothing is checked
+        here; a degenerate or non-finite step fails the next ``rank_one``."""
+        v0, inverse = solution
+        u, r = inverse[..., index], inverse[..., index, :]
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in rank_one
+            delta = (_admittance(ohms, henries, omega)
+                     - _admittance(nodes.ohms[index], nodes.henries[index], omega))
+            denominator = 1.0 + delta * u[:, index]
+            v0 = v0 - (delta * v0[:, index] / denominator)[:, None] * u
+            inverse = inverse - ((delta / denominator)[:, None] * u)[:, :, None] * r[:, None, :]
+        loads = nodes.ohms.copy(), nodes.henries.copy()
+        loads[0][index], loads[1][index] = ohms, henries
+        return nodes._replace(ohms=loads[0], henries=loads[1]), (v0, inverse)
+
     def rank_one(self, freqs_hz: np.ndarray, nodes: _Nodes, index: int, ohms: np.ndarray,
-                 henries: np.ndarray) -> np.ndarray:
+                 henries: np.ndarray, blocks=None, solution=None) -> np.ndarray:
         """|velocity| per newton (C, F) at the frequencies (F,) for C
         candidate loads ``ohms`` and ``henries`` (C,) at node ``index``,
         every other node keeping its load in ``nodes``.
 
-        Solves the system A0 of ``nodes``' own loads once for the two
-        right-hand sides [b, e_k] (k = index), giving v0 and u. A candidate
-        changes only the admittance of node k, by delta = 1/z - 1/z0, so
-        its system is A0 + delta e_k e_k^T and, by Sherman-Morrison, its
-        voltages are v0 - u * delta v0_k / (1 + delta u_k). Every
-        candidate's residual A0 v + delta v_k e_k - b is checked against
-        the bound of ``solve_voltages``, so a NaN or a degenerate update
-        raises SolverError.
+        v0 and u solve the system A0 of ``nodes``' own loads for the
+        right-hand sides b and e_k (k = index): they are taken from its
+        ``solution`` (v0, inverse), computed here when not given, and
+        their residuals are checked against the bound of
+        ``solve_voltages``. A candidate changes only the admittance of
+        node k, by delta = 1/z - 1/z0, so its system is A0 + delta e_k
+        e_k^T and, by Sherman-Morrison, its voltages are v0 - u * delta
+        v0_k / (1 + delta u_k). Every candidate's residual A0 v + delta
+        v_k e_k - b is checked against the same bound, so a NaN, a drifted
+        ``solution`` or a degenerate update raises SolverError.
+        ``blocks`` are those of ``structure`` at these frequencies,
+        computed here when not given.
         """
         omega = 2.0 * np.pi * freqs_hz
-        blocks = self.structure(omega, nodes)
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the solve
+        if blocks is None:
+            blocks = self.structure(omega, nodes)
+        if solution is None:
+            solution = self.solution(omega, nodes, blocks)
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the checks
             A, b = self.system(omega, nodes, blocks)
             rhs = np.zeros(b.shape + (2,), dtype=complex)
             rhs[..., 0] = b
             rhs[..., index, 1] = 1.0
-            base = solve_voltages(A, rhs)
-        v0, u = base[..., 0], base[..., 1]
+            pair = np.stack([solution[0], solution[1][..., index]], axis=-1)
+            _check_residual(A @ pair - rhs, rhs, axis=-2)
+        v0, u = pair[..., 0], pair[..., 1]
         y0 = _admittance(nodes.ohms[index], nodes.henries[index], omega)[:, None]
         A_t = A.transpose(0, 2, 1)
         d0, g = blocks[2][:, None], blocks[3][:, None]
         b = b[:, None]
-        del blocks, rhs  # free the structural block before the candidate stacks
+        del blocks, solution, rhs  # free what was computed here before the candidate stacks
 
         def stack(s):  # a function, so that each stack's arrays are freed on return
             with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises below
                 delta = _admittance(ohms[s], henries[s], omega[:, None]) - y0  # (F, C)
                 coef = delta * v0[:, index, None] / (1.0 + delta * u[:, index, None])
-                v = v0[:, None] - coef[..., None] * u[:, None]                 # (F, C, m)
+                v = coef[..., None] * u[:, None]
+                np.subtract(v0[:, None], v, out=v)                             # (F, C, m)
                 resid = v @ A_t
                 resid[..., index] += delta * v[..., index]
-                _check_residual(resid - b, b)
+                resid -= b
+                _check_residual(resid, b)
+                del resid
                 disp = d0 + np.sum(v * g, axis=-1)
             if not np.isfinite(disp).all():
                 raise SolverError("non-finite response; an undamped mode may lie on the grid")
@@ -483,10 +538,16 @@ def solve_voltages(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_residual(resid: np.ndarray, b: np.ndarray, axis: int = -1):
     """Raise SolverError unless |resid| <= 1e-10 * |b| along ``axis``
-    everywhere; a NaN fails."""
-    tol = 1e-10 * np.maximum(np.linalg.norm(b, axis=axis), 1e-300)
-    if not np.all(np.linalg.norm(resid, axis=axis) <= tol):
+    everywhere, compared as squared norms; a NaN fails."""
+    if not np.all(_squared_norm(resid, axis) <= 1e-20 * _squared_norm(b, axis)):
         raise SolverError("circuit solve residual exceeds tolerance")
+
+
+def _squared_norm(x: np.ndarray, axis: int) -> np.ndarray:
+    """|x|^2 of complex ``x`` along ``axis``."""
+    s = np.square(x.real)
+    s += np.square(x.imag)
+    return s.sum(axis=axis)
 
 
 def frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,

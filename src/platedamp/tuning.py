@@ -13,7 +13,11 @@ the band's grid points in one call of the response module's kernel, and
 each parabolic step evaluates all of them again in one call; the
 kernel stacks the candidates. A coordinate sweep of the per-patch
 descent changes the load of one node only, so its band points take the
-kernel's rank-one update instead.
+kernel's rank-one update instead. What does not depend on the loads is
+computed once: an objective keeps the structural blocks at its band's
+grid points for every sweep of one wiring, and each descent cycle
+solves its band systems once and carries that solution from sweep to
+sweep.
 """
 
 from __future__ import annotations
@@ -149,6 +153,8 @@ class VelocityObjective:
     wiring at once, and ``coordinate_peaks`` the candidates of one
     coordinate sweep, which change a single node's load. Each makes one
     kernel call for the band's grid points and one per parabolic step.
+    The structural blocks at the band's grid points do not depend on the
+    loads, so the objective computes them once per wiring and band.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz):
@@ -157,6 +163,7 @@ class VelocityObjective:
         self.grid_hz = np.asarray(grid_hz, dtype=float)
         self._kernel = _Kernel(model, force, target, self.grid_hz, None)
         self.n_modes = self._kernel.n
+        self._bands = {}
 
     def velocity_abs(self, topology: ShuntTopology, freqs_hz: np.ndarray) -> np.ndarray:
         """|velocity| per newton at each frequency."""
@@ -190,11 +197,10 @@ class VelocityObjective:
         first = topologies[0]
         if any(t.mode != first.mode or len(t.loads) != len(first.loads) for t in topologies):
             raise DomainError("candidate topologies must share one wiring")
-        nodes = self._kernel.nodes(first)
+        nodes, pts, blocks = self._band(first, band)
         ohms, henries = _load_arrays(topologies, nodes.load_index)
-        pts = self.band_points(band)
         return self._refine(nodes, ohms, henries, pts,
-                            self._kernel.velocity(pts, nodes, ohms, henries))
+                            self._kernel.velocity(pts, nodes, ohms, henries, blocks))
 
     def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
                          band: tuple[float, float]):
@@ -210,9 +216,29 @@ class VelocityObjective:
         update of it, with its residual checked; the refinement is that
         of ``peaks_in_band``. Returns two arrays with one entry per law.
         """
+        nodes, pts, blocks = self._band(topology, band)
+        return self._sweep(nodes, pts, blocks, None, index, laws)
+
+    def _band(self, topology: ShuntTopology, band: tuple[float, float]):
+        """The kernel's nodes of ``topology``, the band's grid points and
+        the structural blocks S, b, d0 and g there, which depend on the
+        wiring but not on the loads: they are kept for the last band asked
+        of each wiring."""
+        nodes = self._kernel.nodes(topology)
+        band = tuple(band)
+        cached = self._bands.get(topology.mode)
+        if cached is None or cached[0] != band:
+            pts = self.band_points(band)
+            cached = band, pts, self._kernel.structure(2.0 * np.pi * pts, nodes)
+            self._bands[topology.mode] = cached
+        return nodes, cached[1], cached[2]
+
+    def _sweep(self, nodes, pts, blocks, solution, index: int, laws):
+        """``coordinate_peaks`` from the band's ``nodes``, points and
+        ``blocks`` (``_band``) and the ``solution`` of ``nodes``' own
+        system there (``_Kernel.solution``), solved anew when None."""
         if not laws:
             raise DomainError("coordinate_peaks needs at least one load")
-        nodes = self._kernel.nodes(topology)
         m = nodes.caps.size
         if not 0 <= index < m:
             raise DomainError(f"load index {index} outside 0..{m - 1}")
@@ -221,8 +247,8 @@ class VelocityObjective:
         henries = np.repeat(nodes.henries[None], len(laws), axis=0)
         ohms[:, node] = [law.ohms for law in laws]
         henries[:, node] = [law.henries for law in laws]
-        pts = self.band_points(band)
-        vals = self._kernel.rank_one(pts, nodes, node, ohms[:, node], henries[:, node])
+        vals = self._kernel.rank_one(pts, nodes, node, ohms[:, node], henries[:, node],
+                                     blocks, solution)
         return self._refine(nodes, ohms, henries, pts, vals)
 
     def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray):
@@ -303,11 +329,14 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     Starts from the uniform-sweep optimum and sweeps one patch's
     resistance at a time over the same log grid, accepting only
     improvements, so the final objective can never exceed the uniform
-    optimum. Each coordinate sweep is one ``coordinate_peaks`` call: its
-    band points are rank-one updates of the current loads' system.
-    Stops after a full cycle improves the objective by less than
-    ``rel_tol`` or after ``max_cycles`` cycles. ``threads`` is accepted
-    and ignored, because the benchmark's descent job still passes it.
+    optimum. Each coordinate sweep is that of ``coordinate_peaks``: its
+    band points are rank-one updates of the current loads' system. Each
+    cycle solves that system at the band points once, for [b | I], and
+    each accepted law carries the solution on (``_Kernel.carry``); every
+    sweep checks what it takes of it (``_Kernel.rank_one``). Stops after
+    a full cycle improves the objective by less than ``rel_tol`` or after
+    ``max_cycles`` cycles. ``threads`` is accepted and ignored, because
+    the benchmark's descent job still passes it.
     """
     k = len(model.patches)
     base = sweep_resistance(model, force, target, grid_hz, sweep, topology_mode="separated")
@@ -315,6 +344,7 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
         return [base.r_opt] * k, base.objective_opt, base
 
     objective = VelocityObjective(model, force, target, grid_hz)
+    kernel = objective._kernel
     band = _resolve_band(objective, sweep)
     rs_grid = sweep.resistances()
     laws = [ImpedanceLaw.resistor(float(r)) for r in rs_grid]
@@ -323,13 +353,18 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
 
     for _ in range(max_cycles):
         cycle_start = best
+        topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
+        nodes, pts, blocks = objective._band(topology, band)
+        omega = 2.0 * np.pi * pts
+        solved = kernel.solution(omega, nodes, blocks)
         for patch_idx in range(k):
-            topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
-            vals = objective.coordinate_peaks(topology, patch_idx, laws, band)[0]
+            vals = objective._sweep(nodes, pts, blocks, solved, patch_idx, laws)[0]
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
                 best = float(vals[i_min])
                 current[patch_idx] = float(rs_grid[i_min])
+                nodes, solved = kernel.carry(omega, nodes, int(nodes.patch_node[patch_idx]),
+                                             solved, current[patch_idx], 0.0)
         if cycle_start - best < rel_tol * cycle_start:
             break
 

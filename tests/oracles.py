@@ -4,10 +4,11 @@ Everything here deliberately avoids the package's production code paths:
 finite differences instead of Ritz, a monolithic coupled solve instead
 of the voltage-space elimination, per-frequency loops instead of the
 batched response kernel, a candidate-by-candidate peak search instead
-of the stacked sweep batches, a cell-by-cell mesh sum instead of the
-bare-plate-plus-patch-delta assembly, direct quadrature instead of
-closed forms, and arbitrary-precision arithmetic for the beam
-functions.
+of the stacked sweep batches, a descent whose every coordinate sweep
+starts afresh instead of one that carries its base solve, a
+cell-by-cell mesh sum instead of the bare-plate-plus-patch-delta
+assembly, direct quadrature instead of closed forms, and
+arbitrary-precision arithmetic for the beam functions.
 """
 
 import numpy as np
@@ -250,6 +251,38 @@ def peak_in_band_loop(objective, topology, band):
             lo = float(sub[max(j - 1, 0)])
             hi = float(sub[min(j + 1, REFINE_POINTS - 1)])
     return best_v, best_f
+
+
+def descent_loop(model, force, target, grid_hz, sweep, max_cycles=10, rel_tol=1e-3):
+    """``optimize_per_patch`` as it was before each cycle carried its band
+    solve: every coordinate sweep is a ``coordinate_peaks`` call on a new
+    ``VelocityObjective``, so it computes its own structural blocks and
+    solves its own base system, and nothing is cached or carried between
+    sweeps. Returns (resistances, objective, uniform sweep result)."""
+    from platedamp import (ImpedanceLaw, ShuntTopology, VelocityObjective,
+                           sweep_resistance)
+    from platedamp.tuning import _resolve_band
+
+    k = len(model.patches)
+    base = sweep_resistance(model, force, target, grid_hz, sweep, "separated")
+    if k <= 1:
+        return [base.r_opt] * k, base.objective_opt, base
+    band = _resolve_band(VelocityObjective(model, force, target, grid_hz), sweep)
+    rs = sweep.resistances()
+    laws = [ImpedanceLaw.resistor(float(r)) for r in rs]
+    current, best = [base.r_opt] * k, base.objective_opt
+    for _ in range(max_cycles):
+        cycle_start = best
+        for i in range(k):
+            objective = VelocityObjective(model, force, target, grid_hz)
+            topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
+            vals = objective.coordinate_peaks(topology, i, laws, band)[0]
+            j = int(np.argmin(vals))
+            if vals[j] < best:
+                best, current[i] = float(vals[j]), float(rs[j])
+        if cycle_start - best < rel_tol * cycle_start:
+            break
+    return current, best, base
 
 
 def displacement_from_modal(model, modal, target, n_modes):

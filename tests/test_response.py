@@ -247,6 +247,16 @@ class TestStructure:
         assert np.linalg.norm(b - b_ref) <= 1e-13 * np.linalg.norm(b_ref)
 
 
+def times_jw(w, re, im):
+    """j*w * (re + j*im) for real ``w`` (F, 1) and ``re``, ``im`` (F, c),
+    as the kernel computed it before it wrote all of its columns into one
+    complex array."""
+    z = np.empty(re.shape, dtype=complex)
+    np.multiply(im, -w, out=z.real)
+    np.multiply(re, w, out=z.imag)
+    return z
+
+
 def allocating_structure(kernel, omega, nodes, scratch=None):
     """``_Kernel.structure`` as it was before it took scratch buffers: the
     same operations in the same order, each temporary a new array."""
@@ -264,8 +274,8 @@ def allocating_structure(kernel, omega, nodes, scratch=None):
         np.matmul(inv[i:i + rows], table, out=out[i:i + rows])
     re, im = out[:len(w)], out[len(w):]
     mm = m * m
-    S = response._times_jw(w, re[:, :mm], im[:, :mm])
-    b = response._times_jw(-w, re[:, mm:mm + m], im[:, mm:mm + m])
+    S = times_jw(w, re[:, :mm], im[:, :mm])
+    b = times_jw(-w, re[:, mm:mm + m], im[:, mm:mm + m])
     g = re[:, mm + m:-1] + 1j * im[:, mm + m:-1]
     d0 = re[:, -1] + 1j * im[:, -1]
     shape = omega.shape
@@ -603,6 +613,34 @@ class TestTruncation:
             band = (grid >= lo) & (grid <= hi)
             peak_kept, peak_full = np.max(np.abs(kept[band])), np.max(np.abs(full[band]))
             assert abs(peak_kept - peak_full) < 2e-2 * peak_full
+
+
+class TestPointsOnThePlate:
+    """A force or target point on a clamped edge, where every mode shape
+    vanishes and the response would be rounding noise, or off the plate
+    raises DomainError at every library entry point, as a scenario file
+    with such a point raises ConfigError."""
+
+    CASES = [((0.0, 0.16), (0.09, 0.50), "force location .* clamped edge x = 0 m"),
+             ((0.7, 0.16), (0.09, 0.50), "force location lies outside the plate"),
+             ((0.45, 0.16), (0.54, 0.50), "target point .* clamped edge x = 0.54 m"),
+             ((0.45, 0.16), (0.09, 0.58), "target point .* clamped edge y = 0.58 m"),
+             ((0.45, 0.16), (0.09, -0.01), "target point lies outside the plate")]
+
+    @pytest.mark.parametrize("force, target, match", CASES)
+    def test_entry_points_refuse(self, ref_model, grid_500, force, target, match):
+        force = HarmonicForce(1.0, *force)
+        separated = ShuntTopology.separated([ImpedanceLaw.resistor(1e4)] * 3)
+        calls = (
+            lambda: frf(ref_model, separated, force, target, grid_500),
+            lambda: frf(ref_model, None, force, target, grid_500),
+            lambda: VelocityObjective(ref_model, force, target, grid_500),
+            lambda: optimize_per_patch(ref_model, force, target, grid_500,
+                                       SweepSpec(points=4), max_cycles=1),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=match):
+                call()
 
 
 class TestFailClosed:

@@ -1,4 +1,5 @@
 import dataclasses
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from platedamp import (AssemblyError, BasisSpec, DomainError, PlateSpec,
                        assemble_system, build_model, ritz, solve_modes)
@@ -19,6 +21,31 @@ def tiny_moduli(patch):
     """Patch that carries mass but negligible stiffness and coupling."""
     return dataclasses.replace(patch, c11_bar=1e-6, c12_bar=0.0, c66_bar=1e-7,
                                e31_bar=0.0)
+
+
+class TestGaussRule:
+    def test_exact_for_monomials_and_matches_leggauss(self):
+        """Orders 2-64 integrate x^d over [-1, 1] for every d <= 2n - 1 and
+        agree with numpy's ``leggauss``."""
+        for order in range(2, 65):
+            nodes, weights = ritz._gauss(order)
+            for degree in range(2 * order):
+                exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+                assert abs(weights @ nodes**degree - exact) <= 1e-14, (order, degree)
+            want_nodes, want_weights = leggauss(order)
+            assert np.max(np.abs(nodes - want_nodes)) <= 1e-11
+            assert np.max(np.abs(weights - want_weights)) <= 1e-11
+
+    def test_build_does_not_import_numpy_polynomial(self):
+        script = ("import sys\n"
+                  "from platedamp import build_model, reference_config\n"
+                  "config = reference_config()\n"
+                  "build_model(config.plate, config.patches, config.basis)\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[:2]"
+                  " == ['numpy', 'polynomial']))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
 
 
 class TestAssembly:

@@ -1,7 +1,10 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from platedamp import (BasisSpec, DomainError, FrfResult, HarmonicForce, ImpedanceLaw,
                        ShuntTopology, SolverError, SweepSpec, VelocityObjective,
@@ -9,10 +12,14 @@ from platedamp import (BasisSpec, DomainError, FrfResult, HarmonicForce, Impedan
                        optimize_per_patch, percent_reduction, sweep_resistance,
                        with_coupling)
 from platedamp import response
-from platedamp.response import CHUNK_ENTRIES
+from platedamp.config import parse_config_dict
+from platedamp.response import CHUNK_ENTRIES, _Kernel
 from platedamp.tuning import PARABOLIC_STEPS, SPACING, _parabolic_search
 
-from oracles import frf_loop_connected, frf_loop_separated, peak_in_band_loop
+from oracles import descent_loop, frf_loop_connected, frf_loop_separated, peak_in_band_loop
+from test_response import build_case, shunted_layouts
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def chunk_size(objective, band, nodes):
@@ -601,3 +608,118 @@ class TestCoordinatePeaks:
             objective.coordinate_peaks(current, 12, self.LAWS, band)
         with pytest.raises(DomainError):
             objective.coordinate_peaks(current, 0, [], band)
+
+
+def bench_case(name, seed, monkeypatch):
+    """The benchmark's scenario of workload ``name`` and ``seed``, parsed,
+    and its coupled model."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import WORKLOADS, scenario
+    config = parse_config_dict(json.loads(scenario(WORKLOADS[name], seed)))
+    return config, with_coupling(build_model(config.plate, config.patches, config.basis))
+
+
+class TestCarriedDescent:
+    """Each descent cycle computes its band's structural blocks once per
+    objective, solves its starting band systems once and carries the
+    solution from sweep to sweep; every sweep checks what it takes."""
+
+    def current(self):
+        return ShuntTopology.separated([ImpedanceLaw.resistor(r)
+                                        for r in TestCoordinatePeaks.CURRENT])
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bench_descent_matches_fresh_sweeps(self, seed, monkeypatch):
+        """The benchmark's array_descent job (two cycles, rel_tol 0) picks
+        the resistances of a descent whose every sweep starts afresh, with
+        the same objective."""
+        config, model = bench_case("array_descent", seed, monkeypatch)
+        args = (model, config.force, config.target, config.grid.frequencies(), config.sweep)
+        rs, best, base = optimize_per_patch(*args, max_cycles=2, rel_tol=0.0)
+        want_rs, want_best, want_base = descent_loop(*args, max_cycles=2, rel_tol=0.0)
+        assert len(set(rs)) > 1 and best < base.objective_opt  # laws were carried
+        assert rs == want_rs
+        assert abs(best - want_best) <= 1e-12 * want_best
+        assert base.objective_opt == want_base.objective_opt
+
+    @settings(derandomize=True, deadline=None, max_examples=6, database=None)
+    @given(case=shunted_layouts())
+    def test_drawn_layouts_match_fresh_sweeps(self, case, aluminum_plate, pzt_patch):
+        model, _, grid, p, q = build_case(case, aluminum_plate, pzt_patch)
+        args = (model, HarmonicForce(1.0, *p), q, grid, SweepSpec(points=12))
+        rs, best, _ = optimize_per_patch(*args, max_cycles=3)
+        want_rs, want_best, _ = descent_loop(*args, max_cycles=3)
+        assert rs == want_rs
+        assert abs(best - want_best) <= 1e-12 * want_best
+
+    def test_one_band_structure_per_objective(self, array_model, point_force, target_point,
+                                              ref_config, monkeypatch):
+        """The uniform sweep's objective and the descent's each compute the
+        structural blocks at the band's grid points once, for all of their
+        candidates, sweeps and cycles."""
+        grid = ref_config.grid.frequencies()
+        band = mode_windows(array_model, 1, grid)[0]
+        points = VelocityObjective(array_model, point_force, target_point,
+                                   grid).band_points(band).size
+        kernels = []
+        structure = _Kernel.structure
+
+        def counted(kernel, omega, nodes, scratch=None):
+            if omega.shape == (points,):
+                kernels.append(kernel)
+            return structure(kernel, omega, nodes, scratch)
+
+        monkeypatch.setattr(_Kernel, "structure", counted)
+        optimize_per_patch(array_model, point_force, target_point, grid, SweepSpec(points=16),
+                           max_cycles=2, rel_tol=0.0)
+        assert len(kernels) == 2 and kernels[0] is not kernels[1]
+
+    def test_carried_pair_matches_a_fresh_solve(self, array_objective):
+        objective, band = array_objective
+        kernel = objective._kernel
+        nodes, pts, blocks = objective._band(self.current(), band)
+        omega = 2.0 * np.pi * pts
+        solution = kernel.solution(omega, nodes, blocks)
+        for index, ohms in ((4, 7e3), (9, 2.5e5), (4, 1e2)):
+            nodes, solution = kernel.carry(omega, nodes, index, solution, ohms, 0.0)
+        assert nodes.ohms[4] == 1e2 and nodes.ohms[9] == 2.5e5
+        for got, want in zip(solution, kernel.solution(omega, nodes, blocks)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("load", ["singular", "nan"])
+    def test_degenerate_carried_update_raises(self, array_objective, load):
+        """A carried load that makes 1 + delta u_k vanish at one band point,
+        so that the updated system is singular there, or a NaN load: the
+        next sweep's check of the carried pair raises SolverError."""
+        objective, band = array_objective
+        kernel = objective._kernel
+        nodes, pts, blocks = objective._band(self.current(), band)
+        omega = 2.0 * np.pi * pts
+        solution = kernel.solution(omega, nodes, blocks)
+        k, p = 4, pts.size // 2
+        if load == "nan":
+            ohms, henries = np.nan, 0.0
+        else:
+            z = 1.0 / (1.0 / nodes.ohms[k] - 1.0 / solution[1][p, k, k])
+            ohms, henries = z.real, z.imag / omega[p]
+        nodes, solution = kernel.carry(omega, nodes, k, solution, ohms, henries)
+        with pytest.raises(SolverError):
+            kernel.rank_one(pts, nodes, 7, np.array([1e3, 1e4]), np.zeros(2), blocks, solution)
+
+    def test_every_sweep_checks_the_carried_pair(self, array_model, point_force,
+                                                target_point, ref_config, monkeypatch):
+        """A carried pair that drifted by 1e-6 fails the next sweep's
+        residual check, and the descent raises instead of going on."""
+        carry, carried = _Kernel.carry, []
+
+        def drifted(kernel, *args):
+            nodes, (v0, inverse) = carry(kernel, *args)
+            carried.append(args[2])
+            return nodes, (v0 * (1.0 + 1e-6), inverse)
+
+        monkeypatch.setattr(_Kernel, "carry", drifted)
+        with pytest.raises(SolverError, match="residual"):
+            optimize_per_patch(array_model, point_force, target_point,
+                               ref_config.grid.frequencies(), SweepSpec(points=16),
+                               max_cycles=1)
+        assert len(carried) == 1
