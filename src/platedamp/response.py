@@ -18,12 +18,11 @@ j*omega * theta^T diag(inv) theta, the right-hand side and the target
 terms) all come from one real matrix product: the real and imaginary
 parts of the modal inverse inv against a per-wiring table of coupling
 and mode-value products. The loads enter only on the diagonal, so a
-stack of candidate loads can share one structural block, and a sweep
-objective keeps the blocks at its band's grid points for all of its
-sweeps. A change of one node's load is a rank-one change of the system:
-``rank_one`` takes it for the candidates of a coordinate sweep, and
-``carry`` moves the solution of the current loads to the accepted load,
-so a descent cycle solves its band systems once. The kernel
+stack of candidate loads can share one structural block. A change of
+one node's load is a rank-one change of the system: ``rank_one`` takes
+it for the candidates of a coordinate sweep, and ``carry`` moves the
+solution of the current loads to an accepted load, so a descent cycle
+solves its band systems once. The kernel
 evaluates every stack of candidate loads a sweep asks for, cut into
 stacks of about CHUNK_ENTRIES complex entries; FRF grids are cut into
 consecutive blocks of BLOCK_POINTS. Both bound memory and run in order
@@ -71,6 +70,15 @@ def _stacks(count: int, entries: int) -> list[slice]:
     CHUNK_ENTRIES complex entries at ``entries`` per candidate."""
     size = max(1, CHUNK_ENTRIES // entries)
     return [slice(i, i + size) for i in range(0, count, size)]
+
+
+def _times_jw(w, re, im):
+    """j*w * (re + j*im) for real ``w`` (F, 1) and ``re``, ``im`` (F, c),
+    written straight into one new complex array."""
+    z = np.empty(re.shape, dtype=complex)
+    np.multiply(im, -w, out=z.real)
+    np.multiply(re, w, out=z.imag)
+    return z
 
 
 def _impedance(ohms, henries, omega):
@@ -307,7 +315,7 @@ class _Kernel:
         in calls of at most _PRODUCT_MADDS multiply-adds. The temporaries go
         into ``scratch`` from ``self.scratch``, large enough for
         ``omega.size`` rows, or into new arrays without it; the four results
-        are always views of one new complex array, never of ``scratch``.
+        are always new arrays.
         """
         m = nodes.caps.size
         w = omega.reshape(-1, 1)
@@ -325,18 +333,15 @@ class _Kernel:
         rows = max(1, _PRODUCT_MADDS // table.size)
         for i in range(0, len(inv), rows):
             np.matmul(inv[i:i + rows], table, out=out[i:i + rows])
-        re, im = out[:f], out[f:]  # of inv @ table
+        re, im = out[:len(w)], out[len(w):]  # of inv @ table
         mm = m * m
-        z = np.empty(re.shape, dtype=complex)  # S, b, g and d0, column by column
-        zr, zi = z.real, z.imag
-        np.multiply(im[:, :mm], -w, out=zr[:, :mm])  # S = j*w * (re + j*im)
-        np.multiply(re[:, :mm], w, out=zi[:, :mm])
-        np.multiply(im[:, mm:mm + m], w, out=zr[:, mm:mm + m])  # b = -j*w * (re + j*im)
-        np.multiply(re[:, mm:mm + m], -w, out=zi[:, mm:mm + m])
-        zr[:, mm + m:], zi[:, mm + m:] = re[:, mm + m:], im[:, mm + m:]  # g and d0
+        S = _times_jw(w, re[:, :mm], im[:, :mm])
+        b = _times_jw(-w, re[:, mm:mm + m], im[:, mm:mm + m])
+        g = re[:, mm + m:-1] + 1j * im[:, mm + m:-1]
+        d0 = re[:, -1] + 1j * im[:, -1]
         shape = omega.shape
-        return (z[:, :mm].reshape(shape + (m, m)), z[:, mm:mm + m].reshape(shape + (m,)),
-                z[:, -1].reshape(shape), z[:, mm + m:-1].reshape(shape + (m,)))
+        return (S.reshape(shape + (m, m)), b.reshape(shape + (m,)), d0.reshape(shape),
+                g.reshape(shape + (m,)))
 
     def system(self, omega: np.ndarray, nodes: _Nodes, blocks):
         """Voltage-space systems A (..., m, m) and b (..., m) per newton:
@@ -346,9 +351,9 @@ class _Kernel:
         S, b = blocks[:2]
         w = omega[..., None]
         y = _admittance(nodes.ohms, nodes.henries, w) + 1j * w * nodes.caps
-        m = y.shape[-1]
-        A = np.broadcast_to(S, y.shape + (m,)).copy()
-        A.reshape(A.shape[:-2] + (m * m,))[..., ::m + 1] += y  # the diagonal, as a view
+        A = np.broadcast_to(S, y.shape + y.shape[-1:]).copy()
+        diag = np.arange(y.shape[-1])
+        A[..., diag, diag] += y
         return A, np.broadcast_to(b, y.shape)
 
     def respond(self, omega: np.ndarray, nodes: _Nodes, blocks):
@@ -365,15 +370,13 @@ class _Kernel:
         return disp, v
 
     def velocity(self, freqs_hz: np.ndarray, nodes: _Nodes, ohms: np.ndarray,
-                 henries: np.ndarray, blocks=None) -> np.ndarray:
+                 henries: np.ndarray) -> np.ndarray:
         """|velocity| per newton (C, Q) of C candidate load sets ``ohms``
         and ``henries`` (C, m) at frequencies (Q,) shared by all, which
-        then share one structural block (``blocks``, from ``structure`` at
-        those frequencies, or computed here), or (C, Q) of each one's own."""
+        then share one structural block, or (C, Q) of each one's own."""
         omega = 2.0 * np.pi * freqs_hz
         shared = omega.ndim == 1
-        if shared and blocks is None:
-            blocks = self.structure(omega, nodes)
+        blocks = self.structure(omega, nodes) if shared else None
         parts = []
         for s in _stacks(len(ohms), omega.shape[-1] * (nodes.caps.size**2 + self.n)):
             stack = nodes._replace(ohms=ohms[s, None], henries=henries[s, None])
@@ -385,19 +388,12 @@ class _Kernel:
     def solution(self, omega: np.ndarray, nodes: _Nodes, blocks):
         """Voltages v0 (F, m) per newton and the inverse (F, m, m) of the
         systems A0 of ``nodes``' own loads at frequencies ``omega`` (F,),
-        for ``blocks = structure(omega, nodes)``, from one solve for the
-        right-hand sides [b | I]. A singular system raises SolverError;
-        ``rank_one`` checks the residual of what it takes from the pair."""
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in rank_one
+        for ``blocks = structure(omega, nodes)``: one ``solve_voltages``
+        for the right-hand sides [b | I]."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the solve
             A, b = self.system(omega, nodes, blocks)
-        m = b.shape[-1]
-        rhs = np.zeros(b.shape + (m + 1,), dtype=complex)
-        rhs[..., 0] = b
-        rhs[:, np.arange(m), np.arange(1, m + 1)] = 1.0
-        try:
-            x = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular circuit system (topology/frequency degeneracy)") from exc
+            x = solve_voltages(A, np.concatenate([b[..., None], np.broadcast_to(
+                np.eye(b.shape[-1]), A.shape)], axis=-1))
         return x[..., 0], x[..., 1:]
 
     def carry(self, omega: np.ndarray, nodes: _Nodes, index: int, solution, ohms: float,
@@ -422,54 +418,46 @@ class _Kernel:
         return nodes._replace(ohms=loads[0], henries=loads[1]), (v0, inverse)
 
     def rank_one(self, freqs_hz: np.ndarray, nodes: _Nodes, index: int, ohms: np.ndarray,
-                 henries: np.ndarray, blocks=None, solution=None) -> np.ndarray:
+                 henries: np.ndarray, blocks, solution) -> np.ndarray:
         """|velocity| per newton (C, F) at the frequencies (F,) for C
         candidate loads ``ohms`` and ``henries`` (C,) at node ``index``,
-        every other node keeping its load in ``nodes``.
+        every other node keeping its load in ``nodes``, for ``blocks =
+        structure(2 pi freqs_hz, nodes)`` and the ``solution`` of
+        ``nodes``' own systems there.
 
-        v0 and u solve the system A0 of ``nodes``' own loads for the
-        right-hand sides b and e_k (k = index): they are taken from its
-        ``solution`` (v0, inverse), computed here when not given, and
-        their residuals are checked against the bound of
-        ``solve_voltages``. A candidate changes only the admittance of
-        node k, by delta = 1/z - 1/z0, so its system is A0 + delta e_k
-        e_k^T and, by Sherman-Morrison, its voltages are v0 - u * delta
-        v0_k / (1 + delta u_k). Every candidate's residual A0 v + delta
-        v_k e_k - b is checked against the same bound, so a NaN, a drifted
-        ``solution`` or a degenerate update raises SolverError.
-        ``blocks`` are those of ``structure`` at these frequencies,
-        computed here when not given.
+        v0 and u solve the system A0 of ``nodes``' own loads for the two
+        right-hand sides [b, e_k] (k = index): they are column 0 and k + 1
+        of ``solution``, and their residuals are checked against the
+        bound of ``solve_voltages``. A candidate
+        changes only the admittance of node k, by delta = 1/z - 1/z0, so
+        its system is A0 + delta e_k e_k^T and, by Sherman-Morrison, its
+        voltages are v0 - u * delta v0_k / (1 + delta u_k). Every
+        candidate's residual A0 v + delta v_k e_k - b is checked against
+        the same bound, so a NaN, a drifted ``solution`` or a degenerate
+        update raises SolverError.
         """
         omega = 2.0 * np.pi * freqs_hz
-        if blocks is None:
-            blocks = self.structure(omega, nodes)
-        if solution is None:
-            solution = self.solution(omega, nodes, blocks)
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the checks
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the check
             A, b = self.system(omega, nodes, blocks)
             rhs = np.zeros(b.shape + (2,), dtype=complex)
             rhs[..., 0] = b
             rhs[..., index, 1] = 1.0
-            pair = np.stack([solution[0], solution[1][..., index]], axis=-1)
-            _check_residual(A @ pair - rhs, rhs, axis=-2)
-        v0, u = pair[..., 0], pair[..., 1]
+            base = np.stack([solution[0], solution[1][..., index]], axis=-1)
+            _check_residual(A @ base - rhs, rhs, axis=-2)
+        v0, u = base[..., 0], base[..., 1]
         y0 = _admittance(nodes.ohms[index], nodes.henries[index], omega)[:, None]
         A_t = A.transpose(0, 2, 1)
         d0, g = blocks[2][:, None], blocks[3][:, None]
         b = b[:, None]
-        del blocks, solution, rhs  # free what was computed here before the candidate stacks
 
         def stack(s):  # a function, so that each stack's arrays are freed on return
             with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises below
                 delta = _admittance(ohms[s], henries[s], omega[:, None]) - y0  # (F, C)
                 coef = delta * v0[:, index, None] / (1.0 + delta * u[:, index, None])
-                v = coef[..., None] * u[:, None]
-                np.subtract(v0[:, None], v, out=v)                             # (F, C, m)
+                v = v0[:, None] - coef[..., None] * u[:, None]                 # (F, C, m)
                 resid = v @ A_t
                 resid[..., index] += delta * v[..., index]
-                resid -= b
-                _check_residual(resid, b)
-                del resid
+                _check_residual(resid - b, b)
                 disp = d0 + np.sum(v * g, axis=-1)
             if not np.isfinite(disp).all():
                 raise SolverError("non-finite response; an undamped mode may lie on the grid")
@@ -538,7 +526,9 @@ def solve_voltages(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_residual(resid: np.ndarray, b: np.ndarray, axis: int = -1):
     """Raise SolverError unless |resid| <= 1e-10 * |b| along ``axis``
-    everywhere, compared as squared norms; a NaN fails."""
+    everywhere; a NaN fails. Compared as squared norms, which need no
+    complex temporary: ``np.linalg.norm`` of a complex array makes two
+    of its size, enough to raise the descent job's peak memory."""
     if not np.all(_squared_norm(resid, axis) <= 1e-20 * _squared_norm(b, axis)):
         raise SolverError("circuit solve residual exceeds tolerance")
 

@@ -13,11 +13,10 @@ the band's grid points in one call of the response module's kernel, and
 each parabolic step evaluates all of them again in one call; the
 kernel stacks the candidates. A coordinate sweep of the per-patch
 descent changes the load of one node only, so its band points take the
-kernel's rank-one update instead. What does not depend on the loads is
-computed once: an objective keeps the structural blocks at its band's
-grid points for every sweep of one wiring, and each descent cycle
-solves its band systems once and carries that solution from sweep to
-sweep.
+kernel's rank-one update instead. The per-patch descent computes what
+does not depend on the loads once: the structural blocks at the band's
+grid points for all of its sweeps, and in each cycle the solution of
+its band systems, which it carries from sweep to sweep.
 """
 
 from __future__ import annotations
@@ -153,8 +152,6 @@ class VelocityObjective:
     wiring at once, and ``coordinate_peaks`` the candidates of one
     coordinate sweep, which change a single node's load. Each makes one
     kernel call for the band's grid points and one per parabolic step.
-    The structural blocks at the band's grid points do not depend on the
-    loads, so the objective computes them once per wiring and band.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz):
@@ -163,7 +160,6 @@ class VelocityObjective:
         self.grid_hz = np.asarray(grid_hz, dtype=float)
         self._kernel = _Kernel(model, force, target, self.grid_hz, None)
         self.n_modes = self._kernel.n
-        self._bands = {}
 
     def velocity_abs(self, topology: ShuntTopology, freqs_hz: np.ndarray) -> np.ndarray:
         """|velocity| per newton at each frequency."""
@@ -197,10 +193,11 @@ class VelocityObjective:
         first = topologies[0]
         if any(t.mode != first.mode or len(t.loads) != len(first.loads) for t in topologies):
             raise DomainError("candidate topologies must share one wiring")
-        nodes, pts, blocks = self._band(first, band)
+        nodes = self._kernel.nodes(first)
         ohms, henries = _load_arrays(topologies, nodes.load_index)
+        pts = self.band_points(band)
         return self._refine(nodes, ohms, henries, pts,
-                            self._kernel.velocity(pts, nodes, ohms, henries, blocks))
+                            self._kernel.velocity(pts, nodes, ohms, henries))
 
     def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
                          band: tuple[float, float]):
@@ -216,27 +213,17 @@ class VelocityObjective:
         update of it, with its residual checked; the refinement is that
         of ``peaks_in_band``. Returns two arrays with one entry per law.
         """
-        nodes, pts, blocks = self._band(topology, band)
-        return self._sweep(nodes, pts, blocks, None, index, laws)
-
-    def _band(self, topology: ShuntTopology, band: tuple[float, float]):
-        """The kernel's nodes of ``topology``, the band's grid points and
-        the structural blocks S, b, d0 and g there, which depend on the
-        wiring but not on the loads: they are kept for the last band asked
-        of each wiring."""
         nodes = self._kernel.nodes(topology)
-        band = tuple(band)
-        cached = self._bands.get(topology.mode)
-        if cached is None or cached[0] != band:
-            pts = self.band_points(band)
-            cached = band, pts, self._kernel.structure(2.0 * np.pi * pts, nodes)
-            self._bands[topology.mode] = cached
-        return nodes, cached[1], cached[2]
+        pts = self.band_points(band)
+        omega = 2.0 * np.pi * pts
+        blocks = self._kernel.structure(omega, nodes)
+        return self._sweep(nodes, pts, blocks, self._kernel.solution(omega, nodes, blocks),
+                           index, laws)
 
     def _sweep(self, nodes, pts, blocks, solution, index: int, laws):
-        """``coordinate_peaks`` from the band's ``nodes``, points and
-        ``blocks`` (``_band``) and the ``solution`` of ``nodes``' own
-        system there (``_Kernel.solution``), solved anew when None."""
+        """``coordinate_peaks`` from ``nodes``, the band's points ``pts``,
+        the structural ``blocks`` there and the ``solution`` of ``nodes``'
+        own band systems (``_Kernel.solution``)."""
         if not laws:
             raise DomainError("coordinate_peaks needs at least one load")
         m = nodes.caps.size
@@ -345,17 +332,17 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
 
     objective = VelocityObjective(model, force, target, grid_hz)
     kernel = objective._kernel
-    band = _resolve_band(objective, sweep)
+    pts = objective.band_points(_resolve_band(objective, sweep))
+    omega = 2.0 * np.pi * pts
     rs_grid = sweep.resistances()
     laws = [ImpedanceLaw.resistor(float(r)) for r in rs_grid]
     current = [base.r_opt] * k
     best = base.objective_opt
+    nodes = kernel.nodes(ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current]))
+    blocks = kernel.structure(omega, nodes)
 
     for _ in range(max_cycles):
         cycle_start = best
-        topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
-        nodes, pts, blocks = objective._band(topology, band)
-        omega = 2.0 * np.pi * pts
         solved = kernel.solution(omega, nodes, blocks)
         for patch_idx in range(k):
             vals = objective._sweep(nodes, pts, blocks, solved, patch_idx, laws)[0]

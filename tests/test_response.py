@@ -247,16 +247,6 @@ class TestStructure:
         assert np.linalg.norm(b - b_ref) <= 1e-13 * np.linalg.norm(b_ref)
 
 
-def times_jw(w, re, im):
-    """j*w * (re + j*im) for real ``w`` (F, 1) and ``re``, ``im`` (F, c),
-    as the kernel computed it before it wrote all of its columns into one
-    complex array."""
-    z = np.empty(re.shape, dtype=complex)
-    np.multiply(im, -w, out=z.real)
-    np.multiply(re, w, out=z.imag)
-    return z
-
-
 def allocating_structure(kernel, omega, nodes, scratch=None):
     """``_Kernel.structure`` as it was before it took scratch buffers: the
     same operations in the same order, each temporary a new array."""
@@ -274,8 +264,8 @@ def allocating_structure(kernel, omega, nodes, scratch=None):
         np.matmul(inv[i:i + rows], table, out=out[i:i + rows])
     re, im = out[:len(w)], out[len(w):]
     mm = m * m
-    S = times_jw(w, re[:, :mm], im[:, :mm])
-    b = times_jw(-w, re[:, mm:mm + m], im[:, mm:mm + m])
+    S = response._times_jw(w, re[:, :mm], im[:, :mm])
+    b = response._times_jw(-w, re[:, mm:mm + m], im[:, mm:mm + m])
     g = re[:, mm + m:-1] + 1j * im[:, mm + m:-1]
     d0 = re[:, -1] + 1j * im[:, -1]
     shape = omega.shape
@@ -344,9 +334,11 @@ class TestScratchBuffers:
         topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in (2e3, 3e4, 9e4)])
 
         def sweeps():
+            blocks = kernel.structure(2.0 * np.pi * pts, nodes)
+            solution = kernel.solution(2.0 * np.pi * pts, nodes, blocks)
             return (kernel.velocity(pts, nodes, ohms, henries),
                     kernel.velocity(np.array([[61.3], [74.9], [88.2]]), nodes, ohms, henries),
-                    kernel.rank_one(pts, nodes, 0, ohms[:, 0], henries[:, 0]),
+                    kernel.rank_one(pts, nodes, 0, ohms[:, 0], henries[:, 0], blocks, solution),
                     *kernel.run(grid, topology))
 
         got = sweeps()

@@ -620,13 +620,20 @@ def bench_case(name, seed, monkeypatch):
 
 
 class TestCarriedDescent:
-    """Each descent cycle computes its band's structural blocks once per
-    objective, solves its starting band systems once and carries the
+    """The per-patch descent computes its band's structural blocks once,
+    solves each cycle's starting band systems once and carries the
     solution from sweep to sweep; every sweep checks what it takes."""
 
-    def current(self):
-        return ShuntTopology.separated([ImpedanceLaw.resistor(r)
-                                        for r in TestCoordinatePeaks.CURRENT])
+    def band(self, array_objective):
+        """The kernel, the nodes of TestCoordinatePeaks.CURRENT, the band's
+        points and angular frequencies, and the structural blocks there."""
+        objective, band = array_objective
+        kernel = objective._kernel
+        nodes = kernel.nodes(ShuntTopology.separated([ImpedanceLaw.resistor(r)
+                                                      for r in TestCoordinatePeaks.CURRENT]))
+        pts = objective.band_points(band)
+        omega = 2.0 * np.pi * pts
+        return kernel, nodes, pts, omega, kernel.structure(omega, nodes)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_bench_descent_matches_fresh_sweeps(self, seed, monkeypatch):
@@ -675,10 +682,7 @@ class TestCarriedDescent:
         assert len(kernels) == 2 and kernels[0] is not kernels[1]
 
     def test_carried_pair_matches_a_fresh_solve(self, array_objective):
-        objective, band = array_objective
-        kernel = objective._kernel
-        nodes, pts, blocks = objective._band(self.current(), band)
-        omega = 2.0 * np.pi * pts
+        kernel, nodes, pts, omega, blocks = self.band(array_objective)
         solution = kernel.solution(omega, nodes, blocks)
         for index, ohms in ((4, 7e3), (9, 2.5e5), (4, 1e2)):
             nodes, solution = kernel.carry(omega, nodes, index, solution, ohms, 0.0)
@@ -691,10 +695,7 @@ class TestCarriedDescent:
         """A carried load that makes 1 + delta u_k vanish at one band point,
         so that the updated system is singular there, or a NaN load: the
         next sweep's check of the carried pair raises SolverError."""
-        objective, band = array_objective
-        kernel = objective._kernel
-        nodes, pts, blocks = objective._band(self.current(), band)
-        omega = 2.0 * np.pi * pts
+        kernel, nodes, pts, omega, blocks = self.band(array_objective)
         solution = kernel.solution(omega, nodes, blocks)
         k, p = 4, pts.size // 2
         if load == "nan":
@@ -705,6 +706,20 @@ class TestCarriedDescent:
         nodes, solution = kernel.carry(omega, nodes, k, solution, ohms, henries)
         with pytest.raises(SolverError):
             kernel.rank_one(pts, nodes, 7, np.array([1e3, 1e4]), np.zeros(2), blocks, solution)
+
+    def test_pair_check_covers_a_column_no_candidate_uses(self, array_objective):
+        """A drifted column u of the carried inverse fails the pair check
+        even when the only candidate keeps the node's load, so that no
+        candidate's residual could show the drift."""
+        kernel, nodes, pts, omega, blocks = self.band(array_objective)
+        v0, inverse = kernel.solution(omega, nodes, blocks)
+        k = 7
+        load = np.array([nodes.ohms[k]]), np.array([nodes.henries[k]])
+        kernel.rank_one(pts, nodes, k, *load, blocks, (v0, inverse))
+        inverse = inverse.copy()
+        inverse[..., k] *= 1.0 + 1e-6
+        with pytest.raises(SolverError, match="residual"):
+            kernel.rank_one(pts, nodes, k, *load, blocks, (v0, inverse))
 
     def test_every_sweep_checks_the_carried_pair(self, array_model, point_force,
                                                 target_point, ref_config, monkeypatch):
