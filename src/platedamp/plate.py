@@ -10,9 +10,16 @@ motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
+
+
+def _check_finite(spec, section: str) -> None:
+    """Refuse an infinite or NaN field of a plate or patch spec."""
+    for field in fields(spec):
+        if not math.isfinite(getattr(spec, field.name)):
+            raise DomainError(f"{section}.{field.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,7 @@ class PlateSpec:
             raise DomainError("plate.poisson_nus must lie in (0, 0.5)")
         if not 0.0 <= self.modal_damping_xi < 1.0:
             raise DomainError("plate.modal_damping_xi must lie in [0, 1)")
+        _check_finite(self, "plate")
 
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.length_a and 0.0 <= y <= self.width_b
@@ -77,12 +85,11 @@ class PatchSpec:
             raise DomainError("patch.density_rhop must be strictly positive")
         if not self.thickness_hp >= 0.0:
             raise DomainError("patch.thickness_hp must be non-negative")
-        if not math.isfinite(self.e31_bar):
-            raise DomainError("patch.e31_bar must be finite")
         if not self.x1 < self.x2:
             raise DomainError("patch footprint requires x1 < x2")
         if not self.y1 < self.y2:
             raise DomainError("patch footprint requires y1 < y2")
+        _check_finite(self, "patch")
 
     @property
     def area(self) -> float:

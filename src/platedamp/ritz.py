@@ -299,7 +299,8 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
     their signs do not depend on LAPACK. A uniform modal damping ratio
     is attached. Coupling and capacitance stay unset here; M and K are
     not written to. Up to _ONE_THREAD_MAX_DOF, the factor, products and
-    eigensolve run on one OpenBLAS thread.
+    eigensolve run on one OpenBLAS thread. ``eigh`` starts with C, which
+    holds L^-T in its unread upper triangle, as the solve's one n x n array.
     """
     return _solve([M, K], modal_damping_xi, plate=plate, patches=patches, spec=spec)
 
@@ -307,7 +308,8 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
 def _solve(system: list, modal_damping_xi: float, *, plate, patches, spec) -> ModalModel:
     """``solve_modes`` of the list ``system = [M, K]``, which it empties, so
     that an n x n array no caller holds is freed as soon as it is consumed:
-    M after the factor, K after the first product."""
+    M after the factor, K after the first product, and L^-1, parked in C's
+    upper triangle, before ``eigh``."""
     M, K = system
     system.clear()
     n = M.shape[0]
@@ -326,8 +328,19 @@ def _solve(system: list, modal_damping_xi: float, *, plate, patches, spec) -> Mo
         C = C @ Li.T
         C += C.T  # in place, the bits of 0.5 * (C + C.T)
         C *= 0.5
+        # eigh reads only C's lower triangle: park Li's strict lower triangle in
+        # C's upper one, transposed, free Li before eigh copies C, then rebuild Li.
+        diag = Li.diagonal().copy()
+        for i in range(n - 1):
+            C[i, i + 1:] = Li[i + 1:, i]
+        del Li
         evals, W = np.linalg.eigh(C)
+        Li = C  # turned back into Li in place, C-contiguous as before
         del C
+        for i in range(n - 1):
+            Li[i + 1:, i] = Li[i, i + 1:]
+            Li[i, i + 1:] = 0.0
+        Li.flat[::n + 1] = diag
         vecs = Li.T @ W
         del Li, W
     # The sign of each column's first largest-magnitude coefficient, from its

@@ -291,8 +291,13 @@ def sweep_resistance(model: ModalModel, force: HarmonicForce, target, grid_hz,
     endpoints of the sweep range are always part of the log grid.
     """
     objective = VelocityObjective(model, force, target, grid_hz)
+    return _uniform_sweep(objective, sweep, topology_mode)[0]
+
+
+def _uniform_sweep(objective: VelocityObjective, sweep: SweepSpec, topology_mode: str):
+    """``sweep_resistance`` on ``objective``: its result and the objective band."""
     band = _resolve_band(objective, sweep)
-    k = len(model.patches)
+    k = len(objective.model.patches)
     rs = sweep.resistances()
     topologies = [ShuntTopology.uniform(topology_mode, k, ImpedanceLaw.resistor(float(r)))
                   for r in rs]
@@ -305,7 +310,7 @@ def sweep_resistance(model: ModalModel, force: HarmonicForce, target, grid_hz,
         r_opt=float(rs[i_opt]),
         objective_opt=float(peaks[i_opt]),
         peak_hz_opt=float(freqs[i_opt]),
-    )
+    ), band
 
 
 def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
@@ -326,13 +331,13 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     the benchmark's descent job still passes it.
     """
     k = len(model.patches)
-    base = sweep_resistance(model, force, target, grid_hz, sweep, topology_mode="separated")
+    objective = VelocityObjective(model, force, target, grid_hz)
+    base, band = _uniform_sweep(objective, sweep, "separated")
     if k <= 1:
         return [base.r_opt] * k, base.objective_opt, base
 
-    objective = VelocityObjective(model, force, target, grid_hz)
     kernel = objective._kernel
-    pts = objective.band_points(_resolve_band(objective, sweep))
+    pts = objective.band_points(band)
     omega = 2.0 * np.pi * pts
     rs_grid = sweep.resistances()
     laws = [ImpedanceLaw.resistor(float(r)) for r in rs_grid]

@@ -7,8 +7,9 @@ batched response kernel, a candidate-by-candidate peak search instead
 of the stacked sweep batches, a descent whose every coordinate sweep
 starts afresh instead of one that carries its base solve, a
 cell-by-cell mesh sum instead of the bare-plate-plus-patch-delta
-assembly, direct quadrature instead of closed forms, and
-arbitrary-precision arithmetic for the beam functions.
+assembly, direct quadrature instead of closed forms,
+arbitrary-precision arithmetic for the beam functions, and the
+open-circuit modal eigenproblem for the effective coupling of each mode.
 """
 
 import numpy as np
@@ -222,6 +223,27 @@ def state_space_frf(model, topology, force, target, grid_hz, n_modes):
     if topology.mode == "connected":
         volts = np.repeat(volts, len(model.patches), axis=1)
     return disp, volts
+
+
+def open_circuit_coupling(model, wiring, n_modes=None):
+    """Open-circuit frequencies omega_oc (rad/s) and effective couplings
+    k2 = (omega_oc^2 - omega_sc^2) / omega_sc^2 of the first ``n_modes``
+    modes (all of them when None), in ascending order, for ``wiring``
+    "separated" or "connected".
+
+    The model's frequencies are the short-circuit ones. An open node's
+    charge balance, theta^T q + C v = 0, puts theta C^-1 theta^T onto the
+    modal stiffness Omega^2: one term per patch when separated, and the
+    rank-one (sum theta)(sum theta)^T / sum C of a single node when
+    connected (Hagood & von Flotow, J. Sound Vib. 146, 1991).
+    """
+    n = model.n_modes if n_modes is None else n_modes
+    theta, caps = model.coupling[:n, :], model.capacitances
+    if wiring == "connected":
+        theta, caps = theta.sum(axis=1, keepdims=True), caps.sum(keepdims=True)
+    omega_sc = model.frequencies[:n]
+    lam = np.linalg.eigvalsh(np.diag(omega_sc**2) + (theta / caps) @ theta.T)
+    return np.sqrt(lam), (lam - omega_sc**2) / omega_sc**2
 
 
 REFINE_ROUNDS = 8

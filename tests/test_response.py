@@ -16,8 +16,8 @@ from platedamp import (BasisSpec, DomainError, HarmonicForce, ImpedanceLaw,
 from platedamp import response
 from platedamp.response import _Kernel
 
-from oracles import (displacement_from_modal, monolithic_connected,
-                     monolithic_separated, state_space_frf, static_ritz_displacement)
+from oracles import (displacement_from_modal, monolithic_connected, monolithic_separated,
+                     open_circuit_coupling, state_space_frf, static_ritz_displacement)
 
 
 def rel_diff(a, b):
@@ -798,6 +798,21 @@ class TestInvariants:
         assert np.array_equal(moved.displacement, base.displacement)
         assert np.array_equal(moved.voltages, base.voltages[:, perm])
 
+    @settings(derandomize=True, deadline=None, max_examples=25, database=None)
+    @given(case=shunted_layouts())
+    def test_separated_coupling_dominates_connected(self, case, aluminum_plate, pzt_patch):
+        """k2_sep >= k2_con >= 0 for every mode: by Cauchy-Schwarz, theta
+        C^-1 theta^T dominates the connected rank-one term, which is
+        positive semidefinite, and Weyl's inequality orders each open-circuit
+        eigenvalue. Allowed: eigvalsh's rounding, n eps of the largest
+        eigenvalue."""
+        model = build_case(case, aluminum_plate, pzt_patch)[0]
+        omega_sep, k2_sep = open_circuit_coupling(model, "separated")
+        k2_con = open_circuit_coupling(model, "connected")[1]
+        rounding = model.n_modes * np.finfo(float).eps * omega_sep[-1]**2 / model.frequencies**2
+        assert np.all(k2_sep >= k2_con - rounding)
+        assert np.all(k2_con >= -rounding)  # an open node only stiffens
+
 
 def assert_matches_state_space(model, topology, force, target, grid):
     """frf() agrees with the pole-residue FRF of the time-domain system at
@@ -828,3 +843,14 @@ class TestStateSpaceOracle:
     def test_random_layouts(self, case, aluminum_plate, pzt_patch):
         model, topology, grid, p, q = build_case(case, aluminum_plate, pzt_patch)
         assert_matches_state_space(model, topology, HarmonicForce(1.0, *p), q, grid)
+
+
+class TestOpenCircuitCoupling:
+    def test_reference_table(self, ref_model):
+        """The effective couplings of modes 1-3 on the reference, x 1e-4,
+        to the printed digits: one number per mode behind the paper's
+        separated-against-connected result."""
+        for wiring, want in (("separated", (72.42, 203.72, 52.41)),
+                             ("connected", (64.75, 3.547, 10.59))):
+            k2 = open_circuit_coupling(ref_model, wiring)[1][:3]
+            assert k2 * 1e4 == pytest.approx(want, rel=1e-3), wiring

@@ -264,6 +264,20 @@ def allocating_lower_inverse(L):
     return out
 
 
+def unpacked_solve(M, K):
+    """The eigensolve with L^-1 and C held as separate arrays throughout:
+    the reference for ``ritz._solve``, which parks L^-T in C's upper
+    triangle during ``eigh``. Returns (frequencies, mode coefficients)."""
+    with ritz._one_blas_thread(M.shape[0]):
+        Li = allocating_lower_inverse(np.linalg.cholesky(M))
+        C = (Li @ K) @ Li.T
+        evals, W = np.linalg.eigh(0.5 * (C + C.T))
+        vecs = Li.T @ W
+    cols = np.arange(vecs.shape[1])
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), cols]
+    return np.sqrt(np.clip(evals, 0.0, None)), vecs * np.where(lead < 0.0, -1.0, 1.0)
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -298,6 +312,56 @@ class TestLeanBuild:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 4.0 * n * n * 8
+
+    def test_only_c_is_alive_when_eigh_starts(self, ref_config, system_18, monkeypatch):
+        """L^-1 waits in C's unread upper triangle, so the build holds one
+        n x n array, and a few vectors, when eigh is called."""
+        spec = system_18[0]
+        n = spec.n_dof
+        args = (ref_config.plate, ref_config.patches, spec)
+        build_model(*args)  # caches filled outside the trace
+        eigh, live = np.linalg.eigh, []
+
+        def traced_eigh(C):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return eigh(C)
+
+        monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_model(*args)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(live) == 1
+        assert live[0] - base <= 1.05 * n * n * 8
+
+    @pytest.mark.parametrize("side", [5, 10, 18])
+    def test_packed_solve_matches_the_unpacked_one(self, ref_config, side):
+        spec = BasisSpec(side, side, ref_config.basis.quadrature_order)
+        M, K = assemble_system(ref_config.plate, ref_config.patches, spec)
+        model = solve_modes(M, K, 0.0, plate=ref_config.plate, patches=ref_config.patches,
+                            spec=spec)
+        omega, vecs = unpacked_solve(M, K)
+        assert same_bits(model.frequencies, omega)
+        assert same_bits(model.mode_coeffs, vecs)
+
+    @pytest.mark.parametrize("n", [100, 324])
+    @pytest.mark.parametrize("garbage", ["random", "nan"])
+    def test_eigh_ignores_the_strict_upper_triangle(self, n, garbage):
+        """The one numpy behaviour the packing rests on: eigh (UPLO='L')
+        gives the same bits whatever the strict upper triangle holds."""
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        A += A.T
+        packed = A.copy()
+        upper = np.triu_indices(n, 1)
+        packed[upper] = np.nan if garbage == "nan" else 1e3 * rng.standard_normal(upper[0].size)
+        for want, got in zip(np.linalg.eigh(A), np.linalg.eigh(packed)):
+            assert same_bits(want, got)
 
     def test_solve_leaves_the_callers_matrices_alone(self, ref_config, system_18):
         spec, (M, K) = system_18

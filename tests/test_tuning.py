@@ -661,9 +661,9 @@ class TestCarriedDescent:
 
     def test_one_band_structure_per_objective(self, array_model, point_force, target_point,
                                               ref_config, monkeypatch):
-        """The uniform sweep's objective and the descent's each compute the
-        structural blocks at the band's grid points once, for all of their
-        candidates, sweeps and cycles."""
+        """The uniform sweep and the descent share one objective, and each
+        computes the structural blocks at the band's grid points once, for
+        all of its candidates, sweeps and cycles."""
         grid = ref_config.grid.frequencies()
         band = mode_windows(array_model, 1, grid)[0]
         points = VelocityObjective(array_model, point_force, target_point,
@@ -679,7 +679,7 @@ class TestCarriedDescent:
         monkeypatch.setattr(_Kernel, "structure", counted)
         optimize_per_patch(array_model, point_force, target_point, grid, SweepSpec(points=16),
                            max_cycles=2, rel_tol=0.0)
-        assert len(kernels) == 2 and kernels[0] is not kernels[1]
+        assert len(kernels) == 2 and kernels[0] is kernels[1]
 
     def test_carried_pair_matches_a_fresh_solve(self, array_objective):
         kernel, nodes, pts, omega, blocks = self.band(array_objective)
