@@ -12,6 +12,13 @@ smooth. Patch deltas are added in the canonical order of
 the matrices do not depend on the order in which the patches are listed,
 bit for bit.
 
+The eigensolve reduces K v = w^2 M v to a standard symmetric problem with
+2x2 block recursions on triangular matrices, since numpy has no triangular
+BLAS: an inverse Cholesky overwrites M with L^-1, L^-1 K overwrites K, and
+only the lower triangle of C = L^-1 K L^-T, the half ``eigh`` reads, is
+formed. No product of a zero block is computed; blocks of at most _BASE
+rows go to numpy directly.
+
 Models of at most _ONE_THREAD_MAX_DOF trial functions are assembled and
 solved with OpenBLAS limited to one thread. Their products are too small
 for a second thread to pay: OpenBLAS would hand some of them to its worker,
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 import threading
 from contextlib import contextmanager
@@ -46,6 +54,10 @@ class BasisSpec:
     quadrature_order: int = 10
 
     def __post_init__(self):
+        for name in ("n_x", "n_y", "quadrature_order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"basis.{name} must be an integer")
         if not (self.n_x >= 1 and self.n_y >= 1):
             raise DomainError("basis.n_x and basis.n_y must be >= 1")
         if not self.quadrature_order >= 2:
@@ -91,9 +103,10 @@ class ModalModel:
 
 
 # Largest model whose dense linear algebra runs on one OpenBLAS thread. On a
-# 2-vCPU machine, assembling and solving took 18-22 ms on one thread against
-# 18-25 ms on two at 256 DOF, 27-34 against 26-29 ms at 324 DOF, and 326-344
-# against 236-253 ms at 900 DOF; one thread also spares the worker's spin.
+# 2-vCPU machine, assembling and solving took 23-27 ms on one thread against
+# 25-29 ms on two at 256 DOF, 34-40 against 38-43 ms at 324 DOF, 57-62
+# against 57-66 ms at 400 DOF, and 380-417 against 285-326 ms at 900 DOF
+# (quartiles); one thread also spares the worker's spin.
 _ONE_THREAD_MAX_DOF = 256
 
 
@@ -251,42 +264,106 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
         yk += [Y0, Y2, Y20.T, Y20, Y1]
 
     n = nx * ny
+    xm, ym, xk, yk = (np.stack(grams) for grams in (xm, ym, xk, yk))  # the lists freed
 
     def kron_sum(xs, ys):
-        """sum_r xs[r][i, k] * ys[r][j, l] as the (n, n) matrix [(i, j), (k, l)]."""
-        xs = np.stack(xs).reshape(len(xs), nx * nx)
-        ys = np.stack(ys).reshape(len(ys), ny * ny)
-        return (xs.T @ ys).reshape(nx, nx, ny, ny).transpose(0, 2, 1, 3).reshape(n, n)
+        """sum_r xs[r, i, k] * ys[r, j, l] as the (n, n) matrix [(i, j), (k, l)]."""
+        product = xs.reshape(len(xs), nx * nx).T @ ys.reshape(len(ys), ny * ny)
+        return product.reshape(nx, nx, ny, ny).transpose(0, 2, 1, 3).reshape(n, n)
 
     with _one_blas_thread(n):
         M = kron_sum(xm, ym)
         K = kron_sum(xk, yk)
+    del xm, ym, xk, yk
     for A in (M, K):  # in place, the bits of 0.5 * (A + A.T)
         A += A.T
         A *= 0.5
     return M, K
 
 
-def _lower_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by 2x2 block recursion, written
-    into ``out`` (a new array when None), whose upper triangle must be zero.
+# Largest order of a diagonal block that the triangular recursions below hand
+# to numpy directly.
+_BASE = 128
+_ABOVE = np.triu(np.ones((_BASE, _BASE), dtype=bool), 1)  # strict upper triangle of a block
+_ABOVE.setflags(write=False)
 
-    numpy has no triangular solve. At 900 DOF a general inverse of the
-    whole factor takes about four times as long as inverting the two
-    diagonal blocks and forming the off-diagonal one with two products.
-    """
-    n = L.shape[0]
-    if out is None:
-        out = np.zeros_like(L)
-    if n <= 64:
-        out[...] = np.tril(np.linalg.inv(L))
-        return out
+
+def _add_product(out: np.ndarray, A: np.ndarray, B: np.ndarray, op=np.add) -> None:
+    """out = op(out, A @ B) in place, max(_BASE, half of out's rows) rows at
+    a time, so that the product's temporary of a large n x n solve is at
+    most n/4 x n."""
+    step = max(_BASE, out.shape[0] // 2)
+    for i in range(0, out.shape[0], step):
+        block = out[i:i + step]
+        op(block, A[i:i + step] @ B, out=block)
+
+
+def _lower_product(out: np.ndarray, A: np.ndarray, B: np.ndarray, op) -> None:
+    """out = op(out, A @ B.T) on out's lower triangle and diagonal only; the
+    products of the blocks above the diagonal are never formed."""
+    n = out.shape[0]
+    if n <= _BASE:
+        op(out, A @ B.T, out=out, where=~_ABOVE[:n, :n])
+        return
     h = n // 2
-    A = _lower_inverse(L[:h, :h], out[:h, :h])
-    B = _lower_inverse(L[h:, h:], out[h:, h:])
-    T = L[h:, :h] @ A
-    np.matmul(B, np.negative(T, out=T), out=out[h:, :h])  # the bits of -B @ T
-    return out
+    _lower_product(out[:h, :h], A[:h], B[:h], op)
+    _add_product(out[h:, :h], A[h:], B[:h].T, op)
+    _lower_product(out[h:, h:], A[h:], B[h:], op)
+
+
+def _trmm(T: np.ndarray, B: np.ndarray, lower: bool) -> None:
+    """B = T @ B in place for a triangular T, of which only the lower
+    (``lower``) or upper triangle is read; no product of a zero block is
+    formed. A right product B @ T is the left one of the transposed views."""
+    n = T.shape[0]
+    if n <= _BASE:
+        B[...] = (np.tril(T) if lower else np.triu(T)) @ B
+        return
+    h = n // 2
+    # the rows of B written first, from the others' old values
+    one, two = (slice(h, None), slice(None, h)) if lower else (slice(None, h), slice(h, None))
+    _trmm(T[one, one], B[one], lower)
+    _add_product(B[one], T[one, two], B[two])
+    _trmm(T[two, two], B[two], lower)
+
+
+def _inverse_cholesky(A: np.ndarray) -> None:
+    """Overwrite the symmetric positive definite A, of which only the lower
+    triangle is read, with L^-1, where A = L L^T. Raises
+    numpy.linalg.LinAlgError where a pivot, also one of a trailing Schur
+    complement, is not positive. L itself is never stored whole."""
+    n = A.shape[0]
+    if n <= _BASE:
+        A[...] = np.linalg.inv(np.linalg.cholesky(A))
+        np.copyto(A, 0.0, where=_ABOVE[:n, :n])  # not np.tril: one n x n temporary less
+        return
+    h = n // 2
+    A11, A21, A22 = A[:h, :h], A[h:, :h], A[h:, h:]
+    _inverse_cholesky(A11)                       # Li11
+    _trmm(A11, A21.T, lower=True)                # L21 = A21 Li11^T
+    _lower_product(A22, A21, A21, np.subtract)   # S = A22 - L21 L21^T
+    _inverse_cholesky(A22)                       # Li22 = L22^-1, S = L22 L22^T
+    _trmm(A11.T, A21.T, lower=False)             # L21 Li11
+    _trmm(A22, A21, lower=True)                  # Li22 L21 Li11
+    np.negative(A21, out=A21)                    # Li21
+    A[:h, h:] = 0.0
+
+
+def _congruence(X: np.ndarray, T: np.ndarray) -> None:
+    """Overwrite X with X @ T.T on and below the diagonal and with T's strict
+    lower triangle, transposed, above it. T must be lower triangular, zeros
+    included; the result depends only on X's lower triangle."""
+    n = X.shape[0]
+    if n <= _BASE:
+        X[...] = X @ T.T
+        np.copyto(X, T.T, where=_ABOVE[:n, :n])
+        return
+    h = n // 2
+    _congruence(X[h:, h:], T[h:, h:])              # X22 T22^T
+    _lower_product(X[h:, h:], X[h:, :h], T[h:, :h], np.add)  # + X21 T21^T
+    _trmm(T[:h, :h], X[h:, :h].T, lower=True)      # X21 T11^T
+    X[:h, h:] = T[h:, :h].T
+    _congruence(X[:h, :h], T[:h, :h])              # X11 T11^T
 
 
 def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> ModalModel:
@@ -298,18 +375,21 @@ def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> Modal
     largest-magnitude coefficient positive (the first one on a tie), so
     their signs do not depend on LAPACK. A uniform modal damping ratio
     is attached. Coupling and capacitance stay unset here; M and K are
-    not written to. Up to _ONE_THREAD_MAX_DOF, the factor, products and
-    eigensolve run on one OpenBLAS thread. ``eigh`` starts with C, which
-    holds L^-T in its unread upper triangle, as the solve's one n x n array.
+    not written to, since the solve works on copies. Up to
+    _ONE_THREAD_MAX_DOF, the factor, products and eigensolve run on one
+    OpenBLAS thread. ``eigh`` starts with C, which holds L^-T in its
+    unread upper triangle, as the solve's one n x n array.
     """
-    return _solve([M, K], modal_damping_xi, plate=plate, patches=patches, spec=spec)
+    system = [np.array(A, dtype=np.float64, order="C") for A in (M, K)]
+    return _solve(system, modal_damping_xi, plate=plate, patches=patches, spec=spec)
 
 
 def _solve(system: list, modal_damping_xi: float, *, plate, patches, spec) -> ModalModel:
-    """``solve_modes`` of the list ``system = [M, K]``, which it empties, so
-    that an n x n array no caller holds is freed as soon as it is consumed:
-    M after the factor, K after the first product, and L^-1, parked in C's
-    upper triangle, before ``eigh``."""
+    """``solve_modes`` of the list ``system = [M, K]``, which it empties and
+    whose two arrays it overwrites, so that no n x n array is copied: M with
+    L^-1, K with L^-1 K and then with C's lower triangle and L^-T above it.
+    M's storage is freed before ``eigh``, which reads only C's lower
+    triangle, and K's once the back-transform has read L^-T from it."""
     M, K = system
     system.clear()
     n = M.shape[0]
@@ -317,32 +397,19 @@ def _solve(system: list, modal_damping_xi: float, *, plate, patches, spec) -> Mo
         raise AssemblyError("non-finite entries in mass or stiffness matrix")
     with _one_blas_thread(n):
         try:
-            L = np.linalg.cholesky(M)
+            _inverse_cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("mass matrix is singular or indefinite") from exc
-        del M
-        Li = _lower_inverse(L)
-        del L
-        C = Li @ K
-        del K
-        C = C @ Li.T
-        C += C.T  # in place, the bits of 0.5 * (C + C.T)
-        C *= 0.5
-        # eigh reads only C's lower triangle: park Li's strict lower triangle in
-        # C's upper one, transposed, free Li before eigh copies C, then rebuild Li.
+        Li, C = M, K
+        del M, K
         diag = Li.diagonal().copy()
-        for i in range(n - 1):
-            C[i, i + 1:] = Li[i + 1:, i]
+        _trmm(Li, C, lower=True)   # Li K
+        _congruence(C, Li)         # C = Li K Li^T on and below the diagonal, Li^T above
         del Li
-        evals, W = np.linalg.eigh(C)
-        Li = C  # turned back into Li in place, C-contiguous as before
+        evals, vecs = np.linalg.eigh(C)
+        C.flat[::n + 1] = diag     # C's upper triangle is now Li^T
+        _trmm(C, vecs, lower=False)  # Li^T W
         del C
-        for i in range(n - 1):
-            Li[i + 1:, i] = Li[i, i + 1:]
-            Li[i, i + 1:] = 0.0
-        Li.flat[::n + 1] = diag
-        vecs = Li.T @ W
-        del Li, W
     # The sign of each column's first largest-magnitude coefficient, from its
     # largest and smallest entries: no |vecs| copy.
     cols = np.arange(vecs.shape[1])
