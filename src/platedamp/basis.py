@@ -96,9 +96,10 @@ def _numerators(indices, length: float, x: np.ndarray, orders):
     return np.stack(rows), beta, 1.0 - 2.0 * eL * s - eL2
 
 
-def integral(n_funcs: int, length: float, lo: float, hi: float) -> np.ndarray:
+def integral(n_funcs: int, length: float, lo, hi) -> np.ndarray:
     """Exact integrals over [lo, hi] within [0, length] of the first
-    ``n_funcs`` mode functions, shape (n_funcs,)."""
+    ``n_funcs`` mode functions, shape (n_funcs,); for arrays of interval
+    ends ``lo`` and ``hi`` of one shape, that shape + (n_funcs,)."""
     (anti,), beta, den = _numerators(range(1, n_funcs + 1), length,
                                      np.array([lo, hi], dtype=float), (-1,))
     return (anti[1] - anti[0]) / (beta * den)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .plate import PatchSpec, PlateSpec, validate_layout, validate_point
 from .response import HarmonicForce, ImpedanceLaw, ShuntTopology
-from .ritz import BasisSpec
+from .ritz import BasisSpec, _check_integers
 from .tuning import SweepSpec
 
 
@@ -32,8 +32,9 @@ class GridSpec:
     count: int
 
     def __post_init__(self):
-        if not 0.0 < self.start_hz < self.stop_hz:
-            raise DomainError("grid requires 0 < start_hz < stop_hz")
+        if not 0.0 < self.start_hz < self.stop_hz < math.inf:
+            raise DomainError("grid requires 0 < start_hz < stop_hz < inf")
+        _check_integers(self, "grid", "count")
         if not self.count >= 2:
             raise DomainError("grid requires count >= 2")
 

@@ -10,7 +10,9 @@ surface:
 The closed form exploits the separable basis: the Laplacian integral
 reduces to first-derivative differences across the footprint times 1D
 integrals of the opposite-axis functions, both available exactly. The
-test oracles integrate the Laplacian by quadrature as an independent
+coupling of a footprint outside a model is that of the model with only
+that patch: ``coupling_matrix(dataclasses.replace(model, patches=(p,)))``.
+The test oracles integrate the Laplacian by quadrature as an independent
 cross-check.
 """
 
@@ -35,34 +37,30 @@ def _lever_arm(plate: PlateSpec, patch: PatchSpec) -> float:
     return (patch.thickness_hp + plate.thickness_hs) / 2.0 - neutral_axis_offset(plate, patch)
 
 
-def _laplacian_footprint_integrals(model: ModalModel, patch: PatchSpec) -> np.ndarray:
-    """Exact footprint integral of the Laplacian of every trial function.
+def coupling_matrix(model: ModalModel) -> np.ndarray:
+    """Coupling coefficients for every (mode, patch) pair, shape (n_modes, K).
 
-    Separability turns the area integral of fx''*fy + fx*fy'' into
-    (fx'(x2) - fx'(x1)) * int(fy) + int(fx) * (fy'(y2) - fy'(y1)).
-    Returned flattened to match the assembly ordering.
+    The footprint integral of fx''*fy + fx*fy'' is (fx'(x2) - fx'(x1)) *
+    int(fy) + int(fx) * (fy'(y2) - fy'(y1)), from one derivative evaluation
+    per axis at every patch edge and one integral per axis over every
+    footprint. Column k is, bit for bit, the coupling of patch k alone.
     """
     spec, plate = model.basis, model.plate
-    dx1 = basis.eval_matrix(spec.n_x, plate.length_a, [patch.x1, patch.x2], 1)
-    dphi = dx1[1] - dx1[0]
-    dy1 = basis.eval_matrix(spec.n_y, plate.width_b, [patch.y1, patch.y2], 1)
-    dpsi = dy1[1] - dy1[0]
-    int_phi = basis.integral(spec.n_x, plate.length_a, patch.x1, patch.x2)
-    int_psi = basis.integral(spec.n_y, plate.width_b, patch.y1, patch.y2)
-    return (np.outer(dphi, int_psi) + np.outer(int_phi, dpsi)).reshape(-1)
-
-
-def coupling_vector(model: ModalModel, patch: PatchSpec) -> np.ndarray:
-    """Per-mode coupling coefficients for one patch (closed form)."""
-    lap = _laplacian_footprint_integrals(model, patch)
-    return -patch.e31_bar * _lever_arm(model.plate, patch) * (lap @ model.mode_coeffs)
-
-
-def coupling_matrix(model: ModalModel) -> np.ndarray:
-    """Coupling coefficients for every (mode, patch) pair, shape (n_modes, K)."""
+    theta = np.zeros((model.n_modes, len(model.patches)))
     if not model.patches:
-        return np.zeros((model.n_modes, 0))
-    return np.column_stack([coupling_vector(model, p) for p in model.patches])
+        return theta
+    x1, x2, y1, y2 = np.array([(p.x1, p.x2, p.y1, p.y2) for p in model.patches]).T
+    k = x1.size
+    dx = basis.eval_matrix(spec.n_x, plate.length_a, np.concatenate([x1, x2]), 1)
+    dy = basis.eval_matrix(spec.n_y, plate.width_b, np.concatenate([y1, y2]), 1)
+    dphi, dpsi = dx[k:] - dx[:k], dy[k:] - dy[:k]
+    int_phi = basis.integral(spec.n_x, plate.length_a, x1, x2)
+    int_psi = basis.integral(spec.n_y, plate.width_b, y1, y2)
+    lap = dphi[:, :, None] * int_psi[:, None, :] + int_phi[:, :, None] * dpsi[:, None, :]
+    for j, patch in enumerate(model.patches):  # flattened to match the assembly ordering
+        theta[:, j] = (-patch.e31_bar * _lever_arm(plate, patch)
+                       * (lap[j].reshape(-1) @ model.mode_coeffs))
+    return theta
 
 
 def with_coupling(model: ModalModel) -> ModalModel:

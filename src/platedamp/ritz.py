@@ -12,12 +12,13 @@ smooth. Patch deltas are added in the canonical order of
 the matrices do not depend on the order in which the patches are listed,
 bit for bit.
 
-The eigensolve reduces K v = w^2 M v to a standard symmetric problem with
-2x2 block recursions on triangular matrices, since numpy has no triangular
-BLAS: an inverse Cholesky overwrites M with L^-1, L^-1 K overwrites K, and
-only the lower triangle of C = L^-1 K L^-T, the half ``eigh`` reads, is
-formed. No product of a zero block is computed; blocks of at most _BASE
-rows go to numpy directly.
+The eigensolve of ``build_model``, the one eigensolve entry, reduces
+K v = w^2 M v to a standard symmetric problem with 2x2 block recursions on
+triangular matrices, since numpy has no triangular BLAS: an inverse
+Cholesky overwrites M with L^-1, L^-1 K overwrites K, and only the lower
+triangle of C = L^-1 K L^-T, the half ``eigh`` reads, is formed. No
+product of a zero block is computed; blocks of at most _BASE rows go to
+numpy directly.
 
 Models of at most _ONE_THREAD_MAX_DOF trial functions are assembled and
 solved with OpenBLAS limited to one thread. Their products are too small
@@ -45,6 +46,14 @@ from .plate import (PatchSpec, PlateSpec, bare_rigidity, patch_order, rigidities
                     validate_layout)
 
 
+def _check_integers(spec, section: str, *names: str) -> None:
+    """Refuse each named count field of ``spec`` that is not an integer."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{section}.{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Trial-function counts per axis and quadrature points per panel."""
@@ -54,10 +63,7 @@ class BasisSpec:
     quadrature_order: int = 10
 
     def __post_init__(self):
-        for name in ("n_x", "n_y", "quadrature_order"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"basis.{name} must be an integer")
+        _check_integers(self, "basis", "n_x", "n_y", "quadrature_order")
         if not (self.n_x >= 1 and self.n_y >= 1):
             raise DomainError("basis.n_x and basis.n_y must be >= 1")
         if not self.quadrature_order >= 2:
@@ -233,7 +239,7 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
     one row of scaled x-Grams and one of y-Grams per Kronecker term,
     M and K are one matrix product each.
 
-    The matrices are not checked here: ``solve_modes`` raises
+    The matrices are not checked here: ``build_model``'s solve raises
     AssemblyError unless both are finite and M is positive definite,
     where it factors M anyway.
     """
@@ -366,30 +372,18 @@ def _congruence(X: np.ndarray, T: np.ndarray) -> None:
     _congruence(X[:h, :h], T[:h, :h])              # X11 T11^T
 
 
-def solve_modes(M, K, modal_damping_xi: float, *, plate, patches, spec) -> ModalModel:
-    """Generalized symmetric eigensolve; returns the full mode set.
-
-    With M = L L^T, the modes of K v = w^2 M v are those of the
-    standard problem C = L^-1 K L^-T, mapped back by v = L^-T w. The
-    eigenvectors come back mass-normalized, each with its
-    largest-magnitude coefficient positive (the first one on a tie), so
-    their signs do not depend on LAPACK. A uniform modal damping ratio
-    is attached. Coupling and capacitance stay unset here; M and K are
-    not written to, since the solve works on copies. Up to
-    _ONE_THREAD_MAX_DOF, the factor, products and eigensolve run on one
-    OpenBLAS thread. ``eigh`` starts with C, which holds L^-T in its
-    unread upper triangle, as the solve's one n x n array.
-    """
-    system = [np.array(A, dtype=np.float64, order="C") for A in (M, K)]
-    return _solve(system, modal_damping_xi, plate=plate, patches=patches, spec=spec)
-
-
 def _solve(system: list, modal_damping_xi: float, *, plate, patches, spec) -> ModalModel:
-    """``solve_modes`` of the list ``system = [M, K]``, which it empties and
-    whose two arrays it overwrites, so that no n x n array is copied: M with
-    L^-1, K with L^-1 K and then with C's lower triangle and L^-T above it.
-    M's storage is freed before ``eigh``, which reads only C's lower
-    triangle, and K's once the back-transform has read L^-T from it."""
+    """Generalized symmetric eigensolve of ``system = [M, K]``: the full mode
+    set, mass-normalized, each mode's largest-magnitude coefficient positive
+    (the first one on a tie) so that signs do not depend on LAPACK, with the
+    uniform modal damping ratio attached. Raises AssemblyError unless M and
+    K are finite and M is positive definite.
+
+    With M = L L^T, the modes are those of C = L^-1 K L^-T, mapped back by
+    v = L^-T w. The list is emptied and its arrays overwritten, so that no
+    n x n array is copied: M with L^-1, freed before ``eigh``, and K with
+    L^-1 K, then with C's lower triangle and L^-T above it.
+    """
     M, K = system
     system.clear()
     n = M.shape[0]
@@ -433,7 +427,7 @@ def _solve(system: list, modal_damping_xi: float, *, plate, patches, spec) -> Mo
 
 
 def build_model(plate: PlateSpec, patches, spec: BasisSpec) -> ModalModel:
-    """Assemble and solve in one step (coupling still unset). The solve
-    holds the only references to M and K, and frees each once consumed."""
+    """The one eigensolve entry: assemble and solve (coupling still unset).
+    The solve holds the only references to M and K, and frees each once consumed."""
     return _solve(list(assemble_system(plate, patches, spec)), plate.modal_damping_xi,
                   plate=plate, patches=patches, spec=spec)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .response import (HarmonicForce, ImpedanceLaw, ShuntTopology, _check_coupled,
                        _Kernel, _load_arrays)
-from .ritz import ModalModel
+from .ritz import ModalModel, _check_integers
 
 # Peak refinement: parabolic steps on 1/|v|^2, close to a quadratic in f
 # near a resonance (Brent, Algorithms for Minimization without Derivatives,
@@ -101,6 +101,7 @@ class SweepSpec:
     def __post_init__(self):
         if not 0.0 < self.r_min < self.r_max < math.inf:
             raise DomainError("sweep requires 0 < r_min < r_max < inf")
+        _check_integers(self, "sweep", "points", "report_modes")
         if not self.points >= 2:
             raise DomainError("sweep requires points >= 2")
         if not self.report_modes >= 1:

@@ -9,8 +9,11 @@ starts afresh instead of one that carries its base solve, a
 cell-by-cell mesh sum instead of the bare-plate-plus-patch-delta
 assembly, direct quadrature instead of closed forms,
 arbitrary-precision arithmetic for the beam functions, and the
-open-circuit modal eigenproblem for the effective coupling of each mode.
+open-circuit modal eigenproblem for the effective coupling of each mode,
+with the classical resistive-shunt tuning and reduction ceiling.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -225,17 +228,34 @@ def state_space_frf(model, topology, force, target, grid_hz, n_modes):
     return disp, volts
 
 
+class OpenCircuitCoupling(NamedTuple):
+    """Per mode of ``open_circuit_coupling``: omega_oc (rad/s), k2,
+    c_free and r_opt (one column per node), and ceiling."""
+
+    omega_oc: np.ndarray
+    k2: np.ndarray
+    c_free: np.ndarray
+    r_opt: np.ndarray
+    ceiling: np.ndarray
+
+
 def open_circuit_coupling(model, wiring, n_modes=None):
-    """Open-circuit frequencies omega_oc (rad/s) and effective couplings
-    k2 = (omega_oc^2 - omega_sc^2) / omega_sc^2 of the first ``n_modes``
-    modes (all of them when None), in ascending order, for ``wiring``
-    "separated" or "connected".
+    """Classical resistive-shunt theory of the first ``n_modes`` modes (all
+    of them when None), in ascending order, for ``wiring`` "separated" or
+    "connected".
 
     The model's frequencies are the short-circuit ones. An open node's
     charge balance, theta^T q + C v = 0, puts theta C^-1 theta^T onto the
     modal stiffness Omega^2: one term per patch when separated, and the
     rank-one (sum theta)(sum theta)^T / sum C of a single node when
-    connected (Hagood & von Flotow, J. Sound Vib. 146, 1991).
+    connected (Hagood & von Flotow, J. Sound Vib. 146, 1991). That gives
+    omega_oc and k2 = (omega_oc^2 - omega_sc^2) / omega_sc^2. For mode r,
+    every other mode j adds its static flexibility to each node's
+    capacitance, C_free = C + sum_{j != r} theta_j^2 / omega_j^2; the
+    resistance tuned to the mode is R_r = 1 / (C_free omega_oc,r), and the
+    peak reduction it can reach with modal damping xi is the ceiling
+    1 - xi / (xi + k2 / 4) (Thomas, Ducarne & Deu, Smart Mater. Struct.
+    21, 2012).
     """
     n = model.n_modes if n_modes is None else n_modes
     theta, caps = model.coupling[:n, :], model.capacitances
@@ -243,7 +263,12 @@ def open_circuit_coupling(model, wiring, n_modes=None):
         theta, caps = theta.sum(axis=1, keepdims=True), caps.sum(keepdims=True)
     omega_sc = model.frequencies[:n]
     lam = np.linalg.eigvalsh(np.diag(omega_sc**2) + (theta / caps) @ theta.T)
-    return np.sqrt(lam), (lam - omega_sc**2) / omega_sc**2
+    omega_oc, k2 = np.sqrt(lam), (lam - omega_sc**2) / omega_sc**2
+    static = (theta / omega_sc[:, None])**2
+    c_free = caps + static.sum(axis=0) - static
+    xi = model.damping_ratios[:n]
+    return OpenCircuitCoupling(omega_oc, k2, c_free, 1.0 / (c_free * omega_oc[:, None]),
+                               1.0 - xi / (xi + k2 / 4.0))
 
 
 REFINE_ROUNDS = 8

@@ -126,3 +126,13 @@ class TestIntegral:
         assert ints.shape == (30,)
         assert np.array_equal(ints, [basis.integral(i, L, 0.2238, 0.2962)[-1]
                                      for i in range(1, 31)])
+
+    def test_arrays_of_interval_ends_equal_one_interval_at_a_time(self):
+        """Arrays of ends give each interval's integrals, bit for bit, on
+        a trailing axis."""
+        lo = np.array([[0.0, 0.1, 0.2238], [0.05, 0.3, 0.0]])
+        hi = np.array([[L, 0.31, 0.2962], [0.07, 0.3, 0.4]])
+        ints = basis.integral(12, L, lo, hi)
+        assert ints.shape == (2, 3, 12)
+        for i, j in np.ndindex(lo.shape):
+            assert np.array_equal(ints[i, j], basis.integral(12, L, lo[i, j], hi[i, j]))

@@ -253,6 +253,15 @@ class TestOptionals:
         with pytest.raises(DomainError, match="count"):
             GridSpec(1.0, 2.0, float("nan"))
 
+    @pytest.mark.parametrize("args, match", [((1.0, float("inf"), 5), "stop_hz < inf"),
+                                             ((1.0, 2.0, 2.5), "grid.count must be an integer")],
+                             ids=["infinite_stop", "fractional_count"])
+    def test_grid_spec_refuses_what_it_cannot_build(self, args, match):
+        """An infinite stop gave a grid of [nan, inf, ...], a fractional
+        count a TypeError inside numpy."""
+        with pytest.raises(DomainError, match=match):
+            GridSpec(*args)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "nope.json")

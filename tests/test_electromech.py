@@ -4,12 +4,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import platedamp
 from platedamp import (BasisSpec, DomainError, PatchSpec, build_model,
-                       coupling_matrix, coupling_vector, neutral_axis_offset,
-                       patch_capacitance, with_coupling)
+                       coupling_matrix, neutral_axis_offset, patch_capacitance,
+                       with_coupling)
 from platedamp import basis
 
 from oracles import coupling_matrix_quadrature
+from test_tuning import bench_case
+
+
+def coupling_of(model, patch):
+    """Per-mode coupling of one footprint on ``model``'s modes: the one
+    column of the model with only that patch."""
+    return coupling_matrix(dataclasses.replace(model, patches=(patch,)))[:, 0]
 
 
 class TestCapacitance:
@@ -41,14 +49,14 @@ class TestCoupling:
     def test_zero_piezoelectric_constant_kills_coupling(self, aluminum_plate, pzt_patch):
         inert = dataclasses.replace(pzt_patch, e31_bar=0.0)
         model = build_model(aluminum_plate, [inert], BasisSpec(6, 6, 10))
-        theta = coupling_vector(model, inert)
+        theta = coupling_of(model, inert)
         assert np.all(theta == 0.0)
 
     def test_linear_in_piezoelectric_constant(self, aluminum_plate, pzt_patch):
         model = build_model(aluminum_plate, [pzt_patch], BasisSpec(6, 6, 10))
         flipped = dataclasses.replace(pzt_patch, e31_bar=-pzt_patch.e31_bar)
-        assert np.allclose(coupling_vector(model, flipped),
-                           -coupling_vector(model, pzt_patch), rtol=0, atol=0)
+        assert np.allclose(coupling_of(model, flipped),
+                           -coupling_of(model, pzt_patch), rtol=0, atol=0)
 
     def test_centered_patch_blind_to_antisymmetric_modes(self, aluminum_plate):
         """Modes with one nodal line through the patch center integrate
@@ -59,7 +67,7 @@ class TestCoupling:
                              26335877862.595417, -19.0, 9.57e-9, 7800.0, 2.67e-4,
                              a / 2 - s / 2, a / 2 + s / 2, b / 2 - s / 2, b / 2 + s / 2)
         model = build_model(aluminum_plate, [centered], BasisSpec(8, 8, 10))
-        theta = coupling_vector(model, centered)
+        theta = coupling_of(model, centered)
         # modes 2 and 3 are the one-nodal-line pair; mode 1 sets the scale
         assert abs(theta[1]) < 1e-12 * abs(theta[0])
         assert abs(theta[2]) < 1e-12 * abs(theta[0])
@@ -74,7 +82,7 @@ class TestCoupling:
                           26335877862.595417, -19.0, 9.57e-9, 7800.0, 2.67e-4,
                           xc - side / 2, xc + side / 2, yc - side / 2, yc + side / 2)
         model = build_model(aluminum_plate, [small], BasisSpec(8, 8, 10))
-        theta1 = coupling_vector(model, small)[0]
+        theta1 = coupling_of(model, small)[0]
 
         bx0 = basis.eval_matrix(8, a, [xc], 0)[0]
         bx2 = basis.eval_matrix(8, a, [xc], 2)[0]
@@ -91,6 +99,20 @@ class TestCoupling:
         quadrature = coupling_matrix_quadrature(ref_model, order=30)
         scale = np.max(np.abs(closed))
         assert np.max(np.abs(closed - quadrature)) < 1e-10 * scale
+
+    def test_columns_equal_single_patch_couplings(self, monkeypatch):
+        """On the benchmark's seed-0 array_descent model (12 patches), each
+        column of the one pass equals, bit for bit, the coupling of a model
+        with only that patch."""
+        model = bench_case("array_descent", 0, monkeypatch)[1]
+        theta = coupling_matrix(model)
+        assert theta.shape == (model.n_modes, 12)
+        for j, patch in enumerate(model.patches):
+            assert np.array_equal(theta[:, j], coupling_of(model, patch))
+
+    def test_model_without_patches(self, bare_model_10):
+        theta = coupling_matrix(bare_model_10)
+        assert theta.shape == (bare_model_10.n_modes, 0)
 
     def test_patch_renumbering_permutes_columns(self, ref_config):
         spec = BasisSpec(6, 6, 10)
@@ -111,3 +133,8 @@ class TestCoupling:
         assert ref_model.coupling.shape == (ref_model.n_modes, 3)
         assert np.all(np.isfinite(ref_model.coupling))
         assert np.all(ref_model.capacitances > 0.0)
+
+
+def test_every_public_name_resolves():
+    for name in platedamp.__all__:
+        assert hasattr(platedamp, name), name

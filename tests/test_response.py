@@ -807,8 +807,8 @@ class TestInvariants:
         eigenvalue. Allowed: eigvalsh's rounding, n eps of the largest
         eigenvalue."""
         model = build_case(case, aluminum_plate, pzt_patch)[0]
-        omega_sep, k2_sep = open_circuit_coupling(model, "separated")
-        k2_con = open_circuit_coupling(model, "connected")[1]
+        omega_sep, k2_sep = open_circuit_coupling(model, "separated")[:2]
+        k2_con = open_circuit_coupling(model, "connected").k2
         rounding = model.n_modes * np.finfo(float).eps * omega_sep[-1]**2 / model.frequencies**2
         assert np.all(k2_sep >= k2_con - rounding)
         assert np.all(k2_con >= -rounding)  # an open node only stiffens
@@ -845,6 +845,14 @@ class TestStateSpaceOracle:
         assert_matches_state_space(model, topology, HarmonicForce(1.0, *p), q, grid)
 
 
+def window_peaks(objective, wiring, laws, band):
+    """Refined peak |velocity| in ``band`` with every node loaded by each of
+    ``laws`` in turn."""
+    k = len(objective.model.patches)
+    return objective.peaks_in_band([ShuntTopology.uniform(wiring, k, law) for law in laws],
+                                   band)[0]
+
+
 class TestOpenCircuitCoupling:
     def test_reference_table(self, ref_model):
         """The effective couplings of modes 1-3 on the reference, x 1e-4,
@@ -852,5 +860,44 @@ class TestOpenCircuitCoupling:
         separated-against-connected result."""
         for wiring, want in (("separated", (72.42, 203.72, 52.41)),
                              ("connected", (64.75, 3.547, 10.59))):
-            k2 = open_circuit_coupling(ref_model, wiring)[1][:3]
+            k2 = open_circuit_coupling(ref_model, wiring).k2[:3]
             assert k2 * 1e4 == pytest.approx(want, rel=1e-3), wiring
+
+    @pytest.mark.parametrize("wiring", ["separated", "connected"])
+    def test_uniform_sweep_reaches_the_ceiling(self, ref_model, ref_config, wiring):
+        """Where k2 >= 3e-3 (separated modes 1-3, connected mode 1), a
+        uniform-R sweep of each mode's own window on the reference cuts the
+        peak to within 1.5 points of the ceiling 1 - xi / (xi + k2 / 4)."""
+        grid = ref_config.grid.frequencies()
+        objective = VelocityObjective(ref_model, ref_config.force, ref_config.target, grid)
+        theory = open_circuit_coupling(ref_model, wiring)
+        laws = [ImpedanceLaw.resistor(float(r)) for r in SweepSpec().resistances()]
+        checked = 0
+        for r, band in enumerate(mode_windows(ref_model, 3, grid)):
+            if theory.k2[r] < 3e-3:
+                continue
+            open_peak = window_peaks(objective, wiring, [ImpedanceLaw.open()], band)[0]
+            reached = 100.0 * (1.0 - window_peaks(objective, wiring, laws, band).min() / open_peak)
+            assert reached == pytest.approx(100.0 * theory.ceiling[r], abs=1.5), r + 1
+            checked += 1
+        assert checked == (3 if wiring == "separated" else 1)
+
+    def test_swept_optimum_is_the_tuned_resistance(self, ref_config):
+        """On single-patch models of the reference, where k2 >= 3e-3, the
+        resistance that minimises the peak of the mode's own window lies
+        within 10% of R_r = 1 / (C_free omega_oc). The sweep's steps are
+        2.3% apart."""
+        grid = ref_config.grid.frequencies()
+        rs = SweepSpec(points=401).resistances()
+        laws = [ImpedanceLaw.resistor(float(r)) for r in rs]
+        checked = 0
+        for patch in ref_config.patches:
+            model = with_coupling(build_model(ref_config.plate, [patch], ref_config.basis))
+            objective = VelocityObjective(model, ref_config.force, ref_config.target, grid)
+            theory = open_circuit_coupling(model, "separated")
+            for r, band in enumerate(mode_windows(model, 3, grid)):
+                if theory.k2[r] >= 3e-3:
+                    swept = rs[np.argmin(window_peaks(objective, "separated", laws, band))]
+                    assert swept == pytest.approx(theory.r_opt[r, 0], rel=0.1), (patch, r + 1)
+                    checked += 1
+        assert checked == 5

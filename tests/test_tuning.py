@@ -110,6 +110,14 @@ class TestSweep:
             with pytest.raises(DomainError):
                 SweepSpec(**counts)
 
+    @pytest.mark.parametrize("counts", [{"points": 2.5}, {"report_modes": 1.5}],
+                             ids=["points", "report_modes"])
+    def test_fractional_counts_rejected(self, counts):
+        """A fractional count used to build, then fail inside numpy or
+        ``mode_windows``."""
+        with pytest.raises(DomainError, match=f"sweep.{next(iter(counts))} must be an integer"):
+            SweepSpec(**counts)
+
     @pytest.mark.parametrize("r_min,r_max", [(0.0, 1e6), (-10.0, 1e6), (float("nan"), 1e6),
                                              (float("-inf"), 1e6), (100.0, float("inf"))])
     def test_nonpositive_or_nonfinite_range_rejected(self, r_min, r_max):
