@@ -114,8 +114,8 @@ class ImpedanceLaw:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown impedance kind '{self.kind}'")
-        if not (self.ohms >= 0.0 and self.henries >= 0.0):
-            raise DomainError("impedance R and L must be non-negative")
+        if not (0.0 <= self.ohms < np.inf and 0.0 <= self.henries < np.inf):
+            raise DomainError("impedance R and L must be finite and non-negative")
         if self.henries > 0.0 and self.kind != "series_rl":
             raise DomainError(f"a {self.kind} branch takes no inductance; use series_rl")
         if self.kind in self._SURROGATES:

@@ -17,11 +17,24 @@ kernel's rank-one update instead. The per-patch descent computes what
 does not depend on the loads once: the structural blocks at the band's
 grid points for all of its sweeps, and in each cycle the solution of
 its band systems, which it carries from sweep to sweep.
+
+The descent keeps a candidate only when it strictly beats the current
+objective, so it refines only the candidates that still can. A sweep
+does not offer the patch's current resistance: it is a grid value whose
+peak is the current objective. And the search stops refining a
+candidate once its value reaches the current objective: refinement
+only ever raises a value above its grid peak, so that candidate cannot
+win, and its value is a lower bound. Neither rule turns away a law
+that could be accepted; the candidates still refined share smaller
+kernel stacks, so their values move by rounding only. The uniform sweep
+and ``coordinate_peaks`` refine every candidate, since their values are
+outputs.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +54,7 @@ PARABOLIC_STEPS = 6
 SPACING = GOLDEN ** 27
 
 
-def _parabolic_search(velocity, pts, vals):
+def _parabolic_search(velocity, pts, vals, stop=math.inf):
     """Maxima of C candidates with values ``vals`` (C, P) at the ascending
     ``pts`` (P,), refined off the grid: best values and frequencies (C,).
 
@@ -54,6 +67,13 @@ def _parabolic_search(velocity, pts, vals):
     dropped from the bracket stands in, and the fallback is 1.5 tol inward.
     A finite point becomes x only when strictly higher; the bracket then
     shrinks to x's neighbours.
+
+    A candidate whose value at x is not below ``stop`` is not evaluated
+    again, and its value there is returned as a lower bound of its peak:
+    x's value only ever rises. Every other candidate takes the steps it
+    takes with ``stop`` at inf, bit for bit where ``velocity`` computes
+    each row on its own; the kernel's rows move by rounding with their
+    stack.
     """
     c = np.arange(vals.shape[0])
     i = np.argmax(vals, axis=1)
@@ -74,7 +94,7 @@ def _parabolic_search(velocity, pts, vals):
             u = x - p / (2.0 * ((x - a3) * (gx - gb) - (x - b3) * (gx - ga)))
         ok = (u - a >= tol) & (b - u >= tol) & (np.abs(u - x) >= tol)  # False on NaN
         u = np.where(ok, u, x + np.where(edge, np.sign(side) * 1.5 * tol, (1.0 - GOLDEN) * side))
-        s = np.flatnonzero((1.0 - GOLDEN) * np.abs(side) > tol)
+        s = np.flatnonzero(((1.0 - GOLDEN) * np.abs(side) > tol) & (vx < stop))
         if not s.size:
             break
         u, vu = u[s], velocity(s, u[s])
@@ -221,10 +241,11 @@ class VelocityObjective:
         return self._sweep(nodes, pts, blocks, self._kernel.solution(omega, nodes, blocks),
                            index, laws)
 
-    def _sweep(self, nodes, pts, blocks, solution, index: int, laws):
+    def _sweep(self, nodes, pts, blocks, solution, index: int, laws, stop=math.inf):
         """``coordinate_peaks`` from ``nodes``, the band's points ``pts``,
         the structural ``blocks`` there and the ``solution`` of ``nodes``'
-        own band systems (``_Kernel.solution``)."""
+        own band systems (``_Kernel.solution``); a candidate whose value
+        reaches ``stop`` returns a lower bound (``_parabolic_search``)."""
         if not laws:
             raise DomainError("coordinate_peaks needs at least one load")
         m = nodes.caps.size
@@ -237,15 +258,16 @@ class VelocityObjective:
         henries[:, node] = [law.henries for law in laws]
         vals = self._kernel.rank_one(pts, nodes, node, ohms[:, node], henries[:, node],
                                      blocks, solution)
-        return self._refine(nodes, ohms, henries, pts, vals)
+        return self._refine(nodes, ohms, henries, pts, vals, stop)
 
-    def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray):
+    def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray,
+                stop=math.inf):
         """Refined peaks and their frequencies of C candidates with node
         loads ``ohms`` and ``henries`` (C, m) and values ``vals`` (C, P)
         at the band points: one parabolic search over all of them."""
         return _parabolic_search(
             lambda rows, f: self._kernel.velocity(f[:, None], nodes, ohms[rows],
-                                                  henries[rows])[:, 0], pts, vals)
+                                                  henries[rows])[:, 0], pts, vals, stop)
 
 
 def mode_windows(model: ModalModel, count: int, grid_hz) -> list[tuple[float, float]]:
@@ -320,17 +342,29 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     """Per-patch resistances by cyclic coordinate descent.
 
     Starts from the uniform-sweep optimum and sweeps one patch's
-    resistance at a time over the same log grid, accepting only
+    resistance at a time over the same log grid, accepting only strict
     improvements, so the final objective can never exceed the uniform
     optimum. Each coordinate sweep is that of ``coordinate_peaks``: its
     band points are rank-one updates of the current loads' system. Each
     cycle solves that system at the band points once, for [b | I], and
     each accepted law carries the solution on (``_Kernel.carry``); every
-    sweep checks what it takes of it (``_Kernel.rank_one``). Stops after
-    a full cycle improves the objective by less than ``rel_tol`` or after
-    ``max_cycles`` cycles. ``threads`` is accepted and ignored, because
-    the benchmark's descent job still passes it.
+    sweep checks what it takes of it (``_Kernel.rank_one``).
+
+    A sweep offers every grid resistance but the patch's current one,
+    whose peak is the current objective and so never strictly improves
+    it, and stops refining a candidate once its value reaches the
+    current objective, because refinement only raises a value: neither
+    rule turns away a law that could be accepted. Stops after a full cycle
+    improves the objective by less than ``rel_tol`` or after
+    ``max_cycles`` cycles (0 returns the uniform optimum). ``threads``
+    is accepted and ignored, because the benchmark's descent job still
+    passes it.
     """
+    if (isinstance(max_cycles, bool) or not isinstance(max_cycles, numbers.Integral)
+            or max_cycles < 0):
+        raise DomainError("max_cycles must be a non-negative integer")
+    if not 0.0 <= rel_tol < math.inf:
+        raise DomainError("rel_tol must be finite and non-negative")
     k = len(model.patches)
     objective = VelocityObjective(model, force, target, grid_hz)
     base, band = _uniform_sweep(objective, sweep, "separated")
@@ -342,26 +376,28 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     omega = 2.0 * np.pi * pts
     rs_grid = sweep.resistances()
     laws = [ImpedanceLaw.resistor(float(r)) for r in rs_grid]
-    current = [base.r_opt] * k
+    at = [int(np.argmin(base.objective_values))] * k  # each patch's grid index
     best = base.objective_opt
-    nodes = kernel.nodes(ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current]))
+    nodes = kernel.nodes(ShuntTopology.separated([laws[i] for i in at]))
     blocks = kernel.structure(omega, nodes)
 
     for _ in range(max_cycles):
         cycle_start = best
         solved = kernel.solution(omega, nodes, blocks)
         for patch_idx in range(k):
-            vals = objective._sweep(nodes, pts, blocks, solved, patch_idx, laws)[0]
+            offer = np.delete(np.arange(len(laws)), at[patch_idx])
+            vals = objective._sweep(nodes, pts, blocks, solved, patch_idx,
+                                    [laws[i] for i in offer], stop=best)[0]
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
                 best = float(vals[i_min])
-                current[patch_idx] = float(rs_grid[i_min])
+                at[patch_idx] = int(offer[i_min])
                 nodes, solved = kernel.carry(omega, nodes, int(nodes.patch_node[patch_idx]),
-                                             solved, current[patch_idx], 0.0)
+                                             solved, float(rs_grid[at[patch_idx]]), 0.0)
         if cycle_start - best < rel_tol * cycle_start:
             break
 
-    return current, best, base
+    return [float(rs_grid[i]) for i in at], best, base
 
 
 def percent_reduction(frf_oc, frf_shunted, windows) -> tuple[ModeReduction, ...]:

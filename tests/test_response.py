@@ -44,6 +44,18 @@ class TestImpedanceLaw:
             with pytest.raises(DomainError):
                 bad()
 
+    @pytest.mark.parametrize("make", [lambda: ImpedanceLaw.resistor(np.inf),
+                                      lambda: ImpedanceLaw.series_rl(np.inf, 1e-3),
+                                      lambda: ImpedanceLaw.series_rl(1.0, np.inf),
+                                      lambda: ImpedanceLaw("open", ohms=np.inf),
+                                      lambda: ImpedanceLaw("short", henries=np.inf)],
+                             ids=["resistor-ohms", "series_rl-ohms", "series_rl-henries",
+                                  "open-ohms", "short-henries"])
+    def test_infinite_values_rejected(self, make):
+        """An infinite R or L would build and fail later in a circuit solve."""
+        with pytest.raises(DomainError, match="finite"):
+            make()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             ImpedanceLaw("inductor", 1.0)

@@ -234,6 +234,18 @@ class TestPerPatch:
                                max_cycles=1, threads=3)
         assert a[0] == b[0] and a[1] == b[1]
 
+    @pytest.mark.parametrize("bad", [{"max_cycles": 2.5}, {"max_cycles": -1},
+                                     {"max_cycles": True}, {"rel_tol": np.nan},
+                                     {"rel_tol": -1e-3}, {"rel_tol": np.inf}],
+                             ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_bad_cycles_or_tolerance_rejected(self, ref_model, point_force, target_point,
+                                              ref_config, bad):
+        """A fractional or negative cycle count would die in numpy or return
+        the uniform optimum, and a NaN tolerance would never stop early."""
+        with pytest.raises(DomainError):
+            optimize_per_patch(ref_model, point_force, target_point,
+                               ref_config.grid.frequencies(), SweepSpec(points=4), **bad)
+
 
 class TestSeriesRL:
     def test_tuned_rl_branch_beats_pure_resistor(self, k1_model, point_force,
@@ -384,13 +396,13 @@ def recorded(function):
 class TestParabolicSearch:
     PTS = np.linspace(10.0, 20.0, 11)
 
-    def search(self, function):
+    def search(self, function, **stop):
         """Search the candidates of ``function(rows, f)`` from its values at
         PTS; returns the peaks, their frequencies and every evaluated point."""
         rows = np.arange(len(function.peaks))
         vals = np.stack([function(np.full(self.PTS.size, r), self.PTS) for r in rows])
         velocity, seen = recorded(function)
-        best_v, best_f = _parabolic_search(velocity, self.PTS, vals)
+        best_v, best_f = _parabolic_search(velocity, self.PTS, vals, **stop)
         return best_v, best_f, seen
 
     @staticmethod
@@ -403,11 +415,13 @@ class TestParabolicSearch:
 
     @staticmethod
     def resonance(peaks, zeta=0.01):
-        """|velocity| of a single damped mode at each candidate's frequency."""
+        """|velocity| of a single damped mode at each candidate's frequency,
+        with one damping ratio for all or one each."""
         def function(rows, f):
-            fn = function.peaks[rows]
-            return f / np.hypot(fn**2 - f**2, 2.0 * zeta * fn * f)
+            fn, z = function.peaks[rows], function.zeta[rows]
+            return f / np.hypot(fn**2 - f**2, 2.0 * z * fn * f)
         function.peaks = np.asarray(peaks)
+        function.zeta = np.broadcast_to(zeta, function.peaks.shape)
         return function
 
     def test_one_kernel_call_per_step_for_the_whole_stack(self, array_objective,
@@ -496,6 +510,36 @@ class TestParabolicSearch:
         assert exact - best_v[0] <= 1e-9 * exact
         assert abs(best_f[0] - peak) <= 1e-6 * peak
         assert len(seen[0]) <= PARABOLIC_STEPS
+
+    def test_stop_ends_only_the_candidates_that_reach_it(self):
+        """With ``stop`` at inf every candidate takes the same steps as by
+        default. A finite ``stop`` leaves every candidate that stays below
+        it bit for bit as it was; one whose best value reaches it, on the
+        grid or in a step, is never evaluated again and returns that value,
+        a lower bound of its peak."""
+        function = self.resonance([13.0, 13.37, 15.61, 16.5, 10.73, 19.25, 14.2, 17.9],
+                                  [0.01, 0.012, 0.009, 0.011, 0.01, 0.0095, 0.0105, 0.012])
+        free_v, free_f, free_seen = self.search(function)
+        inf_v, inf_f, inf_seen = self.search(function, stop=np.inf)
+        assert inf_v.tobytes() == free_v.tobytes() and inf_f.tobytes() == free_f.tobytes()
+        assert inf_seen == free_seen
+
+        stop = 3.2
+        best_v, best_f, seen = self.search(function, stop=stop)
+        below = free_v < stop
+        assert best_v[below].tobytes() == free_v[below].tobytes()
+        assert best_f[below].tobytes() == free_f[below].tobytes()
+        assert all(seen[r] == free_seen[r] for r in np.flatnonzero(below))
+        reached_in_a_step = 0
+        for r in np.flatnonzero(~below):
+            grid_max = function(np.full(self.PTS.size, r), self.PTS).max()
+            steps = function(np.full(len(free_seen[r]), r), np.array(free_seen[r]))
+            running = np.maximum.accumulate(np.concatenate([[grid_max], steps]))
+            reached = int(np.argmax(running >= stop))
+            reached_in_a_step += reached > 0
+            assert seen.get(r, []) == free_seen[r][:reached]
+            assert stop <= best_v[r] == running[reached] <= free_v[r]
+        assert below.any() and reached_in_a_step and reached_in_a_step < np.sum(~below)
 
     def test_band_of_one_grid_point_makes_no_call(self):
         calls = []
@@ -643,7 +687,7 @@ class TestCarriedDescent:
         omega = 2.0 * np.pi * pts
         return kernel, nodes, pts, omega, kernel.structure(omega, nodes)
 
-    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_bench_descent_matches_fresh_sweeps(self, seed, monkeypatch):
         """The benchmark's array_descent job (two cycles, rel_tol 0) picks
         the resistances of a descent whose every sweep starts afresh, with
@@ -746,3 +790,34 @@ class TestCarriedDescent:
                                ref_config.grid.frequencies(), SweepSpec(points=16),
                                max_cycles=1)
         assert len(carried) == 1
+
+
+class TestPrunedDescent:
+    """Each sweep of the per-patch descent offers every grid resistance
+    but the patch's current one, and refines a candidate only while it
+    can still beat the current objective."""
+
+    def test_bench_descent_refines_only_what_can_win(self, monkeypatch):
+        config, model = bench_case("array_descent", 0, monkeypatch)
+        offered, refined = [], []
+        sweep, velocity = VelocityObjective._sweep, _Kernel.velocity
+
+        def recorded_sweep(objective, nodes, pts, blocks, solution, index, laws, **stop):
+            current = nodes.ohms[np.flatnonzero(nodes.load_index == index)[0]]
+            offered.append((current, [law.ohms for law in laws]))
+            return sweep(objective, nodes, pts, blocks, solution, index, laws, **stop)
+
+        def counted(kernel, freqs_hz, *args):
+            if np.ndim(freqs_hz) == 2:  # one frequency per candidate: a refinement step
+                refined.append(len(freqs_hz))
+            return velocity(kernel, freqs_hz, *args)
+
+        monkeypatch.setattr(VelocityObjective, "_sweep", recorded_sweep)
+        monkeypatch.setattr(_Kernel, "velocity", counted)
+        optimize_per_patch(model, config.force, config.target, config.grid.frequencies(),
+                           config.sweep, max_cycles=2, rel_tol=0.0)
+        assert len(offered) == 2 * len(config.patches)
+        grid = config.sweep.resistances().tolist()
+        for current, ohms in offered:
+            assert current in grid and ohms == [r for r in grid if r != current]
+        assert len(refined) <= 40 and sum(refined) <= 300
