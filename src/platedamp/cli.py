@@ -13,10 +13,15 @@ CSV numbers are written with 17 significant digits, and report.json numbers
 as ``json.dumps`` writes them: the shortest repr that reads back to the same
 double. With fixed newlines, repeated runs produce byte-identical files at
 any OpenBLAS thread count. A CSV file holds exactly the bytes
-``np.savetxt(fmt="%.17g", delimiter=",")`` writes for its rows:
-``_csv_format`` works out the digits and layout of a block of numbers at once
-with numpy and passes only the numbers it cannot certify, such as exact ties,
-to CPython's own formatting. NaN or inf is refused before a file is opened.
+``np.savetxt(fmt="%.17g", delimiter=",")`` writes for its rows, formatted
+with numpy a block of rows at a time: ``_csv_digits`` finds each number's 17
+digits and exponent, passing only the numbers it cannot certify, such as
+exact ties, to CPython's own formatting; ``_csv_fields`` looks up six
+little-endian 8-byte words per number, [pad, sign, "0.000", d0], d1..d16 as
+four words of (point slot, digit) pairs, and [e, exponent sign, three
+digits, separator, pad, pad], with 0 in every byte ``%.17g`` does not print;
+one ``bytes.translate`` drops those. NaN or inf is refused before a file is
+opened.
 Exit codes: 0 success, 2 configuration error, unusable ``--out`` or an unknown
 option, 3 numerical failure.
 """
@@ -45,25 +50,21 @@ from .tuning import (ModeReduction, SweepResult, SweepSpec, mode_windows,
 
 _CSV_BLOCK_VALUES = 4096  # numbers formatted per block: one block's arrays stay under 1 MB
 _POW10_SPAN = 300  # the table holds 10**n for |n| <= 300; other scales take the fallback
-# A number's field before padding is dropped: sign, "0.000", the digits d0..d16 each
-# followed by a slot for the point (d_i at byte 6 + 2i), "e", the exponent's sign and
-# three digits, and the separator.
-_FIELD = 45
+_ROW_END = (ord(",") ^ ord("\n")) << 40  # turns the separator of a last word into a newline
 
 
 @functools.cache
 def _csv_tables():
-    """Tables for ``_csv_digits`` and ``_csv_format``, built on the first write.
+    """Tables for ``_csv_digits`` and ``_csv_fields``, built on the first write.
 
     ``pow10[:, n + _POW10_SPAN]`` is 10**n as a double-double ``hi + lo``, with
     ``hi`` split into its upper 26 bits and the rest for Dekker's product.
-    ``keep[(neg * 23 + cat) * 17 + k - 1]`` marks the field bytes ``%.17g``
-    prints for a number with sign ``neg``, ``k`` digits kept after trailing
-    zeros are dropped, and category ``cat``: X + 4 for fixed notation
-    (-4 <= X <= 16), 21 for a two-digit exponent, 22 for a three-digit one.
-    ``template`` is a field with every constant byte in place; ``quads[i]``
-    and ``exponents[X + 324]`` are the characters of ``"%04d" % i`` and of
-    ``"%+04d" % X``.
+    A number with exponent X has category ``cats[X + 324]``: X + 4 in fixed
+    notation (-4 <= X <= 16), 21 with a two-digit exponent, 22 with three.
+    Its words, sign and prefix already dropped where ``%.17g`` drops them, are
+    ``first[(neg * 23 + cat) * 10 + d0]``, ``quads[v] & masks[j, cat * 17 + k - 1]``
+    for the j-th four digits v, k being the digits kept once trailing zeros
+    go (``zeros[v]`` counts those of v), and ``exponents[X + 324]``.
     """
     pow10 = np.empty((4, 2 * _POW10_SPAN + 1))
     for i, n in enumerate(range(-_POW10_SPAN, _POW10_SPAN + 1)):
@@ -74,31 +75,33 @@ def _csv_tables():
         upper = split - (split - hi)
         pow10[:, i] = hi, (num * b - a * den) / (den * b), upper, hi - upper
 
-    neg, cat, k = (g[..., None] for g in np.meshgrid(
-        [0, 1], np.arange(23), np.arange(1, 18), indexing="ij"))
+    first = np.frombuffer(b"".join(  # [pad, sign, "0." and -X - 1 zeros for X < 0, d0]
+        b"\0" + b"\0-"[neg:neg + 1] + (b"0.000"[:5 - cat] if cat < 4 else b"").ljust(5, b"\0")
+        + b"%d" % d0 for neg in (0, 1) for cat in range(23) for d0 in range(10)), "<u8")
+
+    cat, k, i, digit = np.ix_(np.arange(23), np.arange(1, 18), np.arange(1, 17), [0, 1])
     fixed, x = cat <= 20, cat - 4
-    col = np.arange(_FIELD)
-    i = (col - 6) // 2  # the digit at, or just before, this byte
-    digits = (col >= 6) & (col <= 38)
-    keep = ((col == 0) & (neg == 1)  # sign
-            | (col >= 1) & (col <= 5) & fixed & (x < 0) & (col - 3 < -x - 1)  # "0.00"
-            | digits & (col % 2 == 0) & ((i < k) | fixed & (i <= x))  # digits, integer zeros
-            | digits & (col % 2 == 1) & (i + 1 < k) & (i == np.where(fixed, x, 0))  # point
-            | (col >= 39) & (col <= 43) & ~fixed & ((col != 41) | (cat == 22))  # exponent
-            | (col == 44))  # separator
-    template = np.full(_FIELD, ord("0"), np.uint8)
-    template[[0, 2, 39, 44]] = list(b"-.e,")
-    template[7:39:2] = ord(".")
+    keep = np.where(digit == 1, (i < k) | fixed & (i <= x),  # digits, integer zeros
+                    (i < k) & (i - 1 == np.where(fixed, x, 0)))  # the point after d_(i-1)
+    masks = (np.uint8(255) * keep).reshape(-1, 32).view("<u8").T.copy()
 
-    def decimal(values, width):  # the characters of "%0*d" % (width, v), v >= 0
-        return (values[:, None] // 10 ** np.arange(width - 1, -1, -1, dtype=np.int16) % 10
-                + ord("0")).astype(np.uint8)
+    quad = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # the digits of v, v < 10000
+    chars = np.full((10000, 8), ord("."), np.uint8)
+    chars[:, 1::2] = quad + ord("0")
+    v = np.arange(10000, dtype=np.int16)
+    zeros = sum((v % 10 ** m == 0).view(np.uint8) for m in range(1, 5))
 
-    exponent = np.arange(-324, 309, dtype=np.int16)
-    exponents = np.column_stack([np.where(exponent < 0, ord("-"), ord("+")).astype(np.uint8),
-                                 decimal(np.abs(exponent), 3)])
-    return (pow10, keep.reshape(-1, _FIELD), template,
-            decimal(np.arange(10000, dtype=np.int16), 4), exponents)
+    def exponent_word(x):  # "e%+04d" % x, its leading 0 dropped below 100, and a separator
+        if -4 <= x <= 16:  # fixed notation
+            return b"\0\0\0\0\0,\0\0"
+        text = b"e%+04d,\0\0" % x
+        return text.replace(b"0", b"\0", 1) if abs(x) < 100 else text
+
+    exponent = range(-324, 309)
+    cats = np.array([x + 4 if -4 <= x <= 16 else 21 if abs(x) < 100 else 22 for x in exponent],
+                    np.intp)
+    exponents = np.frombuffer(b"".join(map(exponent_word, exponent)), "<u8")
+    return pow10, cats, first, chars.view("<u8").ravel(), masks, exponents, zeros
 
 
 def _csv_digits(x):
@@ -147,28 +150,41 @@ def _csv_digits(x):
     return D, X
 
 
+def _csv_fields(x, width):
+    """The six words of each number of ``x``, each row of ``width`` numbers
+    ending in a newline."""
+    _, cats, first, quads, masks, exponents, zeros = _csv_tables()
+    D, X = _csv_digits(x)
+    hi = D // 10 ** 8  # d0..d8
+    lo = (D - hi * 10 ** 8).astype(np.int32)
+    hi = hi.astype(np.int32)
+    top = hi // 10 ** 4
+    d0 = top // 10 ** 4
+    q = np.empty((4, len(x)), np.intp)  # d1..d4, d5..d8, d9..d12, d13..d16
+    q[0] = top - d0 * 10 ** 4
+    q[1] = hi - top * 10 ** 4
+    q[2] = lo // 10 ** 4
+    q[3] = lo - q[2] * 10 ** 4
+    z = zeros.take(q)
+    full = z == 4
+    kept = 16 - (z[3] + full[3] * (z[2] + full[2] * (z[1] + full[1] * z[0])))  # k - 1
+    X += 324
+    cat = cats.take(X)
+    fields = np.empty((len(x), 6), np.uint64)
+    fields[:, 0] = first.take(np.signbit(x) * 230 + cat * 10 + d0)
+    code = cat * 17 + kept
+    for j in range(4):
+        np.bitwise_and(quads.take(q[j]), masks[j].take(code), out=fields[:, 1 + j])
+    fields[:, 5] = exponents.take(X)
+    fields[width - 1::width, 5] ^= _ROW_END
+    return fields
+
+
 def _csv_format(rows):
     """The bytes ``np.savetxt(fh, rows, fmt="%.17g", delimiter=",")`` writes for
-    a 2-D float64 block."""
-    _, keep, template, quads, exponents = _csv_tables()
-    x = rows.ravel()
-    D, X = _csv_digits(x)
-    chars = np.empty((len(x), _FIELD), np.uint8)
-    chars[:] = template
-    zero = D == 0
-    for i in (13, 9, 5, 1):  # digits i..i+3, four at a time, last first
-        top = D // 10000
-        chars[:, 6 + 2 * i:14 + 2 * i:2] = quads.take(D - 10000 * top, axis=0)
-        D = top
-    chars[:, 6] = D + ord("0")
-    chars[:, 40:44] = exponents.take(X + 324, axis=0)
-    chars[rows.shape[1] - 1::rows.shape[1], 44] = ord("\n")
-    k = 17 - np.argmax(chars[:, 38:5:-2] != ord("0"), axis=1)
-    k[zero] = 1
-    cat = np.where((X >= -4) & (X <= 16), X + 4, np.where(np.abs(X) >= 100, 22, 21))
-    code = (np.signbit(x) * 23 + cat) * 17 + k - 1
-    chars *= keep.take(code, axis=0)  # a dropped byte becomes 0, which no field holds
-    return chars.tobytes().translate(None, b"\0")
+    a 2-D float64 block: the fields of its numbers without their 0 bytes.
+    The fields' temporaries are gone before their bytes are copied."""
+    return _csv_fields(rows.ravel(), rows.shape[1]).tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:

@@ -248,13 +248,18 @@ class _Nodes(NamedTuple):
 class _Kernel:
     """The block kernel: retained modes of one model, driven at the force
     point and read at the target, solved against any wiring's nodes. A
-    force or target point off the plate or on a clamped edge raises
-    DomainError."""
+    force or target point off the plate or on a clamped edge, an empty grid
+    or a non-finite grid frequency raises DomainError."""
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
                  n_modes: int | None):
         validate_point(model.plate, force.x, force.y, "force location")
         validate_point(model.plate, target[0], target[1], "target point")
+        if grid_hz is not None:
+            if np.size(grid_hz) == 0:
+                raise DomainError("frequency grid is empty")
+            if not np.isfinite(grid_hz).all():
+                raise DomainError("frequency grid holds a non-finite frequency")
         n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
         self.model = model
         self.n = n

@@ -109,11 +109,11 @@ class ModalModel:
 
 
 # Largest model whose dense linear algebra runs on one OpenBLAS thread. On a
-# 2-vCPU machine, assembling and solving took 23-27 ms on one thread against
-# 25-29 ms on two at 256 DOF, 34-40 against 38-43 ms at 324 DOF, 57-62
-# against 57-66 ms at 400 DOF, and 380-417 against 285-326 ms at 900 DOF
-# (quartiles); one thread also spares the worker's spin.
-_ONE_THREAD_MAX_DOF = 256
+# 2-vCPU machine, assembling and solving took a median 30 ms on one thread
+# against 32 ms on two at 324 DOF, 46 against 47 ms at 400 DOF and 58
+# against 54 ms at 441 DOF (48 builds each, in separate processes), the two
+# threads using twice the CPU; one thread also spares the worker's spin.
+_ONE_THREAD_MAX_DOF = 400
 
 
 _THREAD_SYMBOLS = tuple((f"{prefix}_get_num_threads{suffix}",

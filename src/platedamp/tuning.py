@@ -173,6 +173,8 @@ class VelocityObjective:
     wiring at once, and ``coordinate_peaks`` the candidates of one
     coordinate sweep, which change a single node's load. Each makes one
     kernel call for the band's grid points and one per parabolic step.
+    The grid must strictly ascend, since the search brackets each peak
+    between its grid neighbors; any other grid raises DomainError.
     """
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz):
@@ -180,6 +182,8 @@ class VelocityObjective:
         self.model = model
         self.grid_hz = np.asarray(grid_hz, dtype=float)
         self._kernel = _Kernel(model, force, target, self.grid_hz, None)
+        if not (self.grid_hz[1:] > self.grid_hz[:-1]).all():
+            raise DomainError("objective grid must strictly ascend")
         self.n_modes = self._kernel.n
 
     def velocity_abs(self, topology: ShuntTopology, freqs_hz: np.ndarray) -> np.ndarray:

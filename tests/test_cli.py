@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -445,6 +446,52 @@ class TestCsvFormat:
         real = np.log10
         monkeypatch.setattr(np, "log10", lambda a: real(a) + shift)
         assert formatted(values) == percent_g(values)
+
+
+def field_code(x):
+    """(sign, category, digits kept) of ``"%.17g" % x``, read from CPython's
+    ``"%.16e"``: category X + 4 for fixed notation (-4 <= X <= 16), 21 for a
+    two-digit exponent, 22 for a three-digit one."""
+    text = "%.16e" % abs(x)
+    X = int(text[19:])
+    cat = X + 4 if -4 <= X <= 16 else 21 if abs(X) < 100 else 22
+    return int(np.signbit(x)), cat, len(text[:18].replace(".", "").rstrip("0") or "0")
+
+
+def one_number_per_code():
+    """A double for each of the 2 x 23 x 17 codes of ``field_code``: k
+    random digits, the last one nonzero, scaled to the category's exponent,
+    redrawn until the double's 17 digits keep exactly k of them."""
+    rng = random.Random(17)
+    numbers = []
+    for neg in (0, 1):
+        for cat in range(23):
+            for k in range(1, 18):
+                while True:
+                    X = (cat - 4 if cat <= 20 else rng.choice([-1, 1])
+                         * rng.randrange(*((17, 100) if cat == 21 else (100, 300))))
+                    digits = rng.randrange(10 ** (k - 1), 10 ** k) // 10 * 10
+                    digits += rng.randrange(1, 10)
+                    x = float(f"{'-' if neg else ''}{digits}e{X - k + 1}")
+                    if field_code(x) == (neg, cat, k):
+                        numbers.append(x)
+                        break
+    return numbers
+
+
+class TestEveryFieldCode:
+    """``_csv_format`` builds a field from tables indexed by sign, category
+    and digits kept; one number of each code, byte for byte."""
+
+    def test_one_number_per_code(self, tmp_path):
+        numbers = one_number_per_code()
+        assert len({field_code(x) for x in numbers}) == 2 * 23 * 17
+        assert formatted(numbers) == percent_g(numbers)
+        table = np.array(numbers).reshape(-1, 2)
+        _write_csv(str(tmp_path / "codes.csv"), ["a", "b"], [table])
+        buf = io.BytesIO()
+        np.savetxt(buf, table, fmt="%.17g", delimiter=",", header="a,b", comments="")
+        assert read(tmp_path / "codes.csv") == buf.getvalue()
 
 
 class TestCsvOracle:

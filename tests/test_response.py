@@ -679,6 +679,27 @@ class TestFailClosed:
                 call()
 
 
+class TestGridGuard:
+    @pytest.mark.parametrize("grid, match", [
+        ([], "empty"), ([10.0, np.nan, 30.0], "non-finite"), ([10.0, np.inf], "non-finite")],
+        ids=["empty", "nan", "inf"])
+    def test_empty_or_non_finite_grid_rejected(self, ref_model, point_force, target_point,
+                                               grid, match):
+        """An empty grid used to fail inside numpy ("zero-size array"), and
+        a NaN frequency as a circuit residual SolverError."""
+        separated = ShuntTopology.separated([ImpedanceLaw.resistor(1e4)] * 3)
+        connected = ShuntTopology.connected(ImpedanceLaw.resistor(1e4))
+        calls = (
+            lambda: frf(ref_model, separated, point_force, target_point, grid),
+            lambda: frf(ref_model, connected, point_force, target_point, grid),
+            lambda: frf(ref_model, None, point_force, target_point, grid, n_modes=10),
+            lambda: VelocityObjective(ref_model, point_force, target_point, grid),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=match):
+                call()
+
+
 class TestCancellation:
     def test_net_coupling_cancellation_freezes_a_mode(self, aluminum_plate):
         """Two mirrored patches whose summed coupling vanishes for the

@@ -362,7 +362,7 @@ def traced_build_peak(ref_config, spec):
 
 @pytest.fixture(scope="module")
 def system_18(ref_config):
-    """Reference plate and patches at 18x18 (324 DOF, above the one-thread
+    """Reference plate and patches at 18x18 (324 DOF, below the one-thread
     cutoff, where the factor inverse recurses three levels)."""
     spec = BasisSpec(18, 18, ref_config.basis.quadrature_order)
     return spec, assemble_system(ref_config.plate, ref_config.patches, spec)
@@ -376,11 +376,13 @@ class TestLeanBuild:
         """The solve stays near 2.4 n^2 doubles, under the assembly's peak
         (M, K and the permuted copy of its Kronecker product)."""
         spec = system_18[0]
-        assert spec.n_dof > ritz._ONE_THREAD_MAX_DOF
+        assert ritz._BASE < spec.n_dof <= ritz._ONE_THREAD_MAX_DOF
         assert traced_build_peak(ref_config, spec) <= 3.20
 
     def test_traced_peak_of_the_build_at_30x30(self, ref_config):
+        """The same above the one-thread cutoff, on the default threads."""
         spec = BasisSpec(30, 30, ref_config.basis.quadrature_order)
+        assert spec.n_dof > ritz._ONE_THREAD_MAX_DOF
         assert traced_build_peak(ref_config, spec) <= 3.10
 
     def test_only_c_is_alive_when_eigh_starts(self, ref_config, system_18, monkeypatch):

@@ -102,6 +102,21 @@ class TestSweep:
             sweep_resistance(ref_model, point_force, target_point, grid,
                              SweepSpec(objective_band=(60.0, 61.0)), "separated")
 
+    @pytest.mark.parametrize("order", ["reversed", "duplicated"])
+    def test_grid_that_does_not_strictly_ascend_rejected(self, ref_model, point_force,
+                                                         target_point, ref_config, order):
+        """The peak search brackets each peak between its grid neighbors:
+        on the reversed grid the sweep used to return 0.0062322 against
+        0.0062453 on the ascending one, without an error."""
+        grid = ref_config.grid.frequencies()
+        grid = grid[::-1] if order == "reversed" else np.insert(grid, 1000, grid[1000])
+        with pytest.raises(DomainError, match="strictly ascend"):
+            VelocityObjective(ref_model, point_force, target_point, grid)
+        for mode in ("separated", "connected"):
+            with pytest.raises(DomainError, match="strictly ascend"):
+                sweep_resistance(ref_model, point_force, target_point, grid,
+                                 SweepSpec(points=4), mode)
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(DomainError):
             SweepSpec(r_min=1e4, r_max=1e3)
