@@ -40,16 +40,18 @@ import numpy as np
 from .config import SWEEP_RANGE_KEYS, ScenarioConfig, parse_config, to_dict
 from .electromech import with_coupling
 from .errors import AssemblyError, ConfigError, DomainError, SolverError
-# frf_connected and frf_separated are not called here; bench/test_bench.py
-# checks that tracing wraps their bindings in this module
+# frf_connected, frf_separated and sweep_resistance are not called here;
+# bench/test_bench.py checks that tracing wraps their bindings in this module
 from .response import (FrfResult, ImpedanceLaw, ShuntTopology, frf,
                        frf_connected, frf_separated, retained_mode_count)
 from .ritz import ModalModel, build_model
-from .tuning import (ModeReduction, SweepResult, SweepSpec, mode_windows,
-                     percent_reduction, sweep_resistance)
+from .tuning import (ModeReduction, SweepResult, SweepSpec, VelocityObjective,
+                     _uniform_sweep, mode_windows, percent_reduction, sweep_resistance)
 
 _CSV_BLOCK_VALUES = 4096  # numbers formatted per block: one block's arrays stay under 1 MB
-_POW10_SPAN = 300  # the table holds 10**n for |n| <= 300; other scales take the fallback
+# The power table holds 10**n for |n| <= 40: numbers from 1e-24 to below 1e57 (outputs
+# reach 1e-12 to 1e6) take the fast path, all others the exact fallback
+_POW10_SPAN = 40
 _ROW_END = (ord(",") ^ ord("\n")) << 40  # turns the separator of a last word into a newline
 
 
@@ -57,8 +59,9 @@ _ROW_END = (ord(",") ^ ord("\n")) << 40  # turns the separator of a last word in
 def _csv_tables():
     """Tables for ``_csv_digits`` and ``_csv_fields``, built on the first write.
 
-    ``pow10[:, n + _POW10_SPAN]`` is 10**n as a double-double ``hi + lo``, with
-    ``hi`` split into its upper 26 bits and the rest for Dekker's product.
+    ``pow10[:, n + _POW10_SPAN + 1]`` is 10**n as a double-double ``hi + lo``,
+    with ``hi`` split into its upper 26 bits and the rest for Dekker's product;
+    its first and last columns, for the scales past the table, are 0.
     A number with exponent X has category ``cats[X + 324]``: X + 4 in fixed
     notation (-4 <= X <= 16), 21 with a two-digit exponent, 22 with three.
     Its words, sign and prefix already dropped where ``%.17g`` drops them, are
@@ -66,8 +69,8 @@ def _csv_tables():
     for the j-th four digits v, k being the digits kept once trailing zeros
     go (``zeros[v]`` counts those of v), and ``exponents[X + 324]``.
     """
-    pow10 = np.empty((4, 2 * _POW10_SPAN + 1))
-    for i, n in enumerate(range(-_POW10_SPAN, _POW10_SPAN + 1)):
+    pow10 = np.zeros((4, 2 * _POW10_SPAN + 3))
+    for i, n in enumerate(range(-_POW10_SPAN, _POW10_SPAN + 1), 1):
         num, den = (10 ** n, 1) if n >= 0 else (1, 10 ** -n)
         hi = num / den  # int / int rounds correctly
         a, b = hi.as_integer_ratio()
@@ -109,9 +112,10 @@ def _csv_digits(x):
     the integer D in [1e16, 1e17) and the decimal exponent X of D * 10**(X - 16).
     A zero gives D = X = 0.
 
-    With n = 16 - floor(log10 |x|), clipped to the table, y = |x| * 10**n is
-    found as p + q to about 1e-14 by Dekker's exact product with the
-    double-double power; pure float64, no FMA. D = round(y) and X = 16 - n are
+    With n = 16 - floor(log10 |x|), y = |x| * 10**n is found as p + q to
+    about 1e-14 by Dekker's exact product with the double-double power; pure
+    float64, no FMA. A scale past the table takes its power 0 instead, so y
+    is 0 or NaN, never too large for int64. D = round(y) and X = 16 - n are
     certain, whatever log10 returned, when floor(y) and D lie in [1e16, 1e17)
     and frac(y) is more than 1e-6 from one half. Every other number (ties, a carry into
     the next decade, a log10 one off next to a power of ten, a split that
@@ -121,8 +125,9 @@ def _csv_digits(x):
     ax = np.abs(x)
     zero = ax == 0.0
     ax[zero] = 1.0
-    n = np.clip(16 - np.floor(np.log10(ax)).astype(np.int64), -_POW10_SPAN, _POW10_SPAN)
-    hi, lo, hi_upper, hi_lower = pow10.take(n + _POW10_SPAN, axis=1)
+    edge = _POW10_SPAN + 1
+    n = np.clip(16 - np.floor(np.log10(ax)).astype(np.int64), -edge, edge)
+    hi, lo, hi_upper, hi_lower = pow10.take(n + edge, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         upper = 134217729.0 * ax
         upper -= upper - ax
@@ -280,17 +285,19 @@ def _metadata(config: ScenarioConfig, model: ModalModel) -> dict:
     return meta
 
 
-def _run_topology(config: ScenarioConfig, model: ModalModel, mode: str, sweep: SweepSpec):
-    """Sweep one topology, then evaluate its OC baseline and optimum FRFs,
-    the optimum's per-load resistances and its mode reductions."""
-    grid = config.grid.frequencies()
+def _run_topology(objective: VelocityObjective, mode: str, sweep: SweepSpec):
+    """Sweep one wiring on ``objective``, then evaluate its OC baseline and
+    optimum FRFs, the optimum's per-load resistances and its mode
+    reductions. A command builds one objective and runs every wiring on its
+    kernel: the uniform sweep and both FRFs, which keep the retained modes
+    of ``frf`` and go to the kernel as one stack, so each grid block's
+    structural blocks are computed once for both."""
+    model, grid = objective.model, objective.grid_hz
     k = len(model.patches)
-    sweep_result = sweep_resistance(model, config.force, config.target, grid,
-                                    sweep, topology_mode=mode)
+    sweep_result = _uniform_sweep(objective, sweep, mode)[0]
     oc = ShuntTopology.uniform(mode, k, ImpedanceLaw.open())
     opt = ShuntTopology.uniform(mode, k, ImpedanceLaw.resistor(sweep_result.r_opt))
-    frf_oc = frf(model, oc, config.force, config.target, grid)
-    frf_opt = frf(model, opt, config.force, config.target, grid)
+    frf_oc, frf_opt = objective._kernel.run(grid, [oc, opt])
     windows = mode_windows(model, sweep.report_modes, grid)
     reductions = percent_reduction(frf_oc, frf_opt, windows)
     return sweep_result, frf_oc, frf_opt, [law.ohms for law in opt.loads], reductions
@@ -312,7 +319,8 @@ def cmd_sweep(config: ScenarioConfig, out_dir: str, threads: int) -> None:
     model = _build(config)
     sweep = config.sweep if config.sweep is not None else SweepSpec()
     mode = config.topology.mode
-    sweep_result, _, _, resistances, reductions = _run_topology(config, model, mode, sweep)
+    objective = VelocityObjective(model, config.force, config.target, config.grid.frequencies())
+    sweep_result, _, _, resistances, reductions = _run_topology(objective, mode, sweep)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), sweep_result)
     _write_json(os.path.join(out_dir, "report.json"), {
         "command": "sweep",
@@ -331,14 +339,16 @@ def cmd_compare(config: ScenarioConfig, out_dir: str, threads: int) -> None:
         raise DomainError("compare runs the connected wiring, which requires at least one patch")
     model = _build(config)
     sweep = config.sweep if config.sweep is not None else SweepSpec()
+    objective = VelocityObjective(model, config.force, config.target, config.grid.frequencies())
     sides = {}
     mode_rows: list[dict] = []
     for mode in ("separated", "connected"):
         sweep_result, frf_oc, frf_opt, resistances, reductions = _run_topology(
-            config, model, mode, sweep)
+            objective, mode, sweep)
         write_sweep_csv(os.path.join(out_dir, f"sweep_{mode}.csv"), sweep_result)
         write_frf_csv(os.path.join(out_dir, f"frf_{mode}_oc.csv"), frf_oc)
         write_frf_csv(os.path.join(out_dir, f"frf_{mode}_opt.csv"), frf_opt)
+        del frf_oc, frf_opt  # written: freed before the next wiring's FRFs
         sides[mode] = {
             "r_opt_ohms": sweep_result.r_opt,
             "objective_peak_velocity_ms_per_n": sweep_result.objective_opt,

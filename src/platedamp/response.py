@@ -30,12 +30,19 @@ on the calling thread. Each call of the product is cut into rows of at
 most _PRODUCT_MADDS multiply-adds, small enough that the BLAS library
 runs it inline instead of handing it to a worker thread.
 
+``run`` takes the FRFs of a list of topologies of one wiring, so a CLI
+command that builds one kernel evaluates a wiring's open-circuit and
+optimum FRFs as one stack, with one structural block per grid block for
+both; ``frf`` is ``run`` of a single topology. A one-node system, which
+every connected wiring is, is solved by division rather than by LAPACK.
+
 Open and short circuits are numerical surrogates (1e9 and 1e-3 ohm)
 rather than separate code paths; their adequacy is covered by tests.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -216,6 +223,11 @@ def _check_coupled(model: ModalModel):
         raise DomainError("model has no coupling data; run electromech.with_coupling first")
 
 
+def _wiring(topology: ShuntTopology | None):
+    """What a stack of topologies must share: the mode and the load count."""
+    return None if topology is None else (topology.mode, len(topology.loads))
+
+
 def _load_arrays(topologies, load_index):
     """R and L of the m node loads of C topologies of one wiring, each
     (C, m): node j takes each topology's load ``load_index[j]``."""
@@ -248,8 +260,9 @@ class _Nodes(NamedTuple):
 class _Kernel:
     """The block kernel: retained modes of one model, driven at the force
     point and read at the target, solved against any wiring's nodes. A
-    force or target point off the plate or on a clamped edge, an empty grid
-    or a non-finite grid frequency raises DomainError."""
+    force or target point off the plate or on a clamped edge, an empty grid,
+    a non-finite grid frequency or an ``n_modes`` that is not a positive
+    integer raises DomainError."""
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
                  n_modes: int | None):
@@ -260,6 +273,10 @@ class _Kernel:
                 raise DomainError("frequency grid is empty")
             if not np.isfinite(grid_hz).all():
                 raise DomainError("frequency grid holds a non-finite frequency")
+        if n_modes is not None and (isinstance(n_modes, bool)
+                                    or not isinstance(n_modes, numbers.Integral)
+                                    or n_modes < 1):
+            raise DomainError("n_modes must be a positive integer")
         n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
         self.model = model
         self.n = n
@@ -306,6 +323,17 @@ class _Kernel:
                            self.phi0[:, None] * theta, self.phit[:, None] * theta,
                            (self.phi0 * self.phit)[:, None]])
         return _Nodes(patch_node, load_index, caps, table, ohms, henries)
+
+    def stack(self, topologies) -> _Nodes:
+        """``nodes`` of the one wiring of ``topologies`` with their loads
+        stacked: ``ohms`` and ``henries`` (C, m), row c those of topology c.
+        Topologies of more than one wiring raise DomainError."""
+        first = topologies[0]
+        if any(_wiring(t) != _wiring(first) for t in topologies):
+            raise DomainError("candidate topologies must share one wiring")
+        nodes = self.nodes(first)
+        ohms, henries = _load_arrays(topologies, nodes.load_index)
+        return nodes._replace(ohms=ohms, henries=henries)
 
     def structure(self, omega: np.ndarray, nodes: _Nodes, scratch=None):
         """The load-independent blocks at frequencies ``omega`` of any shape.
@@ -471,22 +499,31 @@ class _Kernel:
         parts = [stack(s) for s in _stacks(len(ohms), omega.size * A.shape[-1])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def run(self, freqs_hz: np.ndarray, topology: ShuntTopology | None):
-        """Displacement and velocity (F,) and patch voltages (F, K) per
-        newton over a grid, evaluated in consecutive blocks of
-        BLOCK_POINTS that share one set of structure temporaries."""
-        nodes = self.nodes(topology)
+    def run(self, freqs_hz: np.ndarray, topologies) -> list[FrfResult]:
+        """The FRF over a grid (F,) of each of a list of topologies of one
+        wiring (``None`` for the mechanical response), evaluated in
+        consecutive blocks of BLOCK_POINTS that share one set of structure
+        temporaries. Each block's structural blocks are computed once for
+        the whole list, whose loads then go to one ``respond`` call, as in
+        ``velocity``; each topology's FRF has the bits of its own run. Each
+        block's node voltages go straight to the patch columns, so the
+        results are the only grid-sized arrays."""
+        nodes = self.stack(topologies)
+        stack = nodes._replace(ohms=nodes.ohms[:, None], henries=nodes.henries[:, None])
         omega = 2.0 * np.pi * freqs_hz
         scratch = self.scratch(min(omega.size, BLOCK_POINTS), nodes.table.shape[1])
         parts = []
         for i in range(0, omega.size, BLOCK_POINTS):
             w = omega[i:i + BLOCK_POINTS]
-            parts.append(self.respond(w, nodes, self.structure(w, nodes, scratch)))
-        disp = np.concatenate([d for d, _ in parts])
-        v = np.concatenate([v for _, v in parts])
-        volts = (v.take(nodes.patch_node, axis=1) if v.shape[1]
-                 else np.zeros((len(v), len(nodes.patch_node)), dtype=complex))
-        return disp, 1j * omega * disp, volts
+            d, v = self.respond(w, stack, self.structure(w, nodes, scratch))
+            parts.append((d, v.take(nodes.patch_node, axis=2) if v.shape[2]
+                          else np.zeros(d.shape + nodes.patch_node.shape, dtype=complex)))
+        del scratch  # before the grid-sized outputs, which a stack makes several of
+        disp = np.concatenate([d for d, _ in parts], axis=1)
+        volts = np.concatenate([v for _, v in parts], axis=1)
+        vel = 1j * omega * disp
+        freqs_hz = freqs_hz.copy()
+        return [FrfResult(freqs_hz, *x) for x in zip(disp, vel, volts)]
 
 
 def assemble_circuit_system(omega: float, model: ModalModel, loads, force: HarmonicForce,
@@ -513,19 +550,29 @@ def solve_voltages(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Solves one system, A (K, K), or a stack, A (F, K, K), for one
     right-hand side b (..., K) or for R of them, the columns of b
-    (..., K, R). Raises SolverError when a system is singular or the
-    residual of a right-hand side is not below 1e-10 times its norm,
-    which a NaN residual never is.
+    (..., K, R). A one-node system (K = 1, every connected wiring) is a
+    division, any larger one goes to LAPACK. Raises SolverError when a
+    system is singular (for K = 1, a zero entry) or the residual of a
+    right-hand side is not below 1e-10 times its norm, which a NaN
+    residual never is.
     """
     columns = b.ndim == A.ndim
     B = b if columns else b[..., None]
     if B.shape[-2] == 0:
         return np.zeros(b.shape, dtype=complex)
-    try:
-        V = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular circuit system (topology/frequency degeneracy)") from exc
-    _check_residual(A @ V - B, B, axis=-2)
+    singular = "singular circuit system (topology/frequency degeneracy)"
+    if B.shape[-2] == 1:
+        if (A == 0).any():
+            raise SolverError(singular)
+        with np.errstate(all="ignore"):  # an inf or NaN fails the residual check
+            V = B / A
+            _check_residual(A * V - B, B, axis=-2)
+    else:
+        try:
+            V = np.linalg.solve(A, B)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(singular) from exc
+        _check_residual(A @ V - B, B, axis=-2)
     return V if columns else V[..., 0]
 
 
@@ -554,8 +601,7 @@ def frf(model: ModalModel, topology: ShuntTopology | None, force: HarmonicForce,
     count, a connected wiring without patches or a model without coupling
     data raises DomainError."""
     grid_hz = np.asarray(grid_hz, dtype=float)
-    disp, vel, volts = _Kernel(model, force, target, grid_hz, n_modes).run(grid_hz, topology)
-    return FrfResult(grid_hz.copy(), disp, vel, volts)
+    return _Kernel(model, force, target, grid_hz, n_modes).run(grid_hz, [topology])[0]
 
 
 def frf_separated(model: ModalModel, topology: ShuntTopology, force: HarmonicForce,

@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .response import (HarmonicForce, ImpedanceLaw, ShuntTopology, _check_coupled,
-                       _Kernel, _load_arrays)
+from .response import HarmonicForce, ImpedanceLaw, ShuntTopology, _check_coupled, _Kernel
 from .ritz import ModalModel, _check_integers
 
 # Peak refinement: parabolic steps on 1/|v|^2, close to a quadratic in f
@@ -189,7 +188,7 @@ class VelocityObjective:
     def velocity_abs(self, topology: ShuntTopology, freqs_hz: np.ndarray) -> np.ndarray:
         """|velocity| per newton at each frequency."""
         freqs_hz = np.asarray(freqs_hz, dtype=float)
-        return np.abs(self._kernel.run(freqs_hz, topology)[1])
+        return np.abs(self._kernel.run(freqs_hz, [topology])[0].velocity)
 
     def band_points(self, band: tuple[float, float]) -> np.ndarray:
         lo, hi = band
@@ -215,14 +214,10 @@ class VelocityObjective:
         """
         if not topologies:
             raise DomainError("peaks_in_band needs at least one topology")
-        first = topologies[0]
-        if any(t.mode != first.mode or len(t.loads) != len(first.loads) for t in topologies):
-            raise DomainError("candidate topologies must share one wiring")
-        nodes = self._kernel.nodes(first)
-        ohms, henries = _load_arrays(topologies, nodes.load_index)
+        nodes = self._kernel.stack(topologies)
         pts = self.band_points(band)
-        return self._refine(nodes, ohms, henries, pts,
-                            self._kernel.velocity(pts, nodes, ohms, henries))
+        return self._refine(nodes, nodes.ohms, nodes.henries, pts,
+                            self._kernel.velocity(pts, nodes, nodes.ohms, nodes.henries))
 
     def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
                          band: tuple[float, float]):

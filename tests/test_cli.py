@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from platedamp import FrfResult, SolverError, build_model, cli
 from platedamp.cli import _CSV_BLOCK_VALUES, _csv_format, _write_csv, _write_json, main
 from platedamp.config import parse_config_dict, to_dict
+from platedamp.response import ImpedanceLaw, ShuntTopology, _Kernel, frf
 
 FRF_HEADER = "freq_hz,disp_re,disp_im,vel_re,vel_im,|vel|,v1_re,v1_im,v2_re,v2_im,v3_re,v3_im"
 
@@ -270,6 +271,48 @@ class TestCompare:
         main(["compare", "--config", str(light_config_path),
               "--out", str(tmp_path / "o")])
         assert read(light_config_path) == before
+
+    def test_frf_files_are_those_of_frf(self, ref_config, ref_model, tmp_path):
+        """On the reference, each wiring's stacked OC and optimum FRFs are
+        written byte for byte as ``frf`` gives them one at a time."""
+        cli.cmd_compare(ref_config, str(tmp_path), 1)
+        report = json.loads((tmp_path / "report.json").read_text())
+        k = len(ref_model.patches)
+        for mode in ("separated", "connected"):
+            for tag, law in (("oc", ImpedanceLaw.open()),
+                             ("opt", ImpedanceLaw.resistor(report[mode]["r_opt_ohms"]))):
+                result = frf(ref_model, ShuntTopology.uniform(mode, k, law), ref_config.force,
+                             ref_config.target, ref_config.grid.frequencies())
+                cli.write_frf_csv(str(tmp_path / "single.csv"), result)
+                name = f"frf_{mode}_{tag}.csv"
+                assert read(tmp_path / name) == read(tmp_path / "single.csv"), name
+
+    def test_one_kernel_and_shared_blocks(self, ref_config, tmp_path, monkeypatch):
+        """compare on the reference builds one kernel, computes each FRF grid
+        block's structural blocks once for a wiring's two FRFs (2 wirings x
+        12 blocks) and sends no one-node system to LAPACK."""
+        kernels, blocks, sizes, running = [], [], [], []
+        init, run, structure = _Kernel.__init__, _Kernel.run, _Kernel.structure
+        solve = np.linalg.solve
+
+        def counting_run(self, *args):
+            running.append(1)
+            try:
+                return run(self, *args)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(_Kernel, "__init__",
+                            lambda self, *a: kernels.append(1) or init(self, *a))
+        monkeypatch.setattr(_Kernel, "run", counting_run)
+        monkeypatch.setattr(_Kernel, "structure",
+                            lambda self, *a: (running and blocks.append(1)) or structure(self, *a))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda A, B: sizes.append(A.shape[-1]) or solve(A, B))
+        cli.cmd_compare(ref_config, str(tmp_path), 1)
+        assert ref_config.grid.frequencies().size == 3000
+        assert (len(kernels), len(blocks)) == (1, 24)
+        assert sizes and 1 not in sizes
 
 
 def strict_json(path):

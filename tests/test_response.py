@@ -20,6 +20,12 @@ from oracles import (displacement_from_modal, monolithic_connected, monolithic_s
                      open_circuit_coupling, state_space_frf, static_ritz_displacement)
 
 
+def run_one(kernel, grid, topology):
+    """Displacement, velocity and voltages of ``kernel.run`` for one topology."""
+    res = kernel.run(grid, [topology])[0]
+    return res.displacement, res.velocity, res.voltages
+
+
 def rel_diff(a, b):
     scale = np.maximum(np.abs(a), np.abs(b))
     scale = np.where(scale == 0.0, 1.0, scale)
@@ -133,15 +139,18 @@ class TestCircuitAssembly:
         with pytest.raises(SolverError):
             solve_voltages(A, np.ones(2, dtype=complex))
 
-    def test_stacked_solve_matches_single_solves(self, ref_model, point_force):
-        loads = [ImpedanceLaw.resistor(r) for r in (1e3, 1e4, 1e5)]
-        systems = [assemble_circuit_system(2 * np.pi * f, ref_model, loads, point_force)
-                   for f in (20.0, 60.0, 140.0)]
-        A = np.stack([a for a, _ in systems])
-        b = np.stack([b for _, b in systems])
-        stacked = solve_voltages(A, b)
-        for j, (a, bj) in enumerate(systems):
-            assert np.array_equal(stacked[j], solve_voltages(a, bj))
+    def test_stacked_solve_matches_single_solves(self, ref_model, k1_model, point_force):
+        """Three nodes go to LAPACK, one node (k1_model) is a division."""
+        for model, rs in ((ref_model, (1e3, 1e4, 1e5)), (k1_model, (1e4,))):
+            loads = [ImpedanceLaw.resistor(r) for r in rs]
+            systems = [assemble_circuit_system(2 * np.pi * f, model, loads, point_force)
+                       for f in (20.0, 60.0, 140.0)]
+            A = np.stack([a for a, _ in systems])
+            b = np.stack([b for _, b in systems])
+            stacked = solve_voltages(A, b)
+            assert stacked.shape == (3, len(rs))
+            for j, (a, bj) in enumerate(systems):
+                assert np.array_equal(stacked[j], solve_voltages(a, bj))
 
     def test_several_right_hand_sides_match_single_solves(self, ref_model, point_force):
         loads = [ImpedanceLaw.resistor(r) for r in (1e3, 1e4, 1e5)]
@@ -159,6 +168,66 @@ class TestCircuitAssembly:
         B[1, 1] = np.nan
         with pytest.raises(SolverError):
             solve_voltages(np.eye(2, dtype=complex), B)
+
+
+def complex_draws(rng, shape):
+    """Complex numbers of random sign and phase, their magnitudes spread
+    over 1e-12 to 1e12."""
+    return (10.0 ** rng.uniform(-12, 12, shape)
+            * np.exp(1j * rng.uniform(-np.pi, np.pi, shape)))
+
+
+class TestOneNodeSolve:
+    """A one-node system (every connected wiring) is solved by division."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lapack(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 2000))
+        A = complex_draws(rng, (n, 1, 1))
+        b = complex_draws(rng, (n, 1))
+        B = complex_draws(rng, (n, 1, 3))
+        for rhs in (b, B):
+            got = solve_voltages(A, rhs)
+            want = np.linalg.solve(A, rhs if rhs.ndim == 3 else rhs[..., None])
+            want = want if rhs.ndim == 3 else want[..., 0]
+            assert got.shape == rhs.shape
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * np.abs(want))
+        assert np.array_equal(solve_voltages(A[0], b[0]), solve_voltages(A, b)[0])
+
+    def test_zero_entry_is_singular(self):
+        A = np.full((5, 1, 1), 2.0 + 1.0j)
+        A[3] = 0.0
+        with pytest.raises(SolverError, match="singular circuit system"):
+            solve_voltages(A, np.ones((5, 1), dtype=complex))
+        with pytest.raises(SolverError, match="singular circuit system"):
+            solve_voltages(np.zeros((1, 1), dtype=complex), np.ones(1, dtype=complex))
+
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_nan_raises(self, where):
+        A = np.full((4, 1, 1), 2.0 + 1.0j)
+        b = np.ones((4, 1), dtype=complex)
+        (A if where == "A" else b)[2] = np.nan
+        with pytest.raises(SolverError, match="residual"):
+            solve_voltages(A, b)
+
+    def test_no_lapack_call(self, ref_model, point_force, target_point, monkeypatch):
+        """A connected FRF solves its one-node systems without LAPACK;
+        three separated nodes still go to it."""
+        sizes = []
+        solve = np.linalg.solve
+
+        def spy(A, B):
+            sizes.append(A.shape[-1])
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        grid = np.linspace(1.0, 250.0, 300)
+        law = ImpedanceLaw.resistor(1e4)
+        frf(ref_model, ShuntTopology.connected(law), point_force, target_point, grid)
+        assert sizes == []
+        frf(ref_model, ShuntTopology.separated([law] * 3), point_force, target_point, grid)
+        assert sizes and set(sizes) == {3}
 
 
 @pytest.fixture(scope="module")
@@ -327,9 +396,10 @@ class TestScratchBuffers:
         k = len(reversed_model.patches)
         topology = (None if mode is None
                     else ShuntTopology.uniform(mode, k, ImpedanceLaw.resistor(5e3)))
-        whole = _Kernel(reversed_model, point_force, target_point, grid, None).run(grid, topology)
-        blocks = [_Kernel(reversed_model, point_force, target_point, grid, None)
-                  .run(grid[i:i + response.BLOCK_POINTS], topology)
+        whole = run_one(_Kernel(reversed_model, point_force, target_point, grid, None), grid,
+                        topology)
+        blocks = [run_one(_Kernel(reversed_model, point_force, target_point, grid, None),
+                          grid[i:i + response.BLOCK_POINTS], topology)
                   for i in range(0, grid.size, response.BLOCK_POINTS)]
         for got, parts in zip(whole, zip(*blocks)):
             assert np.array_equal(got, np.concatenate(parts))
@@ -351,12 +421,48 @@ class TestScratchBuffers:
             return (kernel.velocity(pts, nodes, ohms, henries),
                     kernel.velocity(np.array([[61.3], [74.9], [88.2]]), nodes, ohms, henries),
                     kernel.rank_one(pts, nodes, 0, ohms[:, 0], henries[:, 0], blocks, solution),
-                    *kernel.run(grid, topology))
+                    *run_one(kernel, grid, topology))
 
         got = sweeps()
         monkeypatch.setattr(_Kernel, "structure", allocating_structure)
         for x, y in zip(got, sweeps()):
             assert np.array_equal(x, y)
+
+
+class TestStackedRun:
+    """``_Kernel.run`` over a list of topologies of one wiring computes each
+    block's structural blocks once for the list and gives each topology
+    the bits of its own run."""
+
+    @pytest.mark.parametrize("mode", ["separated", "connected"])
+    def test_stack_equals_single_runs(self, reversed_model, point_force, target_point, mode,
+                                      monkeypatch):
+        grid = np.linspace(1.0, 250.0, 2 * response.BLOCK_POINTS + 37)
+        kernel = _Kernel(reversed_model, point_force, target_point, grid, None)
+        k = len(reversed_model.patches)
+        topologies = [ShuntTopology.uniform(mode, k, law) for law in
+                      (ImpedanceLaw.open(), ImpedanceLaw.resistor(7e3), ImpedanceLaw.short())]
+        calls = []
+        structure = _Kernel.structure
+        monkeypatch.setattr(_Kernel, "structure",
+                            lambda self, *a: calls.append(1) or structure(self, *a))
+        stacked = kernel.run(grid, topologies)
+        assert len(calls) == 3  # one per block for all three topologies
+        for topology, got in zip(topologies, stacked):
+            want = kernel.run(grid, [topology])[0]
+            for name in ("frequencies_hz", "displacement", "velocity", "voltages"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(got.displacement,
+                                  frf(reversed_model, topology, point_force, target_point,
+                                      grid).displacement)
+
+    def test_one_wiring_per_stack(self, reversed_model, point_force, target_point):
+        kernel = _Kernel(reversed_model, point_force, target_point, [250.0], None)
+        law = ImpedanceLaw.resistor(1e4)
+        for mixed in ([ShuntTopology.separated([law] * 3), ShuntTopology.connected(law)],
+                      [None, ShuntTopology.connected(law)]):
+            with pytest.raises(DomainError, match="share one wiring"):
+                kernel.run(np.array([10.0, 20.0]), mixed)
 
 
 class TestVoltageColumns:
@@ -555,8 +661,8 @@ class TestFrfContracts:
         grid = np.linspace(1.0, 250.0, 700)
         for model in (ref_model, bare_model_10):
             res = frf(model, None, point_force, target_point, grid, n_modes=n_modes)
-            disp, vel, volts = _Kernel(model, point_force, target_point, grid,
-                                       n_modes).run(grid, None)
+            disp, vel, volts = run_one(_Kernel(model, point_force, target_point, grid, n_modes),
+                                       grid, None)
             assert np.array_equal(res.frequencies_hz, grid)
             assert np.array_equal(res.displacement, disp)
             assert np.array_equal(res.velocity, vel)
@@ -587,6 +693,33 @@ class TestFrfContracts:
                 (lambda: ShuntTopology("connected", (law, law)), "exactly one load")):
             with pytest.raises(DomainError, match=match):
                 call()
+
+    @pytest.mark.parametrize("n_modes", [-1, 0, 2.5, True, False, "5"])
+    def test_n_modes_must_be_a_positive_integer(self, ref_model, point_force, target_point,
+                                                n_modes):
+        """-1 and 0 used to fail in a numpy reshape, 2.5 and True with a
+        TypeError."""
+        grid = np.linspace(5.0, 200.0, 10)
+        loads = [ImpedanceLaw.resistor(1e4)] * 3
+        calls = [lambda: frf(ref_model, ShuntTopology.separated(loads), point_force,
+                             target_point, grid, n_modes=n_modes),
+                 lambda: frf(ref_model, None, point_force, target_point, grid, n_modes=n_modes),
+                 lambda: assemble_circuit_system(2 * np.pi * 60.0, ref_model, loads,
+                                                 point_force, n_modes=n_modes)]
+        for call in calls:
+            with pytest.raises(DomainError, match="n_modes must be a positive integer"):
+                call()
+
+    def test_n_modes_takes_any_integer_type(self, ref_model, point_force, target_point):
+        grid = np.linspace(5.0, 200.0, 10)
+        want = frf(ref_model, None, point_force, target_point, grid, n_modes=30).displacement
+        for n in (np.int64(30), np.int32(30)):
+            got = frf(ref_model, None, point_force, target_point, grid, n_modes=n).displacement
+            assert np.array_equal(got, want)
+        full = frf(ref_model, None, point_force, target_point, grid,
+                   n_modes=ref_model.n_modes).displacement
+        assert np.array_equal(full, frf(ref_model, None, point_force, target_point, grid,
+                                        n_modes=10 ** 6).displacement)
 
     def test_all_outputs_finite(self, ref_model, point_force, target_point, grid_500):
         topo = ShuntTopology.connected(ImpedanceLaw.series_rl(500.0, 2.0))
