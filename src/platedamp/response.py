@@ -22,7 +22,8 @@ stack of candidate loads can share one structural block. A change of
 one node's load is a rank-one change of the system: ``rank_one`` takes
 it for the candidates of a coordinate sweep, and ``carry`` moves the
 solution of the current loads to an accepted load, so a descent cycle
-solves its band systems once. The kernel
+solves its band systems once; ``charpoly`` evaluates a uniform sweep's
+band points from the structural blocks alone. The kernel
 evaluates every stack of candidate loads a sweep asks for, cut into
 stacks of about CHUNK_ENTRIES complex entries; FRF grids are cut into
 consecutive blocks of BLOCK_POINTS. Both bound memory and run in order

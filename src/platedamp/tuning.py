@@ -11,12 +11,13 @@ grid.
 This module only searches. A sweep evaluates all of its candidates at
 the band's grid points in one call of the response module's kernel, and
 each parabolic step evaluates all of them again in one call; the
-kernel stacks the candidates. A coordinate sweep of the per-patch
-descent changes the load of one node only, so its band points take the
-kernel's rank-one update instead. The per-patch descent computes what
-does not depend on the loads once: the structural blocks at the band's
-grid points for all of its sweeps, and in each cycle the solution of
-its band systems, which it carries from sweep to sweep.
+kernel stacks the candidates. A uniform sweep of at least 4m candidates
+on m >= 1 nodes takes its band points from ``charpoly`` instead, and a
+coordinate sweep of the per-patch descent, which changes the load of one
+node only, from the kernel's rank-one update. The per-patch descent
+computes what does not depend on the loads once: the structural blocks
+at the band's grid points for all of its sweeps, and in each cycle the
+solution of its band systems, which it carries from sweep to sweep.
 
 The descent keeps a candidate only when it strictly beats the current
 objective, so it refines only the candidates that still can. A sweep
@@ -319,11 +320,16 @@ def sweep_resistance(model: ModalModel, force: HarmonicForce, target, grid_hz,
 def _uniform_sweep(objective: VelocityObjective, sweep: SweepSpec, topology_mode: str):
     """``sweep_resistance`` on ``objective``: its result and the objective band."""
     band = _resolve_band(objective, sweep)
-    k = len(objective.model.patches)
-    rs = sweep.resistances()
-    topologies = [ShuntTopology.uniform(topology_mode, k, ImpedanceLaw.resistor(float(r)))
-                  for r in rs]
-    peaks, freqs = objective.peaks_in_band(topologies, band)
+    kernel, rs, k = objective._kernel, sweep.resistances(), len(objective.model.patches)
+    # the wiring's nodes: the candidates' loads stand in for the open one
+    nodes = kernel.nodes(ShuntTopology.uniform(topology_mode, k, ImpedanceLaw.open()))
+    pts, loads = objective.band_points(band), (rs[:, None], np.zeros((rs.size, 1)))
+    if nodes.caps.size and rs.size >= 4 * nodes.caps.size:  # where the recursion pays
+        from . import charpoly  # imported, so compiled, only by the sweeps that use it
+        vals = charpoly.velocity(kernel, pts, nodes, *loads)
+    else:
+        vals = kernel.velocity(pts, nodes, *loads)
+    peaks, freqs = objective._refine(nodes, *loads, pts, vals)
     i_opt = int(np.argmin(peaks))
     return SweepResult(
         r_values=rs,

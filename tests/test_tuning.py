@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,10 @@ from platedamp import (BasisSpec, DomainError, FrfResult, HarmonicForce, Impedan
                        build_model, frf_connected, frf_separated, mode_windows,
                        optimize_per_patch, percent_reduction, sweep_resistance,
                        with_coupling)
-from platedamp import response
+from platedamp import charpoly, response
 from platedamp.config import parse_config_dict
 from platedamp.response import CHUNK_ENTRIES, _Kernel
-from platedamp.tuning import PARABOLIC_STEPS, SPACING, _parabolic_search
+from platedamp.tuning import PARABOLIC_STEPS, SPACING, _parabolic_search, _uniform_sweep
 
 from oracles import descent_loop, frf_loop_connected, frf_loop_separated, peak_in_band_loop
 from test_response import build_case, shunted_layouts
@@ -39,6 +41,15 @@ def array_model(ref_config):
                                    y2=(j + 0.5) * plate.width_b / 3 + h / 2)
                for j in range(3) for i in range(4)]
     return with_coupling(build_model(plate, patches, BasisSpec(6, 6, 10)))
+
+
+@pytest.fixture(scope="module")
+def unequal_model(ref_config):
+    """The reference with patches 100, 50 and 72.4 mm wide, so that the
+    three capacitances differ."""
+    a, b, c = ref_config.patches
+    patches = [dataclasses.replace(a, x2=a.x1 + 0.1), dataclasses.replace(b, x2=b.x1 + 0.05), c]
+    return with_coupling(build_model(ref_config.plate, patches, ref_config.basis))
 
 
 @pytest.fixture(scope="module")
@@ -366,17 +377,24 @@ class TestBatchedPeaks:
 
     def test_multi_chunk_sweep_matches_single_chunk(self, ref_model, point_force,
                                                    target_point, ref_config, monkeypatch):
+        """The polynomial band points of four stacks, the last short, and
+        of one stack agree bit for bit, for both wirings; a polynomial
+        stack holds m times the kernel's candidates."""
         grid = ref_config.grid.frequencies()
         objective = VelocityObjective(ref_model, point_force, target_point, grid)
-        size = chunk_size(objective, mode_windows(ref_model, 1, grid)[0], 3)
-        spec = SweepSpec(points=3 * size + 1)
-        chunked = sweep_resistance(ref_model, point_force, target_point, grid, spec,
-                                   "separated")
-        monkeypatch.setattr(response, "CHUNK_ENTRIES", CHUNK_ENTRIES * spec.points)
-        whole = sweep_resistance(ref_model, point_force, target_point, grid, spec,
-                                 "separated")
-        assert np.array_equal(chunked.objective_values, whole.objective_values)
-        assert np.array_equal(chunked.peak_freqs_hz, whole.peak_freqs_hz)
+        calls = char_poly_calls(monkeypatch)
+        points = objective.band_points(mode_windows(ref_model, 1, grid)[0]).size
+        for mode, m in (("separated", 3), ("connected", 1)):
+            entries = points * (m * m + objective.n_modes) // m
+            spec = SweepSpec(points=3 * (CHUNK_ENTRIES // entries) + 1)
+            assert len(response._stacks(spec.points, entries)) == 4
+            chunked = sweep_resistance(ref_model, point_force, target_point, grid, spec, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(response, "CHUNK_ENTRIES", CHUNK_ENTRIES * spec.points)
+                whole = sweep_resistance(ref_model, point_force, target_point, grid, spec, mode)
+            assert np.array_equal(chunked.objective_values, whole.objective_values)
+            assert np.array_equal(chunked.peak_freqs_hz, whole.peak_freqs_hz)
+        assert calls == [3, 3, 1, 1]
 
     def test_multi_chunk_array_descent_matches_single_chunk(self, array_model, point_force,
                                                             target_point, ref_config,
@@ -393,6 +411,173 @@ class TestBatchedPeaks:
         assert np.array_equal(chunked[0], whole[0])
         assert chunked[1] == whole[1]
         assert np.array_equal(chunked[2].objective_values, whole[2].objective_values)
+
+
+def char_poly_calls(monkeypatch):
+    """The node count of every ``charpoly.coefficients`` call from now on."""
+    calls, coefficients = [], charpoly.coefficients
+
+    def spy(A0, b):
+        calls.append(b.shape[-1])
+        return coefficients(A0, b)
+
+    monkeypatch.setattr(charpoly, "coefficients", spy)
+    return calls
+
+
+def uniform_case(model, mode, point_force, target_point, ref_config):
+    """Objective on the reference grid, its mode-1 band and the nodes of
+    wiring ``mode``."""
+    grid = ref_config.grid.frequencies()
+    objective = VelocityObjective(model, point_force, target_point, grid)
+    nodes = objective._kernel.nodes(ShuntTopology.uniform(mode, len(model.patches),
+                                                          ImpedanceLaw.open()))
+    return objective, mode_windows(model, 1, grid)[0], nodes
+
+
+def polynomial_peaks(objective, nodes, ohms, henries, band):
+    """Refined peaks of the candidates that put ``ohms[c]``, ``henries[c]``
+    on every node, their band points from ``charpoly.velocity``."""
+    pts, loads = objective.band_points(band), (ohms[:, None], henries[:, None])
+    return objective._refine(nodes, *loads, pts,
+                             charpoly.velocity(objective._kernel, pts, nodes, *loads))
+
+
+class TestUniformPolynomial:
+    """A uniform sweep of at least 4m candidates on m >= 1 nodes takes its
+    band points from the characteristic polynomial of each frequency's
+    system; a failed residual check sends that frequency to the kernel."""
+
+    @pytest.mark.parametrize("inductive", [False, True], ids=["R", "RL"])
+    @pytest.mark.parametrize("name, mode, m", [("k1_model", "separated", 1),
+                                               ("ref_model", "connected", 1),
+                                               ("ref_model", "separated", 3),
+                                               ("unequal_model", "separated", 3),
+                                               ("array_model", "separated", 12)])
+    def test_matches_explicit_topologies(self, request, point_force, target_point,
+                                         ref_config, name, mode, m, inductive):
+        """Peaks within 1e-12 of ``peaks_in_band`` over the explicit
+        topologies, and their frequencies within 1e-10: near a flat top the
+        parabolic vertex moves more than the values (4.7e-12 at 12 nodes
+        with RL loads). Unequal capacitances put j*omega*(C_i - C_1) on A0's
+        diagonal. One node gives the same bits, since s + A0 is the general
+        path's A0 + s."""
+        model = request.getfixturevalue(name)
+        objective, band, nodes = uniform_case(model, mode, point_force, target_point,
+                                              ref_config)
+        count = max(4 * m, 20)
+        ohms = np.geomspace(100.0, 1e6, count)
+        henries = np.full(count, 1.0 / (model.frequencies[0] ** 2 * model.capacitances[0])
+                          if inductive else 0.0)
+        peaks, freqs = polynomial_peaks(objective, nodes, ohms, henries, band)
+        laws = [ImpedanceLaw.series_rl(r, h) if inductive else ImpedanceLaw.resistor(r)
+                for r, h in zip(ohms, henries)]
+        want_peaks, want_freqs = objective.peaks_in_band(
+            [ShuntTopology.uniform(mode, len(model.patches), law) for law in laws], band)
+        assert np.max(np.abs(peaks - want_peaks) / want_peaks) <= 1e-12
+        assert np.max(np.abs(freqs - want_freqs) / want_freqs) <= 1e-10
+        if m == 1:
+            assert peaks.tobytes() == want_peaks.tobytes()
+            assert freqs.tobytes() == want_freqs.tobytes()
+
+    def test_nan_load_fails_closed(self, ref_model, point_force, target_point, ref_config):
+        for mode in ("separated", "connected"):
+            objective, band, nodes = uniform_case(ref_model, mode, point_force, target_point,
+                                                  ref_config)
+            ohms = np.geomspace(100.0, 1e6, 20)
+            ohms[7] = np.nan
+            with pytest.raises(SolverError):
+                polynomial_peaks(objective, nodes, ohms, np.zeros(20), band)
+
+    def test_reference_sweeps_solve_no_band_system(self, ref_model, ref_config, monkeypatch):
+        """compare's two sweeps on the reference solve only the systems of
+        their parabolic steps, one per candidate and step."""
+        sizes, solve = [], response.solve_voltages
+        monkeypatch.setattr(response, "solve_voltages",
+                            lambda A, b: sizes.append(A.shape[0]) or solve(A, b))
+        objective = VelocityObjective(ref_model, ref_config.force, ref_config.target,
+                                      ref_config.grid.frequencies())
+        spec = ref_config.sweep or SweepSpec()
+        calls = char_poly_calls(monkeypatch)
+        for mode in ("separated", "connected"):
+            _uniform_sweep(objective, spec, mode)
+        assert calls == [3, 1]
+        assert sizes and max(sizes) <= spec.points
+
+    def test_general_path_keeps_its_bits(self, array_model, bare_model_10, point_force,
+                                         target_point, ref_config, monkeypatch):
+        """A 16-point sweep of 12 nodes (fewer than 4m = 48 candidates) and
+        a sweep without patches keep the bits of the explicit topologies."""
+        calls = char_poly_calls(monkeypatch)
+        grid = ref_config.grid.frequencies()
+        for model, points in ((array_model, 16), (with_coupling(bare_model_10), 200)):
+            objective, band, _ = uniform_case(model, "separated", point_force, target_point,
+                                              ref_config)
+            spec = SweepSpec(points=points, objective_band=band)
+            got = sweep_resistance(model, point_force, target_point, grid, spec, "separated")
+            k = len(model.patches)
+            want = objective.peaks_in_band(
+                [ShuntTopology.uniform("separated", k, ImpedanceLaw.resistor(float(r)))
+                 for r in spec.resistances()], band)
+            assert got.objective_values.tobytes() == want[0].tobytes()
+            assert got.peak_freqs_hz.tobytes() == want[1].tobytes()
+        assert calls == []
+
+    def test_failed_check_falls_back_to_velocity(self, ref_model, point_force, target_point,
+                                                 ref_config, monkeypatch):
+        """Skewed coefficients at two frequencies fail their check there:
+        those columns are the kernel's ``velocity`` at those frequencies,
+        and every other column keeps its bits."""
+        objective, band, nodes = uniform_case(ref_model, "separated", point_force,
+                                              target_point, ref_config)
+        kernel, pts = objective._kernel, objective.band_points(band)
+        loads = np.geomspace(100.0, 1e6, 40)[:, None], np.zeros((40, 1))
+        clean = charpoly.velocity(kernel, pts, nodes, *loads)
+        bad, coefficients = [3, 17], charpoly.coefficients
+
+        def skewed(A0, b):
+            c, n = coefficients(A0, b)
+            c[-1] = c[-1].copy()
+            c[-1][bad] *= 1.0 + 1e-3
+            return c, n
+
+        monkeypatch.setattr(charpoly, "coefficients", skewed)
+        fallback, velocity = [], kernel.velocity
+        monkeypatch.setattr(kernel, "velocity",
+                            lambda f, *a: fallback.append(f.tolist()) or velocity(f, *a))
+        got = charpoly.velocity(kernel, pts, nodes, *loads)
+        assert fallback == [pts[bad].tolist()]
+        assert got[:, bad].tobytes() == velocity(pts[bad], nodes, *loads).tobytes()
+        keep = np.setdiff1d(np.arange(pts.size), bad)
+        assert got[:, keep].tobytes() == clean[:, keep].tobytes()
+
+    def test_non_finite_response_still_raises(self, ref_config, point_force, target_point,
+                                              monkeypatch):
+        """Without damping and a grid point on the first natural frequency,
+        the polynomial's check fails there and the kernel raises."""
+        plate = dataclasses.replace(ref_config.plate, modal_damping_xi=0.0)
+        model = with_coupling(build_model(plate, ref_config.patches, ref_config.basis))
+        grid = np.linspace(0.5 * model.frequencies_hz[0], model.frequencies_hz[0], 50)
+        calls = char_poly_calls(monkeypatch)
+        for mode in ("separated", "connected"):
+            with pytest.raises(SolverError):
+                sweep_resistance(model, point_force, target_point, grid, SweepSpec(points=12),
+                                 mode)
+        assert calls == [3, 1]
+
+    def test_imported_only_by_the_sweeps_that_use_it(self):
+        """A sweep below 4m candidates leaves ``charpoly`` unimported, so
+        a run that never takes the polynomial never compiles it."""
+        script = """import sys
+from platedamp import SweepSpec, build_model, reference_config, sweep_resistance, with_coupling
+c = reference_config()
+model = with_coupling(build_model(c.plate, c.patches, c.basis))
+for points, loaded in ((11, False), (12, True)):
+    sweep_resistance(model, c.force, c.target, c.grid.frequencies(), SweepSpec(points=points))
+    assert ("platedamp.charpoly" in sys.modules) == loaded, points
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 def recorded(function):
