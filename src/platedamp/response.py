@@ -19,11 +19,11 @@ terms) all come from one real matrix product: the real and imaginary
 parts of the modal inverse inv against a per-wiring table of coupling
 and mode-value products. The loads enter only on the diagonal, so a
 stack of candidate loads can share one structural block. A change of
-one node's load is a rank-one change of the system: ``rank_one`` takes
-it for the candidates of a coordinate sweep, and ``carry`` moves the
-solution of the current loads to an accepted load, so a descent cycle
-solves its band systems once; ``charpoly`` evaluates a uniform sweep's
-band points from the structural blocks alone. The kernel
+one node's load is a rank-one change of the system: ``rank_one`` gives
+each candidate of a coordinate sweep one scalar per frequency, and
+``carry`` moves the solution of the current loads to an accepted load,
+so a descent cycle solves its band systems once; ``charpoly`` evaluates
+a uniform sweep's band points from the structural blocks alone. The kernel
 evaluates every stack of candidate loads a sweep asks for, cut into
 stacks of about CHUNK_ENTRIES complex entries; FRF grids are cut into
 consecutive blocks of BLOCK_POINTS. Both bound memory and run in order
@@ -69,7 +69,7 @@ _PRODUCT_MADDS = 2**19
 
 # Complex entries of one stack of candidate load sets: max(1, CHUNK_ENTRIES
 # // (Q * (m*m + n))) candidates at Q frequencies each, m voltage nodes and
-# n retained modes, or CHUNK_ENTRIES // (F * m) in a rank-one stack.
+# n retained modes, or CHUNK_ENTRIES // F in a rank-one stack.
 CHUNK_ENTRIES = 2**17
 
 
@@ -461,43 +461,40 @@ class _Kernel:
 
         v0 and u solve the system A0 of ``nodes``' own loads for the two
         right-hand sides [b, e_k] (k = index): they are column 0 and k + 1
-        of ``solution``, and their residuals are checked against the
-        bound of ``solve_voltages``. A candidate
-        changes only the admittance of node k, by delta = 1/z - 1/z0, so
-        its system is A0 + delta e_k e_k^T and, by Sherman-Morrison, its
-        voltages are v0 - u * delta v0_k / (1 + delta u_k). Every
-        candidate's residual A0 v + delta v_k e_k - b is checked against
-        the same bound, so a NaN, a drifted ``solution`` or a degenerate
-        update raises SolverError.
+        of ``solution``, and their residuals R0 and Ru are checked against
+        the bound of ``solve_voltages``. A candidate changes only the
+        admittance of node k, by delta = 1/z - 1/z0, so by Sherman-Morrison
+        its voltages are v = v0 - coef u, coef = delta v0_k / (1 + delta u_k),
+        and its displacement d0 + g^T v is D0 - coef G. Its residual is
+        exactly R0 - coef Ru + t e_k, t = delta v_k - coef (0 but for
+        rounding), so |R0| + |coef| |Ru| + |t| <= 1e-10 |b| is checked: a
+        NaN, a drifted ``solution`` or a degenerate update raises SolverError.
         """
         omega = 2.0 * np.pi * freqs_hz
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the check
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the checks
             A, b = self.system(omega, nodes, blocks)
-            rhs = np.zeros(b.shape + (2,), dtype=complex)
-            rhs[..., 0] = b
-            rhs[..., index, 1] = 1.0
-            base = np.stack([solution[0], solution[1][..., index]], axis=-1)
-            _check_residual(A @ base - rhs, rhs, axis=-2)
-        v0, u = base[..., 0], base[..., 1]
+            base = np.stack([solution[0], solution[1][..., index]], axis=-1)  # [v0 | u]
+            resid = A @ base - np.stack(np.broadcast_arrays(b, np.eye(b.shape[-1])[index]), -1)
+            r0, ru = np.sqrt(_squared_norm(resid, -2)).T[:, :, None]  # |R0|, |Ru| (F, 1)
+            limit = 1e-10 * np.sqrt(_squared_norm(b, -1))[:, None]
+            gv0, G = np.sum(base * blocks[3][..., None], axis=-2).T[:, :, None]
+            if not (np.all(r0 <= limit) and np.all(ru <= 1e-10)):
+                raise SolverError("circuit solve residual exceeds tolerance")
+        D0, (v0k, uk) = blocks[2][:, None] + gv0, base[:, index].T[:, :, None]
         y0 = _admittance(nodes.ohms[index], nodes.henries[index], omega)[:, None]
-        A_t = A.transpose(0, 2, 1)
-        d0, g = blocks[2][:, None], blocks[3][:, None]
-        b = b[:, None]
 
-        def stack(s):  # a function, so that each stack's arrays are freed on return
+        parts = []
+        for s in _stacks(len(ohms), omega.size):
             with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises below
                 delta = _admittance(ohms[s], henries[s], omega[:, None]) - y0  # (F, C)
-                coef = delta * v0[:, index, None] / (1.0 + delta * u[:, index, None])
-                v = v0[:, None] - coef[..., None] * u[:, None]                 # (F, C, m)
-                resid = v @ A_t
-                resid[..., index] += delta * v[..., index]
-                _check_residual(resid - b, b)
-                disp = d0 + np.sum(v * g, axis=-1)
+                coef = delta * v0k / (1.0 + delta * uk)
+                bound = r0 + np.abs(coef) * ru + np.abs(delta * (v0k - coef * uk) - coef)
+                disp = D0 - coef * G
+            if not np.all(bound <= limit):
+                raise SolverError("circuit solve residual exceeds tolerance")
             if not np.isfinite(disp).all():
                 raise SolverError("non-finite response; an undamped mode may lie on the grid")
-            return np.abs(1j * omega * disp.T)
-
-        parts = [stack(s) for s in _stacks(len(ohms), omega.size * A.shape[-1])]
+            parts.append(np.abs(1j * omega * disp.T))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def run(self, freqs_hz: np.ndarray, topologies) -> list[FrfResult]:

@@ -281,9 +281,12 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
         M = kron_sum(xm, ym)
         K = kron_sum(xk, yk)
     del xm, ym, xk, yk
-    for A in (M, K):  # in place, the bits of 0.5 * (A + A.T)
-        A += A.T
-        A *= 0.5
+    for A in (M, K):  # in place, the bits of 0.5 * (A + A.T) (A += A.T copies all of A.T):
+        for s in range(0, n, 128):  # 128 rows left of the diagonal, then the diagonal block
+            for X, Y in ((A[s:s + 128, :s], A[:s, s:s + 128]), (A[s:s + 128, s:s + 128],) * 2):
+                X += Y.T
+                X *= 0.5
+                Y[...] = X.T
     return M, K
 
 

@@ -14,10 +14,10 @@ each parabolic step evaluates all of them again in one call; the
 kernel stacks the candidates. A uniform sweep of at least 4m candidates
 on m >= 1 nodes takes its band points from ``charpoly`` instead, and a
 coordinate sweep of the per-patch descent, which changes the load of one
-node only, from the kernel's rank-one update. The per-patch descent
-computes what does not depend on the loads once: the structural blocks
-at the band's grid points for all of its sweeps, and in each cycle the
-solution of its band systems, which it carries from sweep to sweep.
+node only, from the kernel's rank-one update, one scalar per candidate
+and frequency. The descent computes what does not depend on the loads
+once: the band's structural blocks for all its sweeps, and in each cycle
+the solution of its band systems, carried from sweep to sweep.
 
 The descent keeps a candidate only when it strictly beats the current
 objective, so it refines only the candidates that still can. A sweep

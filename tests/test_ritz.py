@@ -54,6 +54,14 @@ class TestAssembly:
         assert np.array_equal(M, M.T)
         assert np.array_equal(K, K.T)
 
+    @pytest.mark.parametrize("side", [18, 30])
+    def test_symmetric_across_row_blocks(self, aluminum_plate, pzt_patch, side):
+        """Exactly symmetric across the 128-row blocks in which the assembly
+        symmetrizes (324 and 900 DOF)."""
+        M, K = assemble_system(aluminum_plate, [pzt_patch], BasisSpec(side, side, 10))
+        assert np.array_equal(M, M.T)
+        assert np.array_equal(K, K.T)
+
     def test_rayleigh_quotient_upper_bounds_fundamental(self, aluminum_plate):
         M1, K1 = assemble_system(aluminum_plate, [], BasisSpec(1, 1, 10))
         single = np.sqrt(K1[0, 0] / M1[0, 0])

@@ -821,11 +821,11 @@ class TestCoordinatePeaks:
         whole = objective.coordinate_peaks(current, 3, self.LAWS, band)
         points = objective.band_points(band).size
         per_candidate = 12 * 12 + objective.n_modes  # at a parabolic step's one point
-        assert len(response._stacks(16, points * 12)) == 1
+        assert len(response._stacks(16, points)) == 1
         assert len(response._stacks(16, per_candidate)) == 1
-        monkeypatch.setattr(response, "CHUNK_ENTRIES", 5 * per_candidate)
-        assert len(response._stacks(16, points * 12)) > 2     # rank-one band chunks
-        assert len(response._stacks(16, per_candidate)) == 4  # one-point step stacks of 5
+        monkeypatch.setattr(response, "CHUNK_ENTRIES", 5 * points)
+        assert len(response._stacks(16, points)) == 4          # rank-one band stacks of 5
+        assert len(response._stacks(16, per_candidate)) > 2    # one-point step stacks
         stacked = objective.coordinate_peaks(current, 3, self.LAWS, band)
         assert np.max(np.abs(stacked[0] - whole[0]) / whole[0]) <= 1e-12
         assert np.max(np.abs(stacked[1] - whole[1]) / whole[1]) <= 1e-12
@@ -958,6 +958,44 @@ class TestCarriedDescent:
         nodes, solution = kernel.carry(omega, nodes, k, solution, ohms, henries)
         with pytest.raises(SolverError):
             kernel.rank_one(pts, nodes, 7, np.array([1e3, 1e4]), np.zeros(2), blocks, solution)
+
+    @pytest.mark.parametrize("patch", [0, 7])
+    def test_grid_values_match_explicit_loads(self, array_objective, patch):
+        """rank_one's values at the band points, which refinement hides,
+        are those of ``velocity`` on the candidates' explicit load rows,
+        for resistor and series-RL candidates."""
+        kernel, nodes, pts, omega, blocks = self.band(array_objective)
+        k = int(nodes.patch_node[patch])
+        ohms = np.concatenate([np.geomspace(100.0, 1e6, 8), np.geomspace(10.0, 1e4, 8)])
+        henries = np.concatenate([np.zeros(8), np.geomspace(0.5, 100.0, 8)])
+        got = kernel.rank_one(pts, nodes, k, ohms, henries, blocks,
+                              kernel.solution(omega, nodes, blocks))
+        rows = np.repeat(nodes.ohms[None], 16, axis=0), np.repeat(nodes.henries[None], 16, axis=0)
+        rows[0][:, k], rows[1][:, k] = ohms, henries
+        want = kernel.velocity(pts, nodes, *rows)
+        assert got.shape == want.shape == (16, pts.size)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-13, 1e-5, np.nan])
+    def test_degenerate_candidate_raises(self, array_objective, gap):
+        """A raw candidate load that sets 1 + delta u_k to ``gap`` at one
+        band point, beside a healthy one: a singular or nearly singular
+        update raises SolverError, 1e-5 gives finite values, and a NaN
+        load (``gap`` NaN) raises."""
+        kernel, nodes, pts, omega, blocks = self.band(array_objective)
+        solution = kernel.solution(omega, nodes, blocks)
+        k, p = 4, pts.size // 2
+        if np.isnan(gap):
+            ohms, henries = np.nan, 0.0
+        else:
+            z = 1.0 / (1.0 / nodes.ohms[k] + (gap - 1.0) / solution[1][p, k, k])
+            ohms, henries = z.real, z.imag / omega[p]
+        loads = np.array([1e3, ohms]), np.array([0.0, henries])
+        if gap == 1e-5:
+            assert np.isfinite(kernel.rank_one(pts, nodes, k, *loads, blocks, solution)).all()
+        else:
+            with pytest.raises(SolverError):
+                kernel.rank_one(pts, nodes, k, *loads, blocks, solution)
 
     def test_pair_check_covers_a_column_no_candidate_uses(self, array_objective):
         """A drifted column u of the carried inverse fails the pair check
