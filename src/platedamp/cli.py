@@ -398,7 +398,8 @@ def main(argv=None) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        COMMANDS[args.command](config, args.out, 1)
+        with np.errstate(under="ignore"):  # as numpy's default: a tiny load's voltages underflow
+            COMMANDS[args.command](config, args.out, 1)
     except (ConfigError, DomainError) as exc:
         print(f"platedamp: config error: {exc}", file=sys.stderr)
         return 2

@@ -43,7 +43,6 @@ rather than separate code paths; their adequacy is covered by tests.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .plate import patch_order, validate_point
-from .ritz import ModalModel
+from .ritz import ModalModel, _is_integer
 
 OPEN_OHMS = 1e9
 SHORT_OHMS = 1e-3
@@ -96,9 +95,10 @@ def _impedance(ohms, henries, omega):
 
 
 def _admittance(ohms, henries, omega):
-    """Branch admittance 1/z; a zero impedance raises SolverError."""
+    """Branch admittance 1/z. An impedance of magnitude below the smallest
+    normal double, as zero has, has no finite 1/z and raises SolverError."""
     z = _impedance(ohms, henries, omega)
-    if np.any(z == 0):
+    if np.any(np.abs(z) < np.finfo(float).tiny):
         raise SolverError("zero branch impedance; use the short surrogate instead")
     return 1.0 / z
 
@@ -224,20 +224,6 @@ def _check_coupled(model: ModalModel):
         raise DomainError("model has no coupling data; run electromech.with_coupling first")
 
 
-def _wiring(topology: ShuntTopology | None):
-    """What a stack of topologies must share: the mode and the load count."""
-    return None if topology is None else (topology.mode, len(topology.loads))
-
-
-def _load_arrays(topologies, load_index):
-    """R and L of the m node loads of C topologies of one wiring, each
-    (C, m): node j takes each topology's load ``load_index[j]``."""
-    ohms = np.array([[t.loads[i].ohms for i in load_index] for t in topologies], dtype=float)
-    henries = np.array([[t.loads[i].henries for i in load_index] for t in topologies],
-                       dtype=float)
-    return ohms, henries
-
-
 class _Nodes(NamedTuple):
     """Voltage nodes of one wiring, in canonical order: ``patch_node``
     (K,) is the node of each listed patch and ``load_index`` (m,) the
@@ -246,37 +232,34 @@ class _Nodes(NamedTuple):
     coupling columns, ``table`` (n, m*m + 2m + 1) holds per retained mode
     r the products [theta_ri theta_rj | phi0_r theta_ri | phit_r theta_ri
     | phi0_r phit_r], phi0 and phit being the mode values at the force
-    and target points. ``ohms`` and ``henries`` (..., m) are the node
-    loads; a leading axis stacks candidate load sets that share the
-    wiring."""
+    and target points. The kernel's methods take the node loads apart, as
+    arrays ``ohms`` and ``henries`` (..., m) that may stack load sets."""
 
     patch_node: np.ndarray
     load_index: np.ndarray
     caps: np.ndarray
     table: np.ndarray
-    ohms: np.ndarray
-    henries: np.ndarray
 
 
 class _Kernel:
     """The block kernel: retained modes of one model, driven at the force
     point and read at the target, solved against any wiring's nodes. A
-    force or target point off the plate or on a clamped edge, an empty grid,
-    a non-finite grid frequency or an ``n_modes`` that is not a positive
-    integer raises DomainError."""
+    force or target point off the plate or on a clamped edge, a grid that
+    is not one-dimensional, an empty grid, a non-finite grid frequency or
+    an ``n_modes`` that is not a positive integer raises DomainError."""
 
     def __init__(self, model: ModalModel, force: HarmonicForce, target, grid_hz,
                  n_modes: int | None):
         validate_point(model.plate, force.x, force.y, "force location")
         validate_point(model.plate, target[0], target[1], "target point")
         if grid_hz is not None:
+            if np.ndim(grid_hz) != 1:
+                raise DomainError("frequency grid must be one-dimensional")
             if np.size(grid_hz) == 0:
                 raise DomainError("frequency grid is empty")
             if not np.isfinite(grid_hz).all():
                 raise DomainError("frequency grid holds a non-finite frequency")
-        if n_modes is not None and (isinstance(n_modes, bool)
-                                    or not isinstance(n_modes, numbers.Integral)
-                                    or n_modes < 1):
+        if n_modes is not None and not (_is_integer(n_modes) and n_modes >= 1):
             raise DomainError("n_modes must be a positive integer")
         n = retained_mode_count(model, grid_hz) if n_modes is None else min(n_modes, model.n_modes)
         self.model = model
@@ -295,46 +278,52 @@ class _Kernel:
         return (np.empty((2 * rows, n)), np.empty((rows, n)), np.empty((rows, n)),
                 np.empty((2 * rows, cols)))
 
-    def nodes(self, topology: ShuntTopology | None) -> _Nodes:
-        """One node per patch (separated), one node for all patches
-        (connected), or none (``None``: the purely mechanical response).
-        Separated nodes, and the terms of connected sums, follow the
-        patches in ``plate.patch_order``."""
+    def nodes(self, mode: str | None) -> _Nodes:
+        """One node per patch (``"separated"``), one node for all patches
+        (``"connected"``), or none (``None``: the purely mechanical
+        response). Separated nodes, and the terms of connected sums, follow
+        the patches in ``plate.patch_order``. Any other mode raises
+        DomainError."""
+        if mode not in (None, "separated", "connected"):
+            raise DomainError(f"unknown topology mode '{mode}'")
         k = len(self.model.patches)
         order = patch_order(self.model.patches)
         patch_node = np.zeros(k, dtype=int)
-        if topology is None:
+        if mode is None:
             theta, caps, load_index = np.zeros((self.n, 0)), np.zeros(0), np.zeros(0, dtype=int)
-            ohms = henries = np.zeros(0)
         else:
             _check_coupled(self.model)
             theta, caps = self.model.coupling[:self.n, order], self.model.capacitances[order]
-            if topology.mode == "connected":
+            if mode == "connected":
                 if not k:
                     raise DomainError("connected topology requires at least one patch")
                 theta, caps = theta.sum(axis=1, keepdims=True), caps.sum(keepdims=True)
                 load_index = np.zeros(1, dtype=int)
-            elif len(topology.loads) == k:
+            else:
                 load_index = np.array(order, dtype=int)
                 patch_node[load_index] = np.arange(k)
-            else:
-                raise DomainError(f"expected {k} loads, got {len(topology.loads)}")
-            ohms, henries = (a[0] for a in _load_arrays([topology], load_index))
         table = np.hstack([(theta[:, :, None] * theta[:, None, :]).reshape(self.n, -1),
                            self.phi0[:, None] * theta, self.phit[:, None] * theta,
                            (self.phi0 * self.phit)[:, None]])
-        return _Nodes(patch_node, load_index, caps, table, ohms, henries)
+        return _Nodes(patch_node, load_index, caps, table)
 
-    def stack(self, topologies) -> _Nodes:
-        """``nodes`` of the one wiring of ``topologies`` with their loads
-        stacked: ``ohms`` and ``henries`` (C, m), row c those of topology c.
-        Topologies of more than one wiring raise DomainError."""
-        first = topologies[0]
-        if any(_wiring(t) != _wiring(first) for t in topologies):
+    def stack(self, topologies):
+        """The ``nodes`` of the one wiring of a list of topologies (``None``
+        for the mechanical response) and their node loads ``ohms`` and
+        ``henries`` (C, m), node j taking load ``load_index[j]``. More than
+        one wiring, or a load count other than the node count, raises
+        DomainError."""
+        wirings = {None if t is None else (t.mode, len(t.loads)) for t in topologies}
+        if len(wirings) != 1:
             raise DomainError("candidate topologies must share one wiring")
-        nodes = self.nodes(first)
-        ohms, henries = _load_arrays(topologies, nodes.load_index)
-        return nodes._replace(ohms=ohms, henries=henries)
+        mode, count = wirings.pop() or (None, 0)
+        nodes = self.nodes(mode)
+        if count != nodes.load_index.size:
+            raise DomainError(f"expected {nodes.load_index.size} loads, got {count}")
+        ohms, henries = (np.array([[getattr(t.loads[i], name) for i in nodes.load_index]
+                                   for t in topologies], dtype=float)
+                         for name in ("ohms", "henries"))
+        return nodes, ohms, henries
 
     def structure(self, omega: np.ndarray, nodes: _Nodes, scratch=None):
         """The load-independent blocks at frequencies ``omega`` of any shape.
@@ -377,25 +366,27 @@ class _Kernel:
         return (S.reshape(shape + (m, m)), b.reshape(shape + (m,)), d0.reshape(shape),
                 g.reshape(shape + (m,)))
 
-    def system(self, omega: np.ndarray, nodes: _Nodes, blocks):
+    def system(self, omega: np.ndarray, nodes: _Nodes, ohms, henries, blocks):
         """Voltage-space systems A (..., m, m) and b (..., m) per newton:
         the structural block of ``blocks = structure(omega, nodes)`` plus
-        each node's branch admittance 1/z + j*omega*C on the diagonal.
-        Stacked loads broadcast against shared frequencies."""
+        each node's branch admittance 1/z + j*omega*C on the diagonal, z
+        that of the node loads ``ohms`` and ``henries`` (..., m). Stacked
+        loads broadcast against shared frequencies."""
         S, b = blocks[:2]
         w = omega[..., None]
-        y = _admittance(nodes.ohms, nodes.henries, w) + 1j * w * nodes.caps
+        y = _admittance(ohms, henries, w) + 1j * w * nodes.caps
         A = np.broadcast_to(S, y.shape + y.shape[-1:]).copy()
         diag = np.arange(y.shape[-1])
         A[..., diag, diag] += y
         return A, np.broadcast_to(b, y.shape)
 
-    def respond(self, omega: np.ndarray, nodes: _Nodes, blocks):
+    def respond(self, omega: np.ndarray, nodes: _Nodes, ohms, henries, blocks):
         """Target displacement (...) and node voltages (..., m) per newton
-        for ``blocks = structure(omega, nodes)``; every system of the
-        stack goes to one ``solve_voltages`` call."""
+        of the node loads ``ohms`` and ``henries`` for ``blocks =
+        structure(omega, nodes)``; every system of the stack goes to one
+        ``solve_voltages`` call."""
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises below
-            A, b = self.system(omega, nodes, blocks)
+            A, b = self.system(omega, nodes, ohms, henries, blocks)
             m = b.shape[-1]
             v = solve_voltages(A.reshape(-1, m, m), b.reshape(-1, m)).reshape(b.shape) if m else b
             disp = blocks[2] + np.sum(v * blocks[3], axis=-1)
@@ -413,53 +404,52 @@ class _Kernel:
         blocks = self.structure(omega, nodes) if shared else None
         parts = []
         for s in _stacks(len(ohms), omega.shape[-1] * (nodes.caps.size**2 + self.n)):
-            stack = nodes._replace(ohms=ohms[s, None], henries=henries[s, None])
             w = omega if shared else omega[s]
-            disp = self.respond(w, stack, blocks if shared else self.structure(w, stack))[0]
+            disp = self.respond(w, nodes, ohms[s, None], henries[s, None],
+                                blocks if shared else self.structure(w, nodes))[0]
             parts.append(np.abs(1j * w * disp))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def solution(self, omega: np.ndarray, nodes: _Nodes, blocks):
+    def solution(self, omega: np.ndarray, nodes: _Nodes, ohms, henries, blocks):
         """Voltages v0 (F, m) per newton and the inverse (F, m, m) of the
-        systems A0 of ``nodes``' own loads at frequencies ``omega`` (F,),
-        for ``blocks = structure(omega, nodes)``: one ``solve_voltages``
-        for the right-hand sides [b | I]."""
+        systems A0 of the node loads ``ohms`` and ``henries`` (m,) at
+        frequencies ``omega`` (F,), for ``blocks = structure(omega,
+        nodes)``: one ``solve_voltages`` for the right-hand sides [b | I]."""
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the solve
-            A, b = self.system(omega, nodes, blocks)
+            A, b = self.system(omega, nodes, ohms, henries, blocks)
             x = solve_voltages(A, np.concatenate([b[..., None], np.broadcast_to(
                 np.eye(b.shape[-1]), A.shape)], axis=-1))
         return x[..., 0], x[..., 1:]
 
-    def carry(self, omega: np.ndarray, nodes: _Nodes, index: int, solution, ohms: float,
-              henries: float):
-        """``nodes`` with node ``index`` taking the load ``ohms`` and
-        ``henries``, and their ``solution`` (v0, inverse) at ``omega``
-        carried along by the Sherman-Morrison step of ``rank_one``: with
-        delta the change of the node's admittance and u and r column and
-        row ``index`` of the inverse, v0 - u * delta v0_k / (1 + delta u_k)
-        and inverse - u r * delta / (1 + delta u_k). Nothing is checked
-        here; a degenerate or non-finite step fails the next ``rank_one``."""
+    def carry(self, omega: np.ndarray, loads, index: int, ohms: float, henries: float,
+              solution):
+        """The ``solution`` (v0, inverse) at ``omega`` of the node ``loads``,
+        a pair (ohms, henries) of arrays (m,), carried to node ``index``
+        taking the load ``ohms`` and ``henries`` by the Sherman-Morrison
+        step of ``rank_one``: with delta the change of the node's admittance
+        and u and r column and row ``index`` of the inverse, v0 - u * delta
+        v0_k / (1 + delta u_k) and inverse - u r * delta / (1 + delta u_k).
+        Nothing is checked here; a degenerate or non-finite step fails the
+        next ``rank_one``."""
         v0, inverse = solution
         u, r = inverse[..., index], inverse[..., index, :]
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in rank_one
             delta = (_admittance(ohms, henries, omega)
-                     - _admittance(nodes.ohms[index], nodes.henries[index], omega))
+                     - _admittance(loads[0][index], loads[1][index], omega))
             denominator = 1.0 + delta * u[:, index]
             v0 = v0 - (delta * v0[:, index] / denominator)[:, None] * u
             inverse = inverse - ((delta / denominator)[:, None] * u)[:, :, None] * r[:, None, :]
-        loads = nodes.ohms.copy(), nodes.henries.copy()
-        loads[0][index], loads[1][index] = ohms, henries
-        return nodes._replace(ohms=loads[0], henries=loads[1]), (v0, inverse)
+        return v0, inverse
 
-    def rank_one(self, freqs_hz: np.ndarray, nodes: _Nodes, index: int, ohms: np.ndarray,
-                 henries: np.ndarray, blocks, solution) -> np.ndarray:
+    def rank_one(self, freqs_hz: np.ndarray, nodes: _Nodes, loads, index: int,
+                 ohms: np.ndarray, henries: np.ndarray, blocks, solution) -> np.ndarray:
         """|velocity| per newton (C, F) at the frequencies (F,) for C
         candidate loads ``ohms`` and ``henries`` (C,) at node ``index``,
-        every other node keeping its load in ``nodes``, for ``blocks =
-        structure(2 pi freqs_hz, nodes)`` and the ``solution`` of
-        ``nodes``' own systems there.
+        every other node keeping its load in ``loads``, the pair (ohms,
+        henries) of arrays (m,), for ``blocks = structure(2 pi freqs_hz,
+        nodes)`` and the ``solution`` of the systems of ``loads`` there.
 
-        v0 and u solve the system A0 of ``nodes``' own loads for the two
+        v0 and u solve the system A0 of ``loads`` for the two
         right-hand sides [b, e_k] (k = index): they are column 0 and k + 1
         of ``solution``, and their residuals R0 and Ru are checked against
         the bound of ``solve_voltages``. A candidate changes only the
@@ -472,7 +462,7 @@ class _Kernel:
         """
         omega = 2.0 * np.pi * freqs_hz
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the checks
-            A, b = self.system(omega, nodes, blocks)
+            A, b = self.system(omega, nodes, *loads, blocks)
             base = np.stack([solution[0], solution[1][..., index]], axis=-1)  # [v0 | u]
             resid = A @ base - np.stack(np.broadcast_arrays(b, np.eye(b.shape[-1])[index]), -1)
             r0, ru = np.sqrt(_squared_norm(resid, -2)).T[:, :, None]  # |R0|, |Ru| (F, 1)
@@ -481,7 +471,7 @@ class _Kernel:
             if not (np.all(r0 <= limit) and np.all(ru <= 1e-10)):
                 raise SolverError("circuit solve residual exceeds tolerance")
         D0, (v0k, uk) = blocks[2][:, None] + gv0, base[:, index].T[:, :, None]
-        y0 = _admittance(nodes.ohms[index], nodes.henries[index], omega)[:, None]
+        y0 = _admittance(loads[0][index], loads[1][index], omega)[:, None]
 
         parts = []
         for s in _stacks(len(ohms), omega.size):
@@ -506,14 +496,14 @@ class _Kernel:
         ``velocity``; each topology's FRF has the bits of its own run. Each
         block's node voltages go straight to the patch columns, so the
         results are the only grid-sized arrays."""
-        nodes = self.stack(topologies)
-        stack = nodes._replace(ohms=nodes.ohms[:, None], henries=nodes.henries[:, None])
+        nodes, ohms, henries = self.stack(topologies)
         omega = 2.0 * np.pi * freqs_hz
         scratch = self.scratch(min(omega.size, BLOCK_POINTS), nodes.table.shape[1])
         parts = []
         for i in range(0, omega.size, BLOCK_POINTS):
             w = omega[i:i + BLOCK_POINTS]
-            d, v = self.respond(w, stack, self.structure(w, nodes, scratch))
+            d, v = self.respond(w, nodes, ohms[:, None], henries[:, None],
+                                self.structure(w, nodes, scratch))
             parts.append((d, v.take(nodes.patch_node, axis=2) if v.shape[2]
                           else np.zeros(d.shape + nodes.patch_node.shape, dtype=complex)))
         del scratch  # before the grid-sized outputs, which a stack makes several of
@@ -537,8 +527,8 @@ def assemble_circuit_system(omega: float, model: ModalModel, loads, force: Harmo
     kernel = _Kernel(model, force, (force.x, force.y), None,  # target unused here
                      model.n_modes if n_modes is None else n_modes)
     omega = np.array([omega], dtype=float)
-    nodes = kernel.nodes(ShuntTopology.separated(loads))
-    A, b = kernel.system(omega, nodes, kernel.structure(omega, nodes))
+    nodes, ohms, henries = kernel.stack([ShuntTopology.separated(loads)])
+    A, b = kernel.system(omega, nodes, ohms[0], henries[0], kernel.structure(omega, nodes))
     p = nodes.patch_node
     return A[0][np.ix_(p, p)], force.amplitude * b[0][p]
 
@@ -564,23 +554,25 @@ def solve_voltages(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise SolverError(singular)
         with np.errstate(all="ignore"):  # an inf or NaN fails the residual check
             V = B / A
-            _check_residual(A * V - B, B, axis=-2)
+            small = _small_residual(A * V - B, B, axis=-2)
     else:
         try:
             V = np.linalg.solve(A, B)
         except np.linalg.LinAlgError as exc:
             raise SolverError(singular) from exc
-        _check_residual(A @ V - B, B, axis=-2)
+        small = _small_residual(A @ V - B, B, axis=-2)
+    if not small.all():
+        raise SolverError("circuit solve residual exceeds tolerance")
     return V if columns else V[..., 0]
 
 
-def _check_residual(resid: np.ndarray, b: np.ndarray, axis: int = -1):
-    """Raise SolverError unless |resid| <= 1e-10 * |b| along ``axis``
-    everywhere; a NaN fails. Compared as squared norms, which need no
+def _small_residual(resid: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Whether |resid| <= 1e-10 * |b| along ``axis``, the bound of every
+    circuit solve; a NaN fails. Compared as squared norms, which need no
     complex temporary: ``np.linalg.norm`` of a complex array makes two
-    of its size, enough to raise the descent job's peak memory."""
-    if not np.all(_squared_norm(resid, axis) <= 1e-20 * _squared_norm(b, axis)):
-        raise SolverError("circuit solve residual exceeds tolerance")
+    of its size, enough to raise the descent job's peak memory. The
+    literal 1e-20 is the bound squared; 1e-10**2 rounds above it."""
+    return _squared_norm(resid, axis) <= 1e-20 * _squared_norm(b, axis)
 
 
 def _squared_norm(x: np.ndarray, axis: int) -> np.ndarray:

@@ -46,11 +46,15 @@ from .plate import (PatchSpec, PlateSpec, bare_rigidity, patch_order, rigidities
                     validate_layout)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_integers(spec, section: str, *names: str) -> None:
     """Refuse each named count field of ``spec`` that is not an integer."""
     for name in names:
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_integer(getattr(spec, name)):
             raise DomainError(f"{section}.{name} must be an integer")
 
 

@@ -35,14 +35,13 @@ outputs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .response import HarmonicForce, ImpedanceLaw, ShuntTopology, _check_coupled, _Kernel
-from .ritz import ModalModel, _check_integers
+from .response import HarmonicForce, ShuntTopology, _check_coupled, _Kernel
+from .ritz import ModalModel, _check_integers, _is_integer
 
 # Peak refinement: parabolic steps on 1/|v|^2, close to a quadratic in f
 # near a resonance (Brent, Algorithms for Minimization without Derivatives,
@@ -215,10 +214,10 @@ class VelocityObjective:
         """
         if not topologies:
             raise DomainError("peaks_in_band needs at least one topology")
-        nodes = self._kernel.stack(topologies)
+        nodes, ohms, henries = self._kernel.stack(topologies)
         pts = self.band_points(band)
-        return self._refine(nodes, nodes.ohms, nodes.henries, pts,
-                            self._kernel.velocity(pts, nodes, nodes.ohms, nodes.henries))
+        return self._refine(nodes, ohms, henries, pts,
+                            self._kernel.velocity(pts, nodes, ohms, henries))
 
     def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
                          band: tuple[float, float]):
@@ -234,31 +233,32 @@ class VelocityObjective:
         update of it, with its residual checked; the refinement is that
         of ``peaks_in_band``. Returns two arrays with one entry per law.
         """
-        nodes = self._kernel.nodes(topology)
+        if not laws:
+            raise DomainError("coordinate_peaks needs at least one load")
+        nodes, ohms, henries = self._kernel.stack([topology])
+        loads = ohms[0], henries[0]
         pts = self.band_points(band)
         omega = 2.0 * np.pi * pts
         blocks = self._kernel.structure(omega, nodes)
-        return self._sweep(nodes, pts, blocks, self._kernel.solution(omega, nodes, blocks),
-                           index, laws)
+        return self._sweep(nodes, loads, pts, blocks,
+                           self._kernel.solution(omega, nodes, *loads, blocks), index,
+                           *np.array([[law.ohms, law.henries] for law in laws]).T)
 
-    def _sweep(self, nodes, pts, blocks, solution, index: int, laws, stop=math.inf):
-        """``coordinate_peaks`` from ``nodes``, the band's points ``pts``,
-        the structural ``blocks`` there and the ``solution`` of ``nodes``'
-        own band systems (``_Kernel.solution``); a candidate whose value
-        reaches ``stop`` returns a lower bound (``_parabolic_search``)."""
-        if not laws:
-            raise DomainError("coordinate_peaks needs at least one load")
+    def _sweep(self, nodes, loads, pts, blocks, solution, index: int, ohms, henries,
+               stop=math.inf):
+        """``coordinate_peaks`` of the candidate loads ``ohms`` and
+        ``henries`` (C,) from ``nodes``' current ``loads`` (``rank_one``),
+        the band's points ``pts``, the structural ``blocks`` there and the
+        ``solution`` of the band systems of ``loads``; a candidate whose
+        value reaches ``stop`` returns a lower bound (``_parabolic_search``)."""
         m = nodes.caps.size
         if not 0 <= index < m:
             raise DomainError(f"load index {index} outside 0..{m - 1}")
         node = int(np.flatnonzero(nodes.load_index == index)[0])
-        ohms = np.repeat(nodes.ohms[None], len(laws), axis=0)
-        henries = np.repeat(nodes.henries[None], len(laws), axis=0)
-        ohms[:, node] = [law.ohms for law in laws]
-        henries[:, node] = [law.henries for law in laws]
-        vals = self._kernel.rank_one(pts, nodes, node, ohms[:, node], henries[:, node],
-                                     blocks, solution)
-        return self._refine(nodes, ohms, henries, pts, vals, stop)
+        vals = self._kernel.rank_one(pts, nodes, loads, node, ohms, henries, blocks, solution)
+        rows = [np.repeat(x[None], ohms.size, axis=0) for x in loads]
+        rows[0][:, node], rows[1][:, node] = ohms, henries
+        return self._refine(nodes, *rows, pts, vals, stop)
 
     def _refine(self, nodes, ohms, henries, pts: np.ndarray, vals: np.ndarray,
                 stop=math.inf):
@@ -320,9 +320,8 @@ def sweep_resistance(model: ModalModel, force: HarmonicForce, target, grid_hz,
 def _uniform_sweep(objective: VelocityObjective, sweep: SweepSpec, topology_mode: str):
     """``sweep_resistance`` on ``objective``: its result and the objective band."""
     band = _resolve_band(objective, sweep)
-    kernel, rs, k = objective._kernel, sweep.resistances(), len(objective.model.patches)
-    # the wiring's nodes: the candidates' loads stand in for the open one
-    nodes = kernel.nodes(ShuntTopology.uniform(topology_mode, k, ImpedanceLaw.open()))
+    kernel, rs = objective._kernel, sweep.resistances()
+    nodes = kernel.nodes(topology_mode)
     pts, loads = objective.band_points(band), (rs[:, None], np.zeros((rs.size, 1)))
     if nodes.caps.size and rs.size >= 4 * nodes.caps.size:  # where the recursion pays
         from . import charpoly  # imported, so compiled, only by the sweeps that use it
@@ -365,8 +364,7 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     is accepted and ignored, because the benchmark's descent job still
     passes it.
     """
-    if (isinstance(max_cycles, bool) or not isinstance(max_cycles, numbers.Integral)
-            or max_cycles < 0):
+    if not (_is_integer(max_cycles) and max_cycles >= 0):
         raise DomainError("max_cycles must be a non-negative integer")
     if not 0.0 <= rel_tol < math.inf:
         raise DomainError("rel_tol must be finite and non-negative")
@@ -380,25 +378,26 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     pts = objective.band_points(band)
     omega = 2.0 * np.pi * pts
     rs_grid = sweep.resistances()
-    laws = [ImpedanceLaw.resistor(float(r)) for r in rs_grid]
     at = [int(np.argmin(base.objective_values))] * k  # each patch's grid index
     best = base.objective_opt
-    nodes = kernel.nodes(ShuntTopology.separated([laws[i] for i in at]))
+    nodes = kernel.nodes("separated")
+    loads = np.full(k, rs_grid[at[0]]), np.zeros(k)  # node loads, all at the uniform optimum
     blocks = kernel.structure(omega, nodes)
 
     for _ in range(max_cycles):
         cycle_start = best
-        solved = kernel.solution(omega, nodes, blocks)
+        solved = kernel.solution(omega, nodes, *loads, blocks)
         for patch_idx in range(k):
-            offer = np.delete(np.arange(len(laws)), at[patch_idx])
-            vals = objective._sweep(nodes, pts, blocks, solved, patch_idx,
-                                    [laws[i] for i in offer], stop=best)[0]
+            offer = np.delete(np.arange(rs_grid.size), at[patch_idx])
+            vals = objective._sweep(nodes, loads, pts, blocks, solved, patch_idx,
+                                    rs_grid[offer], np.zeros(offer.size), stop=best)[0]
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
                 best = float(vals[i_min])
                 at[patch_idx] = int(offer[i_min])
-                nodes, solved = kernel.carry(omega, nodes, int(nodes.patch_node[patch_idx]),
-                                             solved, float(rs_grid[at[patch_idx]]), 0.0)
+                node = int(nodes.patch_node[patch_idx])
+                solved = kernel.carry(omega, loads, node, rs_grid[at[patch_idx]], 0.0, solved)
+                loads[0][node] = rs_grid[at[patch_idx]]
         if cycle_start - best < rel_tol * cycle_start:
             break
 

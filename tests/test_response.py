@@ -281,9 +281,7 @@ class TestStructure:
 
     def assert_matches_oracle(self, model, mode, omega, point_force, target_point):
         kernel = _Kernel(model, point_force, target_point, omega.ravel() / (2 * np.pi), None)
-        k = len(model.patches)
-        nodes = kernel.nodes(None if mode is None
-                             else ShuntTopology.uniform(mode, k, ImpedanceLaw.resistor(1e4)))
+        nodes = kernel.nodes(mode)
         blocks = kernel.structure(omega, nodes)
         oracle = structure_oracle(kernel, omega.ravel(), footprint_theta(model, kernel.n, mode))
         for got, want in zip(blocks, oracle):
@@ -363,13 +361,9 @@ class TestScratchBuffers:
     def kernel(self, reversed_model, point_force, target_point):
         return _Kernel(reversed_model, point_force, target_point, [250.0], None)
 
-    @staticmethod
-    def separated(kernel, *ohms):
-        return kernel.nodes(ShuntTopology.separated(ImpedanceLaw.resistor(r) for r in ohms))
-
     def test_same_bits_as_new_temporaries(self, kernel):
         omega = 2 * np.pi * np.linspace(1.0, 250.0, 256)
-        for nodes in (self.separated(kernel, 2e3, 3e4, 9e4), kernel.nodes(None)):
+        for nodes in (kernel.nodes("separated"), kernel.nodes(None)):
             scratch = kernel.scratch(256, nodes.table.shape[1])
             for w in (omega, omega[:37] * 0.5, omega.reshape(128, 2)):
                 want = allocating_structure(kernel, w, nodes)
@@ -378,7 +372,7 @@ class TestScratchBuffers:
                         assert x.shape == y.shape and np.array_equal(x, y)
 
     def test_results_survive_later_calls(self, kernel):
-        nodes = self.separated(kernel, 2e3, 3e4, 9e4)
+        nodes = kernel.nodes("separated")
         scratch = kernel.scratch(256, nodes.table.shape[1])
         omega = 2 * np.pi * np.linspace(1.0, 250.0, 256)
         first = kernel.structure(omega, nodes, scratch)
@@ -408,19 +402,21 @@ class TestScratchBuffers:
         """velocity over shared and per-candidate frequencies, rank_one and
         an FRF of a short last block give the bits they give with every
         temporary of ``structure`` a new array."""
-        nodes = self.separated(kernel, 2e3, 3e4, 9e4)
         ohms = np.array([[1e3, 3e4, 9e4], [5e3, 3e4, 9e4], [2e4, 3e4, 9e4]])
         henries = np.zeros_like(ohms)
         pts = np.linspace(60.0, 90.0, 41)
         grid = np.linspace(1.0, 250.0, response.BLOCK_POINTS + 37)
         topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in (2e3, 3e4, 9e4)])
+        nodes, ohms0, henries0 = kernel.stack([topology])
+        loads = ohms0[0], henries0[0]
 
         def sweeps():
             blocks = kernel.structure(2.0 * np.pi * pts, nodes)
-            solution = kernel.solution(2.0 * np.pi * pts, nodes, blocks)
+            solution = kernel.solution(2.0 * np.pi * pts, nodes, *loads, blocks)
             return (kernel.velocity(pts, nodes, ohms, henries),
                     kernel.velocity(np.array([[61.3], [74.9], [88.2]]), nodes, ohms, henries),
-                    kernel.rank_one(pts, nodes, 0, ohms[:, 0], henries[:, 0], blocks, solution),
+                    kernel.rank_one(pts, nodes, loads, 0, ohms[:, 0], henries[:, 0], blocks,
+                                    solution),
                     *run_one(kernel, grid, topology))
 
         got = sweeps()
@@ -690,6 +686,9 @@ class TestFrfContracts:
                 (lambda: frf(uncoupled, connected, point_force, target_point, grid),
                  "no coupling data"),
                 (lambda: ShuntTopology("parallel", (law,)), "unknown topology mode"),
+                (lambda: sweep_resistance(ref_model, point_force, target_point, grid,
+                                          SweepSpec(points=4), "parallel"),
+                 "unknown topology mode"),
                 (lambda: ShuntTopology("connected", (law, law)), "exactly one load")):
             with pytest.raises(DomainError, match=match):
                 call()
@@ -814,12 +813,15 @@ class TestFailClosed:
 
 class TestGridGuard:
     @pytest.mark.parametrize("grid, match", [
-        ([], "empty"), ([10.0, np.nan, 30.0], "non-finite"), ([10.0, np.inf], "non-finite")],
-        ids=["empty", "nan", "inf"])
+        ([], "empty"), ([10.0, np.nan, 30.0], "non-finite"), ([10.0, np.inf], "non-finite"),
+        ([[10.0, 20.0], [30.0, 40.0]], "one-dimensional"), (50.0, "one-dimensional")],
+        ids=["empty", "nan", "inf", "2-D", "scalar"])
     def test_empty_or_non_finite_grid_rejected(self, ref_model, point_force, target_point,
                                                grid, match):
         """An empty grid used to fail inside numpy ("zero-size array"), and
-        a NaN frequency as a circuit residual SolverError."""
+        a NaN frequency as a circuit residual SolverError. A 2-D grid gave
+        an FRF of (2, 2) frequencies and 2 displacements, and a scalar one
+        a bare IndexError."""
         separated = ShuntTopology.separated([ImpedanceLaw.resistor(1e4)] * 3)
         connected = ShuntTopology.connected(ImpedanceLaw.resistor(1e4))
         calls = (

@@ -430,8 +430,7 @@ def uniform_case(model, mode, point_force, target_point, ref_config):
     wiring ``mode``."""
     grid = ref_config.grid.frequencies()
     objective = VelocityObjective(model, point_force, target_point, grid)
-    nodes = objective._kernel.nodes(ShuntTopology.uniform(mode, len(model.patches),
-                                                          ImpedanceLaw.open()))
+    nodes = objective._kernel.nodes(mode)
     return objective, mode_windows(model, 1, grid)[0], nodes
 
 
@@ -877,15 +876,16 @@ class TestCarriedDescent:
     solution from sweep to sweep; every sweep checks what it takes."""
 
     def band(self, array_objective):
-        """The kernel, the nodes of TestCoordinatePeaks.CURRENT, the band's
-        points and angular frequencies, and the structural blocks there."""
+        """The kernel, the separated nodes, their loads (ohms, henries) of
+        TestCoordinatePeaks.CURRENT, the band's points and angular
+        frequencies, and the structural blocks there."""
         objective, band = array_objective
         kernel = objective._kernel
-        nodes = kernel.nodes(ShuntTopology.separated([ImpedanceLaw.resistor(r)
-                                                      for r in TestCoordinatePeaks.CURRENT]))
+        nodes, ohms, henries = kernel.stack([ShuntTopology.separated(
+            [ImpedanceLaw.resistor(r) for r in TestCoordinatePeaks.CURRENT])])
         pts = objective.band_points(band)
         omega = 2.0 * np.pi * pts
-        return kernel, nodes, pts, omega, kernel.structure(omega, nodes)
+        return kernel, nodes, (ohms[0], henries[0]), pts, omega, kernel.structure(omega, nodes)
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_bench_descent_matches_fresh_sweeps(self, seed, monkeypatch):
@@ -934,12 +934,12 @@ class TestCarriedDescent:
         assert len(kernels) == 2 and kernels[0] is kernels[1]
 
     def test_carried_pair_matches_a_fresh_solve(self, array_objective):
-        kernel, nodes, pts, omega, blocks = self.band(array_objective)
-        solution = kernel.solution(omega, nodes, blocks)
+        kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
+        solution = kernel.solution(omega, nodes, *loads, blocks)
         for index, ohms in ((4, 7e3), (9, 2.5e5), (4, 1e2)):
-            nodes, solution = kernel.carry(omega, nodes, index, solution, ohms, 0.0)
-        assert nodes.ohms[4] == 1e2 and nodes.ohms[9] == 2.5e5
-        for got, want in zip(solution, kernel.solution(omega, nodes, blocks)):
+            solution = kernel.carry(omega, loads, index, ohms, 0.0, solution)
+            loads[0][index] = ohms
+        for got, want in zip(solution, kernel.solution(omega, nodes, *loads, blocks)):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("load", ["singular", "nan"])
@@ -947,30 +947,32 @@ class TestCarriedDescent:
         """A carried load that makes 1 + delta u_k vanish at one band point,
         so that the updated system is singular there, or a NaN load: the
         next sweep's check of the carried pair raises SolverError."""
-        kernel, nodes, pts, omega, blocks = self.band(array_objective)
-        solution = kernel.solution(omega, nodes, blocks)
+        kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
+        solution = kernel.solution(omega, nodes, *loads, blocks)
         k, p = 4, pts.size // 2
         if load == "nan":
             ohms, henries = np.nan, 0.0
         else:
-            z = 1.0 / (1.0 / nodes.ohms[k] - 1.0 / solution[1][p, k, k])
+            z = 1.0 / (1.0 / loads[0][k] - 1.0 / solution[1][p, k, k])
             ohms, henries = z.real, z.imag / omega[p]
-        nodes, solution = kernel.carry(omega, nodes, k, solution, ohms, henries)
+        solution = kernel.carry(omega, loads, k, ohms, henries, solution)
+        loads[0][k], loads[1][k] = ohms, henries
         with pytest.raises(SolverError):
-            kernel.rank_one(pts, nodes, 7, np.array([1e3, 1e4]), np.zeros(2), blocks, solution)
+            kernel.rank_one(pts, nodes, loads, 7, np.array([1e3, 1e4]), np.zeros(2), blocks,
+                            solution)
 
     @pytest.mark.parametrize("patch", [0, 7])
     def test_grid_values_match_explicit_loads(self, array_objective, patch):
         """rank_one's values at the band points, which refinement hides,
         are those of ``velocity`` on the candidates' explicit load rows,
         for resistor and series-RL candidates."""
-        kernel, nodes, pts, omega, blocks = self.band(array_objective)
+        kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
         k = int(nodes.patch_node[patch])
         ohms = np.concatenate([np.geomspace(100.0, 1e6, 8), np.geomspace(10.0, 1e4, 8)])
         henries = np.concatenate([np.zeros(8), np.geomspace(0.5, 100.0, 8)])
-        got = kernel.rank_one(pts, nodes, k, ohms, henries, blocks,
-                              kernel.solution(omega, nodes, blocks))
-        rows = np.repeat(nodes.ohms[None], 16, axis=0), np.repeat(nodes.henries[None], 16, axis=0)
+        got = kernel.rank_one(pts, nodes, loads, k, ohms, henries, blocks,
+                              kernel.solution(omega, nodes, *loads, blocks))
+        rows = np.repeat(loads[0][None], 16, axis=0), np.repeat(loads[1][None], 16, axis=0)
         rows[0][:, k], rows[1][:, k] = ohms, henries
         want = kernel.velocity(pts, nodes, *rows)
         assert got.shape == want.shape == (16, pts.size)
@@ -982,34 +984,35 @@ class TestCarriedDescent:
         band point, beside a healthy one: a singular or nearly singular
         update raises SolverError, 1e-5 gives finite values, and a NaN
         load (``gap`` NaN) raises."""
-        kernel, nodes, pts, omega, blocks = self.band(array_objective)
-        solution = kernel.solution(omega, nodes, blocks)
+        kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
+        solution = kernel.solution(omega, nodes, *loads, blocks)
         k, p = 4, pts.size // 2
         if np.isnan(gap):
             ohms, henries = np.nan, 0.0
         else:
-            z = 1.0 / (1.0 / nodes.ohms[k] + (gap - 1.0) / solution[1][p, k, k])
+            z = 1.0 / (1.0 / loads[0][k] + (gap - 1.0) / solution[1][p, k, k])
             ohms, henries = z.real, z.imag / omega[p]
-        loads = np.array([1e3, ohms]), np.array([0.0, henries])
+        candidates = np.array([1e3, ohms]), np.array([0.0, henries])
         if gap == 1e-5:
-            assert np.isfinite(kernel.rank_one(pts, nodes, k, *loads, blocks, solution)).all()
+            assert np.isfinite(kernel.rank_one(pts, nodes, loads, k, *candidates, blocks,
+                                               solution)).all()
         else:
             with pytest.raises(SolverError):
-                kernel.rank_one(pts, nodes, k, *loads, blocks, solution)
+                kernel.rank_one(pts, nodes, loads, k, *candidates, blocks, solution)
 
     def test_pair_check_covers_a_column_no_candidate_uses(self, array_objective):
         """A drifted column u of the carried inverse fails the pair check
         even when the only candidate keeps the node's load, so that no
         candidate's residual could show the drift."""
-        kernel, nodes, pts, omega, blocks = self.band(array_objective)
-        v0, inverse = kernel.solution(omega, nodes, blocks)
+        kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
+        v0, inverse = kernel.solution(omega, nodes, *loads, blocks)
         k = 7
-        load = np.array([nodes.ohms[k]]), np.array([nodes.henries[k]])
-        kernel.rank_one(pts, nodes, k, *load, blocks, (v0, inverse))
+        load = np.array([loads[0][k]]), np.array([loads[1][k]])
+        kernel.rank_one(pts, nodes, loads, k, *load, blocks, (v0, inverse))
         inverse = inverse.copy()
         inverse[..., k] *= 1.0 + 1e-6
         with pytest.raises(SolverError, match="residual"):
-            kernel.rank_one(pts, nodes, k, *load, blocks, (v0, inverse))
+            kernel.rank_one(pts, nodes, loads, k, *load, blocks, (v0, inverse))
 
     def test_every_sweep_checks_the_carried_pair(self, array_model, point_force,
                                                 target_point, ref_config, monkeypatch):
@@ -1018,9 +1021,9 @@ class TestCarriedDescent:
         carry, carried = _Kernel.carry, []
 
         def drifted(kernel, *args):
-            nodes, (v0, inverse) = carry(kernel, *args)
+            v0, inverse = carry(kernel, *args)
             carried.append(args[2])
-            return nodes, (v0 * (1.0 + 1e-6), inverse)
+            return v0 * (1.0 + 1e-6), inverse
 
         monkeypatch.setattr(_Kernel, "carry", drifted)
         with pytest.raises(SolverError, match="residual"):
@@ -1040,10 +1043,11 @@ class TestPrunedDescent:
         offered, refined = [], []
         sweep, velocity = VelocityObjective._sweep, _Kernel.velocity
 
-        def recorded_sweep(objective, nodes, pts, blocks, solution, index, laws, **stop):
-            current = nodes.ohms[np.flatnonzero(nodes.load_index == index)[0]]
-            offered.append((current, [law.ohms for law in laws]))
-            return sweep(objective, nodes, pts, blocks, solution, index, laws, **stop)
+        def recorded_sweep(objective, nodes, loads, *args, **stop):
+            index, ohms = args[3:5]
+            current = loads[0][np.flatnonzero(nodes.load_index == index)[0]]
+            offered.append((current, ohms.tolist()))
+            return sweep(objective, nodes, loads, *args, **stop)
 
         def counted(kernel, freqs_hz, *args):
             if np.ndim(freqs_hz) == 2:  # one frequency per candidate: a refinement step
