@@ -21,15 +21,16 @@ and mode-value products. The loads enter only on the diagonal, so a
 stack of candidate loads can share one structural block. A change of
 one node's load is a rank-one change of the system: ``rank_one`` gives
 each candidate of a coordinate sweep one scalar per frequency, and
-``carry`` moves the solution of the current loads to an accepted load,
-so a descent cycle solves its band systems once; ``charpoly`` evaluates
-a uniform sweep's band points from the structural blocks alone. The kernel
-evaluates every stack of candidate loads a sweep asks for, cut into
-stacks of about CHUNK_ENTRIES complex entries; FRF grids are cut into
-consecutive blocks of BLOCK_POINTS. Both bound memory and run in order
-on the calling thread. Each call of the product is cut into rows of at
-most _PRODUCT_MADDS multiply-adds, small enough that the BLAS library
-runs it inline instead of handing it to a worker thread.
+``carry`` moves the solution X = A0^-1 [b | I] of the current loads to an
+accepted load by one rank-one update, so a descent cycle solves its band
+systems once; ``charpoly`` evaluates a uniform sweep's band points from
+the structural blocks alone. The kernel evaluates every stack of
+candidate loads a sweep asks for, cut into stacks of about CHUNK_ENTRIES
+complex entries; FRF grids are cut into consecutive blocks of
+BLOCK_POINTS. Both bound memory and run in order on the calling thread.
+Each call of the product is cut into rows of at most _PRODUCT_MADDS
+multiply-adds, small enough that the BLAS library runs it inline instead
+of handing it to a worker thread.
 
 ``run`` takes the FRFs of a list of topologies of one wiring, so a CLI
 command that builds one kernel evaluates a wiring's open-circuit and
@@ -90,8 +91,10 @@ def _times_jw(w, re, im):
 
 def _impedance(ohms, henries, omega):
     """Branch impedance z = R + j*omega*L in ohms; broadcasts over arrays
-    of loads and frequencies."""
-    return ohms + 1j * omega * henries
+    of loads and frequencies. A reactance past the largest double is
+    j*inf, whose 1/z is exactly 0: an open branch."""
+    with np.errstate(over="ignore"):
+        return ohms + 1j * omega * henries
 
 
 def _admittance(ohms, henries, omega):
@@ -411,35 +414,32 @@ class _Kernel:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def solution(self, omega: np.ndarray, nodes: _Nodes, ohms, henries, blocks):
-        """Voltages v0 (F, m) per newton and the inverse (F, m, m) of the
-        systems A0 of the node loads ``ohms`` and ``henries`` (m,) at
-        frequencies ``omega`` (F,), for ``blocks = structure(omega,
-        nodes)``: one ``solve_voltages`` for the right-hand sides [b | I]."""
+        """X = A0^-1 [b | I] (F, m, m + 1) of the systems A0 of the node
+        loads ``ohms`` and ``henries`` (m,) at frequencies ``omega`` (F,),
+        for ``blocks = structure(omega, nodes)``: the voltages v0 per newton
+        in column 0 and the inverse in columns 1..m, from one
+        ``solve_voltages`` for the m + 1 right-hand sides."""
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the solve
             A, b = self.system(omega, nodes, ohms, henries, blocks)
-            x = solve_voltages(A, np.concatenate([b[..., None], np.broadcast_to(
+            return solve_voltages(A, np.concatenate([b[..., None], np.broadcast_to(
                 np.eye(b.shape[-1]), A.shape)], axis=-1))
-        return x[..., 0], x[..., 1:]
 
     def carry(self, omega: np.ndarray, loads, index: int, ohms: float, henries: float,
               solution):
-        """The ``solution`` (v0, inverse) at ``omega`` of the node ``loads``,
-        a pair (ohms, henries) of arrays (m,), carried to node ``index``
-        taking the load ``ohms`` and ``henries`` by the Sherman-Morrison
-        step of ``rank_one``: with delta the change of the node's admittance
-        and u and r column and row ``index`` of the inverse, v0 - u * delta
-        v0_k / (1 + delta u_k) and inverse - u r * delta / (1 + delta u_k).
-        Nothing is checked here; a degenerate or non-finite step fails the
-        next ``rank_one``."""
-        v0, inverse = solution
-        u, r = inverse[..., index], inverse[..., index, :]
+        """The ``solution`` X at ``omega`` of the node ``loads``, a pair
+        (ohms, henries) of arrays (m,), carried to node ``index`` = k taking
+        the load ``ohms`` and ``henries`` by the Sherman-Morrison step of
+        ``rank_one``: with delta the change of the node's admittance, u
+        column k + 1 of X (column k of the inverse) and X_k row k of X, one
+        rank-one update X - u X_k * delta / (1 + delta u_k). Nothing is
+        checked here; a degenerate or non-finite step fails the next
+        ``rank_one``."""
+        u = solution[..., index + 1]
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in rank_one
             delta = (_admittance(ohms, henries, omega)
                      - _admittance(loads[0][index], loads[1][index], omega))
-            denominator = 1.0 + delta * u[:, index]
-            v0 = v0 - (delta * v0[:, index] / denominator)[:, None] * u
-            inverse = inverse - ((delta / denominator)[:, None] * u)[:, :, None] * r[:, None, :]
-        return v0, inverse
+            scaled = (delta / (1.0 + delta * u[:, index]))[:, None] * u
+            return solution - scaled[:, :, None] * solution[:, None, index, :]
 
     def rank_one(self, freqs_hz: np.ndarray, nodes: _Nodes, loads, index: int,
                  ohms: np.ndarray, henries: np.ndarray, blocks, solution) -> np.ndarray:
@@ -450,7 +450,7 @@ class _Kernel:
         nodes)`` and the ``solution`` of the systems of ``loads`` there.
 
         v0 and u solve the system A0 of ``loads`` for the two
-        right-hand sides [b, e_k] (k = index): they are column 0 and k + 1
+        right-hand sides [b, e_k] (k = index): they are columns 0 and k + 1
         of ``solution``, and their residuals R0 and Ru are checked against
         the bound of ``solve_voltages``. A candidate changes only the
         admittance of node k, by delta = 1/z - 1/z0, so by Sherman-Morrison
@@ -463,7 +463,7 @@ class _Kernel:
         omega = 2.0 * np.pi * freqs_hz
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the checks
             A, b = self.system(omega, nodes, *loads, blocks)
-            base = np.stack([solution[0], solution[1][..., index]], axis=-1)  # [v0 | u]
+            base = solution[..., [0, index + 1]]  # [v0 | u]
             resid = A @ base - np.stack(np.broadcast_arrays(b, np.eye(b.shape[-1])[index]), -1)
             r0, ru = np.sqrt(_squared_norm(resid, -2)).T[:, :, None]  # |R0|, |Ru| (F, 1)
             limit = 1e-10 * np.sqrt(_squared_norm(b, -1))[:, None]

@@ -17,7 +17,8 @@ coordinate sweep of the per-patch descent, which changes the load of one
 node only, from the kernel's rank-one update, one scalar per candidate
 and frequency. The descent computes what does not depend on the loads
 once: the band's structural blocks for all its sweeps, and in each cycle
-the solution of its band systems, carried from sweep to sweep.
+the solution X = A0^-1 [b | I] of its band systems, one array carried from
+sweep to sweep by one rank-one update per accepted law.
 
 The descent keeps a candidate only when it strictly beats the current
 objective, so it refines only the candidates that still can. A sweep
@@ -28,8 +29,10 @@ only ever raises a value above its grid peak, so that candidate cannot
 win, and its value is a lower bound. Neither rule turns away a law
 that could be accepted; the candidates still refined share smaller
 kernel stacks, so their values move by rounding only. The uniform sweep
-and ``coordinate_peaks`` refine every candidate, since their values are
-outputs.
+refines every candidate, since its values are outputs. The tests check
+the descent against one that sweeps every patch with ``peaks_in_band``
+over the explicit topologies, which shares no rank-one, carry or pruning
+code with it.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ class VelocityObjective:
     BLOCK_POINTS frequencies is a single block.
 
     ``peaks_in_band`` evaluates a list of candidate topologies of one
-    wiring at once, and ``coordinate_peaks`` the candidates of one
+    wiring at once, and the descent's ``_sweep`` the candidates of one
     coordinate sweep, which change a single node's load. Each makes one
     kernel call for the band's grid points and one per parabolic step.
     The grid must strictly ascend, since the search brackets each peak
@@ -219,42 +222,17 @@ class VelocityObjective:
         return self._refine(nodes, ohms, henries, pts,
                             self._kernel.velocity(pts, nodes, ohms, henries))
 
-    def coordinate_peaks(self, topology: ShuntTopology, index: int, laws,
-                         band: tuple[float, float]):
-        """Peak |velocity| inside the band and its frequency, refined off
-        the grid, for ``topology`` with its load ``index`` (that of the
-        listed patch ``index``, for separated wiring) replaced by each of
-        ``laws``.
-
-        This is one coordinate sweep of the per-patch descent, and gives
-        what ``peaks_in_band`` gives for the explicit topologies, up to
-        rounding. At the band's grid points each frequency takes one
-        solve of ``topology``'s own system and each candidate a rank-one
-        update of it, with its residual checked; the refinement is that
-        of ``peaks_in_band``. Returns two arrays with one entry per law.
-        """
-        if not laws:
-            raise DomainError("coordinate_peaks needs at least one load")
-        nodes, ohms, henries = self._kernel.stack([topology])
-        loads = ohms[0], henries[0]
-        pts = self.band_points(band)
-        omega = 2.0 * np.pi * pts
-        blocks = self._kernel.structure(omega, nodes)
-        return self._sweep(nodes, loads, pts, blocks,
-                           self._kernel.solution(omega, nodes, *loads, blocks), index,
-                           *np.array([[law.ohms, law.henries] for law in laws]).T)
-
-    def _sweep(self, nodes, loads, pts, blocks, solution, index: int, ohms, henries,
+    def _sweep(self, nodes, loads, pts, blocks, solution, node: int, ohms, henries,
                stop=math.inf):
-        """``coordinate_peaks`` of the candidate loads ``ohms`` and
-        ``henries`` (C,) from ``nodes``' current ``loads`` (``rank_one``),
-        the band's points ``pts``, the structural ``blocks`` there and the
-        ``solution`` of the band systems of ``loads``; a candidate whose
-        value reaches ``stop`` returns a lower bound (``_parabolic_search``)."""
-        m = nodes.caps.size
-        if not 0 <= index < m:
-            raise DomainError(f"load index {index} outside 0..{m - 1}")
-        node = int(np.flatnonzero(nodes.load_index == index)[0])
+        """Refined peaks and their frequencies of one coordinate sweep: the
+        candidate loads ``ohms`` and ``henries`` (C,) at ``node``, every
+        other node keeping its load in ``loads``, the pair (ohms, henries)
+        of arrays (m,). The values at the band's points ``pts`` are rank-one
+        updates (``_Kernel.rank_one``) of the ``solution`` of the band
+        systems of ``loads``, for the structural ``blocks`` there; a
+        candidate whose value reaches ``stop`` returns a lower bound
+        (``_parabolic_search``). Gives what ``peaks_in_band`` gives for the
+        explicit topologies, up to rounding."""
         vals = self._kernel.rank_one(pts, nodes, loads, node, ohms, henries, blocks, solution)
         rows = [np.repeat(x[None], ohms.size, axis=0) for x in loads]
         rows[0][:, node], rows[1][:, node] = ohms, henries
@@ -348,11 +326,11 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     Starts from the uniform-sweep optimum and sweeps one patch's
     resistance at a time over the same log grid, accepting only strict
     improvements, so the final objective can never exceed the uniform
-    optimum. Each coordinate sweep is that of ``coordinate_peaks``: its
-    band points are rank-one updates of the current loads' system. Each
-    cycle solves that system at the band points once, for [b | I], and
-    each accepted law carries the solution on (``_Kernel.carry``); every
-    sweep checks what it takes of it (``_Kernel.rank_one``).
+    optimum. Each coordinate sweep's band points are rank-one updates of
+    the current loads' system. Each cycle solves that system at the band
+    points once, for X = A0^-1 [b | I], and each accepted law carries X on
+    by one rank-one update (``_Kernel.carry``); every sweep checks the
+    columns [v0 | u] it takes of X (``_Kernel.rank_one``).
 
     A sweep offers every grid resistance but the patch's current one,
     whose peak is the current objective and so never strictly improves
@@ -389,13 +367,13 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
         solved = kernel.solution(omega, nodes, *loads, blocks)
         for patch_idx in range(k):
             offer = np.delete(np.arange(rs_grid.size), at[patch_idx])
-            vals = objective._sweep(nodes, loads, pts, blocks, solved, patch_idx,
+            node = int(nodes.patch_node[patch_idx])
+            vals = objective._sweep(nodes, loads, pts, blocks, solved, node,
                                     rs_grid[offer], np.zeros(offer.size), stop=best)[0]
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
                 best = float(vals[i_min])
                 at[patch_idx] = int(offer[i_min])
-                node = int(nodes.patch_node[patch_idx])
                 solved = kernel.carry(omega, loads, node, rs_grid[at[patch_idx]], 0.0, solved)
                 loads[0][node] = rs_grid[at[patch_idx]]
         if cycle_start - best < rel_tol * cycle_start:

@@ -2,9 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from platedamp import (BasisSpec, HarmonicForce, PatchSpec, PlateSpec,
                        build_model, reference_config, with_coupling)
+
+# The long contract run: pytest --hypothesis-profile=contract-long tests/test_contract.py
+settings.register_profile("contract-long", max_examples=2000)
 
 
 @pytest.fixture(scope="session")

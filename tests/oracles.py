@@ -301,11 +301,13 @@ def peak_in_band_loop(objective, topology, band):
 
 
 def descent_loop(model, force, target, grid_hz, sweep, max_cycles=10, rel_tol=1e-3):
-    """``optimize_per_patch`` as it was before each cycle carried its band
-    solve: every coordinate sweep is a ``coordinate_peaks`` call on a new
-    ``VelocityObjective``, so it computes its own structural blocks and
-    solves its own base system, and nothing is cached or carried between
-    sweeps. Returns (resistances, objective, uniform sweep result)."""
+    """``optimize_per_patch`` by explicit topologies: every coordinate sweep
+    is one ``peaks_in_band`` call on a new ``VelocityObjective`` over the
+    topologies that put each grid resistance on the swept patch, the
+    current one included, and every other patch's current resistance on
+    the rest. So each sweep solves every candidate's own systems, and no
+    rank-one update, carried solution or pruning is used. Returns
+    (resistances, objective, uniform sweep result)."""
     from platedamp import (ImpedanceLaw, ShuntTopology, VelocityObjective,
                            sweep_resistance)
     from platedamp.tuning import _resolve_band
@@ -316,14 +318,15 @@ def descent_loop(model, force, target, grid_hz, sweep, max_cycles=10, rel_tol=1e
         return [base.r_opt] * k, base.objective_opt, base
     band = _resolve_band(VelocityObjective(model, force, target, grid_hz), sweep)
     rs = sweep.resistances()
-    laws = [ImpedanceLaw.resistor(float(r)) for r in rs]
     current, best = [base.r_opt] * k, base.objective_opt
     for _ in range(max_cycles):
         cycle_start = best
         for i in range(k):
             objective = VelocityObjective(model, force, target, grid_hz)
-            topology = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
-            vals = objective.coordinate_peaks(topology, i, laws, band)[0]
+            topologies = [ShuntTopology.separated([ImpedanceLaw.resistor(float(r) if j == i
+                                                                          else current[j])
+                                                   for j in range(k)]) for r in rs]
+            vals = objective.peaks_in_band(topologies, band)[0]
             j = int(np.argmin(vals))
             if vals[j] < best:
                 best, current[i] = float(vals[j]), float(rs[j])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from platedamp import FrfResult, SolverError, build_model, cli
 from platedamp.cli import _CSV_BLOCK_VALUES, _csv_format, _write_csv, _write_json, main
 from platedamp.config import parse_config_dict, to_dict
-from platedamp.response import ImpedanceLaw, ShuntTopology, _Kernel, frf
+from platedamp.response import ImpedanceLaw, ShuntTopology, _admittance, _Kernel, frf
 
 FRF_HEADER = "freq_hz,disp_re,disp_im,vel_re,vel_im,|vel|,v1_re,v1_im,v2_re,v2_im,v3_re,v3_im"
 
@@ -121,6 +121,28 @@ class TestExitCodes:
         assert rc == 2
         assert "platedamp: cannot write output:" in capsys.readouterr().err
 
+    def test_huge_inductance_is_an_open_branch(self, ref_config, tmp_path):
+        """An inductance of 1e306 H parses, and above about 28.6 Hz its
+        reactance overflows to j*inf: 1/z is exactly 0 there, an open branch,
+        and frf exits 0 with finite outputs under every floating-point error
+        raised."""
+        d = to_dict(ref_config)
+        d["topology"]["loads"] = [{"kind": "series_rl", "ohms": 15000.0,
+                                   "henries": 1e306}] * 3
+        d["basis"].update(n_x=4, n_y=4)
+        d["grid"]["count"] = 50
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(d))
+        with np.errstate(all="raise"):
+            assert main(["frf", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+            omega = 2.0 * np.pi * parse_config_dict(d).grid.frequencies()
+            z = ImpedanceLaw.series_rl(15000.0, 1e306).impedance(omega)
+        over = omega > np.finfo(float).max / 1e306
+        assert over.any() and not over.all()
+        assert np.all(z.real == 15000.0) and np.array_equal(z.imag == np.inf, over)
+        assert np.all(_admittance(15000.0, 1e306, omega[over]) == 0.0)
+        values = np.loadtxt(tmp_path / "o" / "frf.csv", delimiter=",", skiprows=1)
+        assert values.shape == (50, 12) and np.isfinite(values).all()
 
     def test_undamped_resonance_on_grid_fails_closed(self, light_dict, tmp_path):
         """A grid ending exactly on an undamped natural frequency would put

@@ -26,6 +26,23 @@ def run_one(kernel, grid, topology):
     return res.displacement, res.velocity, res.voltages
 
 
+def coordinate_sweep(objective, band, current, patch, ohms):
+    """Refined peaks and frequencies of ``objective._sweep`` putting each
+    resistance of ``ohms`` on patch ``patch`` of the separated resistances
+    ``current``, listed in patch order, from the band's structural blocks
+    and the solution of ``current``'s band systems, as the descent has
+    them at the start of a cycle."""
+    kernel = objective._kernel
+    nodes, r, l = kernel.stack([ShuntTopology.separated(
+        [ImpedanceLaw.resistor(x) for x in current])])
+    pts = objective.band_points(band)
+    omega = 2.0 * np.pi * pts
+    blocks = kernel.structure(omega, nodes)
+    return objective._sweep(nodes, (r[0], l[0]), pts, blocks,
+                            kernel.solution(omega, nodes, r[0], l[0], blocks),
+                            int(nodes.patch_node[patch]), ohms, np.zeros(ohms.size))
+
+
 def rel_diff(a, b):
     scale = np.maximum(np.abs(a), np.abs(b))
     scale = np.where(scale == 0.0, 1.0, scale)
@@ -792,13 +809,13 @@ class TestFailClosed:
         separated = ShuntTopology.separated([ImpedanceLaw.resistor(1e4)] * 3)
         connected = ShuntTopology.connected(ImpedanceLaw.resistor(1e4))
         objective = VelocityObjective(model, point_force, target_point, grid)
-        laws = [ImpedanceLaw.resistor(r) for r in (1e3, 1e4, 1e5)]
         calls = (
             lambda: frf_separated(model, separated, point_force, target_point, grid),
             lambda: frf_connected(model, connected, point_force, target_point, grid),
             lambda: frf(model, None, point_force, target_point, grid),
             lambda: objective.velocity_abs(separated, grid),
-            lambda: objective.coordinate_peaks(separated, 1, laws, (grid[0], grid[-1])),
+            lambda: coordinate_sweep(objective, (grid[0], grid[-1]), [1e4] * 3, 1,
+                                     np.array([1e3, 1e4, 1e5])),
             lambda: sweep_resistance(model, point_force, target_point, grid,
                                      SweepSpec(points=4), "separated"),
             lambda: sweep_resistance(model, point_force, target_point, grid,

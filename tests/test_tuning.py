@@ -19,7 +19,7 @@ from platedamp.response import CHUNK_ENTRIES, _Kernel
 from platedamp.tuning import PARABOLIC_STEPS, SPACING, _parabolic_search, _uniform_sweep
 
 from oracles import descent_loop, frf_loop_connected, frf_loop_separated, peak_in_band_loop
-from test_response import build_case, shunted_layouts
+from test_response import build_case, coordinate_sweep, shunted_layouts
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -642,9 +642,8 @@ class TestParabolicSearch:
         points = objective.band_points(band).size
         assert shapes == [(points,)] + [(9, 1)] * PARABOLIC_STEPS
         shapes.clear()
-        current = ShuntTopology.separated([ImpedanceLaw.resistor(r)
-                                           for r in TestCoordinatePeaks.CURRENT])
-        objective.coordinate_peaks(current, 4, TestCoordinatePeaks.LAWS, band)
+        coordinate_sweep(objective, band, TestCoordinatePeaks.CURRENT, 4,
+                         TestCoordinatePeaks.OHMS)
         assert shapes == [(16, 1)] * PARABOLIC_STEPS
 
     def test_exact_quadratic_gives_its_vertex(self):
@@ -793,7 +792,11 @@ def array_objective(array_model, point_force, target_point, ref_config):
 
 
 class TestCoordinatePeaks:
-    LAWS = [ImpedanceLaw.resistor(float(r)) for r in np.geomspace(100.0, 1e6, 16)]
+    """One coordinate sweep of the descent, ``VelocityObjective._sweep``:
+    rank-one updates of the current loads' band solution, then the
+    refinement of ``peaks_in_band``."""
+
+    OHMS = np.geomspace(100.0, 1e6, 16)
     CURRENT = [float(r) for r in np.geomspace(2e3, 9e4, 12)]
 
     @pytest.mark.parametrize("index", [0, 7])
@@ -801,13 +804,12 @@ class TestCoordinatePeaks:
         """A rank-one coordinate sweep from unequal current resistances
         gives the peaks of the 16 explicit topologies."""
         objective, band = array_objective
-        current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
         explicit = []
-        for law in self.LAWS:
-            loads = list(current.loads)
-            loads[index] = law
+        for r in self.OHMS:
+            loads = [ImpedanceLaw.resistor(x) for x in self.CURRENT]
+            loads[index] = ImpedanceLaw.resistor(float(r))
             explicit.append(ShuntTopology.separated(loads))
-        peaks, freqs = objective.coordinate_peaks(current, index, self.LAWS, band)
+        peaks, freqs = coordinate_sweep(objective, band, self.CURRENT, index, self.OHMS)
         want_peaks, want_freqs = objective.peaks_in_band(explicit, band)
         assert np.max(np.abs(peaks - want_peaks) / want_peaks) <= 1e-12
         assert np.max(np.abs(freqs - want_freqs) / want_freqs) <= 1e-12
@@ -816,8 +818,7 @@ class TestCoordinatePeaks:
         """Chunks and stacks of a few candidates each give the peaks of
         one chunk and one stack."""
         objective, band = array_objective
-        current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
-        whole = objective.coordinate_peaks(current, 3, self.LAWS, band)
+        whole = coordinate_sweep(objective, band, self.CURRENT, 3, self.OHMS)
         points = objective.band_points(band).size
         per_candidate = 12 * 12 + objective.n_modes  # at a parabolic step's one point
         assert len(response._stacks(16, points)) == 1
@@ -825,7 +826,7 @@ class TestCoordinatePeaks:
         monkeypatch.setattr(response, "CHUNK_ENTRIES", 5 * points)
         assert len(response._stacks(16, points)) == 4          # rank-one band stacks of 5
         assert len(response._stacks(16, per_candidate)) > 2    # one-point step stacks
-        stacked = objective.coordinate_peaks(current, 3, self.LAWS, band)
+        stacked = coordinate_sweep(objective, band, self.CURRENT, 3, self.OHMS)
         assert np.max(np.abs(stacked[0] - whole[0]) / whole[0]) <= 1e-12
         assert np.max(np.abs(stacked[1] - whole[1]) / whole[1]) <= 1e-12
 
@@ -844,21 +845,11 @@ class TestCoordinatePeaks:
         moved = VelocityObjective(
             with_coupling(build_model(ref_config.plate, patches, BasisSpec(6, 6, 10))),
             point_force, target_point, ref_config.grid.frequencies())
-        base = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
-        relabeled = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in current])
         for i, j in enumerate(perm):
-            want = objective.coordinate_peaks(base, i, self.LAWS, band)
-            got = moved.coordinate_peaks(relabeled, j, self.LAWS, band)
+            want = coordinate_sweep(objective, band, self.CURRENT, i, self.OHMS)
+            got = coordinate_sweep(moved, band, current, j, self.OHMS)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
-
-    def test_bad_index_or_empty_laws_rejected(self, array_objective):
-        objective, band = array_objective
-        current = ShuntTopology.separated([ImpedanceLaw.resistor(r) for r in self.CURRENT])
-        with pytest.raises(DomainError):
-            objective.coordinate_peaks(current, 12, self.LAWS, band)
-        with pytest.raises(DomainError):
-            objective.coordinate_peaks(current, 0, [], band)
 
 
 def bench_case(name, seed, monkeypatch):
@@ -872,8 +863,9 @@ def bench_case(name, seed, monkeypatch):
 
 class TestCarriedDescent:
     """The per-patch descent computes its band's structural blocks once,
-    solves each cycle's starting band systems once and carries the
-    solution from sweep to sweep; every sweep checks what it takes."""
+    solves each cycle's starting band systems once for X = A0^-1 [b | I]
+    and carries X from sweep to sweep; every sweep checks what it takes.
+    Its reference, ``descent_loop``, sweeps explicit topologies."""
 
     def band(self, array_objective):
         """The kernel, the separated nodes, their loads (ohms, henries) of
@@ -890,8 +882,8 @@ class TestCarriedDescent:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_bench_descent_matches_fresh_sweeps(self, seed, monkeypatch):
         """The benchmark's array_descent job (two cycles, rel_tol 0) picks
-        the resistances of a descent whose every sweep starts afresh, with
-        the same objective."""
+        the resistances of a descent whose every sweep solves each explicit
+        topology afresh, with the same objective."""
         config, model = bench_case("array_descent", seed, monkeypatch)
         args = (model, config.force, config.target, config.grid.frequencies(), config.sweep)
         rs, best, base = optimize_per_patch(*args, max_cycles=2, rel_tol=0.0)
@@ -933,14 +925,20 @@ class TestCarriedDescent:
                            max_cycles=2, rel_tol=0.0)
         assert len(kernels) == 2 and kernels[0] is kernels[1]
 
-    def test_carried_pair_matches_a_fresh_solve(self, array_objective):
+    def test_carried_solution_matches_a_fresh_solve(self, array_objective):
+        """X carried over three accepted loads is the fresh solve of the
+        final loads: the voltages v0 (column 0) and the inverse (columns
+        1..m), each within 1e-10 of its own largest entry."""
         kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
         solution = kernel.solution(omega, nodes, *loads, blocks)
         for index, ohms in ((4, 7e3), (9, 2.5e5), (4, 1e2)):
             solution = kernel.carry(omega, loads, index, ohms, 0.0, solution)
             loads[0][index] = ohms
-        for got, want in zip(solution, kernel.solution(omega, nodes, *loads, blocks)):
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        want = kernel.solution(omega, nodes, *loads, blocks)
+        assert solution.shape == want.shape == (pts.size, 12, 13)
+        for columns in (slice(0, 1), slice(1, None)):
+            got, fresh = solution[..., columns], want[..., columns]
+            assert np.max(np.abs(got - fresh)) <= 1e-10 * np.max(np.abs(fresh))
 
     @pytest.mark.parametrize("load", ["singular", "nan"])
     def test_degenerate_carried_update_raises(self, array_objective, load):
@@ -953,7 +951,7 @@ class TestCarriedDescent:
         if load == "nan":
             ohms, henries = np.nan, 0.0
         else:
-            z = 1.0 / (1.0 / loads[0][k] - 1.0 / solution[1][p, k, k])
+            z = 1.0 / (1.0 / loads[0][k] - 1.0 / solution[p, k, k + 1])
             ohms, henries = z.real, z.imag / omega[p]
         solution = kernel.carry(omega, loads, k, ohms, henries, solution)
         loads[0][k], loads[1][k] = ohms, henries
@@ -990,7 +988,7 @@ class TestCarriedDescent:
         if np.isnan(gap):
             ohms, henries = np.nan, 0.0
         else:
-            z = 1.0 / (1.0 / loads[0][k] + (gap - 1.0) / solution[1][p, k, k])
+            z = 1.0 / (1.0 / loads[0][k] + (gap - 1.0) / solution[p, k, k + 1])
             ohms, henries = z.real, z.imag / omega[p]
         candidates = np.array([1e3, ohms]), np.array([0.0, henries])
         if gap == 1e-5:
@@ -1001,29 +999,29 @@ class TestCarriedDescent:
                 kernel.rank_one(pts, nodes, loads, k, *candidates, blocks, solution)
 
     def test_pair_check_covers_a_column_no_candidate_uses(self, array_objective):
-        """A drifted column u of the carried inverse fails the pair check
-        even when the only candidate keeps the node's load, so that no
-        candidate's residual could show the drift."""
+        """A drifted column u of the carried X (column k of the inverse)
+        fails the pair check even when the only candidate keeps the node's
+        load, so that no candidate's residual could show the drift."""
         kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
-        v0, inverse = kernel.solution(omega, nodes, *loads, blocks)
+        solution = kernel.solution(omega, nodes, *loads, blocks)
         k = 7
         load = np.array([loads[0][k]]), np.array([loads[1][k]])
-        kernel.rank_one(pts, nodes, loads, k, *load, blocks, (v0, inverse))
-        inverse = inverse.copy()
-        inverse[..., k] *= 1.0 + 1e-6
+        kernel.rank_one(pts, nodes, loads, k, *load, blocks, solution)
+        solution[..., k + 1] *= 1.0 + 1e-6
         with pytest.raises(SolverError, match="residual"):
-            kernel.rank_one(pts, nodes, loads, k, *load, blocks, (v0, inverse))
+            kernel.rank_one(pts, nodes, loads, k, *load, blocks, solution)
 
     def test_every_sweep_checks_the_carried_pair(self, array_model, point_force,
                                                 target_point, ref_config, monkeypatch):
-        """A carried pair that drifted by 1e-6 fails the next sweep's
-        residual check, and the descent raises instead of going on."""
+        """A carried v0 (column 0 of X) that drifted by 1e-6 fails the next
+        sweep's residual check, and the descent raises instead of going on."""
         carry, carried = _Kernel.carry, []
 
         def drifted(kernel, *args):
-            v0, inverse = carry(kernel, *args)
+            solution = carry(kernel, *args)
             carried.append(args[2])
-            return v0 * (1.0 + 1e-6), inverse
+            solution[..., 0] *= 1.0 + 1e-6
+            return solution
 
         monkeypatch.setattr(_Kernel, "carry", drifted)
         with pytest.raises(SolverError, match="residual"):
@@ -1044,9 +1042,8 @@ class TestPrunedDescent:
         sweep, velocity = VelocityObjective._sweep, _Kernel.velocity
 
         def recorded_sweep(objective, nodes, loads, *args, **stop):
-            index, ohms = args[3:5]
-            current = loads[0][np.flatnonzero(nodes.load_index == index)[0]]
-            offered.append((current, ohms.tolist()))
+            node, ohms = args[3:5]
+            offered.append((loads[0][node], ohms.tolist()))
             return sweep(objective, nodes, loads, *args, **stop)
 
         def counted(kernel, freqs_hz, *args):
