@@ -109,14 +109,17 @@ def eval_matrix(n_funcs: int, length: float, x, derivative_order=0) -> np.ndarra
     """The first ``n_funcs`` mode functions (or derivatives of order 0, 1
     or 2) at the points ``x`` in [0, length], shape (len(x), n_funcs); a
     sequence of orders stacks them on a leading axis, from one evaluation
-    of the shared terms."""
+    of the shared terms per block of at most 2**12 values, so that each of
+    its dozen or so temporaries stays that small at any point count."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     single = np.ndim(derivative_order) == 0
     orders = (derivative_order,) if single else tuple(derivative_order)
     if any(d not in (0, 1, 2) for d in orders):
         raise ValueError("derivative orders other than 0, 1 and 2 are unsupported")
-    out, beta, den = _numerators(range(1, n_funcs + 1), length, x, orders)
-    for row, d in zip(out, orders):
-        row *= beta ** d
-    out = out / den
+    out, step = np.empty((len(orders), x.size, n_funcs)), max(1, 2**12 // n_funcs)
+    for i in range(0, x.size, step):
+        part, beta, den = _numerators(range(1, n_funcs + 1), length, x[i:i + step], orders)
+        for row, d in zip(part, orders):
+            row *= beta ** d
+        np.divide(part, den, out=out[:, i:i + step])
     return out[0] if single else out

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .response import _admittance, _small_residual, _stacks
+from .response import _admittance, _small_residual, _squared_norm, _stacks
 
 
 def coefficients(A0: np.ndarray, b: np.ndarray):
@@ -68,7 +68,7 @@ def velocity(kernel, freqs_hz: np.ndarray, nodes, ohms: np.ndarray,
             for j in range(m):
                 resid += A0[:, :, j] * v[..., j, None]
             disp = d0 + np.sum(v * g, axis=-1)
-            bad |= ~(np.isfinite(disp) & _small_residual(resid, b, -1)).all(axis=0)
+            bad |= ~(np.isfinite(disp) & _small_residual(_squared_norm(resid, -1), b, -1)).all(0)
         vals[i] = np.abs(1j * omega * disp)
     if bad.any():
         vals[:, bad] = kernel.velocity(freqs_hz[bad], nodes, ohms, henries)

@@ -23,8 +23,9 @@ one node's load is a rank-one change of the system: ``rank_one`` gives
 each candidate of a coordinate sweep one scalar per frequency, and
 ``carry`` moves the solution X = A0^-1 [b | I] of the current loads to an
 accepted load by one rank-one update, so a descent cycle solves its band
-systems once; ``charpoly`` evaluates a uniform sweep's band points from
-the structural blocks alone. The kernel evaluates every stack of
+systems once; ``solution`` checks each X once, solved or carried, for
+every sweep that reads it. ``charpoly`` evaluates a uniform sweep's band
+points from the structural blocks alone. The kernel evaluates every stack of
 candidate loads a sweep asks for, cut into stacks of about CHUNK_ENTRIES
 complex entries; FRF grids are cut into consecutive blocks of
 BLOCK_POINTS. Both bound memory and run in order on the calling thread.
@@ -81,8 +82,8 @@ def _stacks(count: int, entries: int) -> list[slice]:
 
 
 def _times_jw(w, re, im):
-    """j*w * (re + j*im) for real ``w`` (F, 1) and ``re``, ``im`` (F, c),
-    written straight into one new complex array."""
+    """j*w * (re + j*im) for real ``w`` and ``re``, ``im`` of the shape it
+    broadcasts to, written straight into one new complex array."""
     z = np.empty(re.shape, dtype=complex)
     np.multiply(im, -w, out=z.real)
     np.multiply(re, w, out=z.imag)
@@ -269,8 +270,8 @@ class _Kernel:
         self.n = n
         self.omega_n = model.frequencies[:n]
         self.zeta = model.damping_ratios[:n]
-        self.phi0 = model.mode_shapes_at(force.x, force.y)[:n]
-        self.phit = model.mode_shapes_at(target[0], target[1])[:n]
+        self.phi0, self.phit = model.mode_shapes_at([force.x, target[0]],
+                                                    [force.y, target[1]])[:, :n]
         self._two_zeta_omega = 2.0 * self.zeta * self.omega_n
 
     def scratch(self, rows: int, cols: int):
@@ -413,64 +414,59 @@ class _Kernel:
             parts.append(np.abs(1j * w * disp))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def solution(self, omega: np.ndarray, nodes: _Nodes, ohms, henries, blocks):
+    def solution(self, omega: np.ndarray, nodes: _Nodes, ohms, henries, blocks, X=None):
         """X = A0^-1 [b | I] (F, m, m + 1) of the systems A0 of the node
         loads ``ohms`` and ``henries`` (m,) at frequencies ``omega`` (F,),
-        for ``blocks = structure(omega, nodes)``: the voltages v0 per newton
-        in column 0 and the inverse in columns 1..m, from one
-        ``solve_voltages`` for the m + 1 right-hand sides."""
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the solve
+        for ``blocks = structure(omega, nodes)`` (v0 per newton in column 0,
+        the inverse in columns 1..m), the norms of its residual columns and
+        g^T X, each (F, m + 1). One ``solve_voltages`` for the m + 1
+        right-hand sides, or its residual guard alone on a given ``X`` (from
+        ``carry``), checks every column: one past the bound raises."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the check
             A, b = self.system(omega, nodes, ohms, henries, blocks)
-            return solve_voltages(A, np.concatenate([b[..., None], np.broadcast_to(
-                np.eye(b.shape[-1]), A.shape)], axis=-1))
+            B = np.concatenate([b[..., None], np.broadcast_to(np.eye(b.shape[-1]), A.shape)], -1)
+            X, squared = _solve(A, B, X)
+        # g^T X along contiguous rows, which numpy sums pairwise for any column count
+        gX = np.multiply(np.swapaxes(X, 1, 2), blocks[3][:, None], order="C").sum(axis=-1)
+        return X, np.sqrt(squared), gX
 
-    def carry(self, omega: np.ndarray, loads, index: int, ohms: float, henries: float,
-              solution):
-        """The ``solution`` X at ``omega`` of the node ``loads``, a pair
+    def carry(self, omega: np.ndarray, loads, index: int, ohms: float, henries: float, X):
+        """The solution ``X`` at ``omega`` of the node ``loads``, a pair
         (ohms, henries) of arrays (m,), carried to node ``index`` = k taking
         the load ``ohms`` and ``henries`` by the Sherman-Morrison step of
         ``rank_one``: with delta the change of the node's admittance, u
         column k + 1 of X (column k of the inverse) and X_k row k of X, one
-        rank-one update X - u X_k * delta / (1 + delta u_k). Nothing is
-        checked here; a degenerate or non-finite step fails the next
-        ``rank_one``."""
-        u = solution[..., index + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in rank_one
+        rank-one update X - u X_k * delta / (1 + delta u_k), unchecked: a
+        degenerate or non-finite step fails the check of ``solution``."""
+        u = X[..., index + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the check
             delta = (_admittance(ohms, henries, omega)
                      - _admittance(loads[0][index], loads[1][index], omega))
             scaled = (delta / (1.0 + delta * u[:, index]))[:, None] * u
-            return solution - scaled[:, :, None] * solution[:, None, index, :]
+            return X - scaled[:, :, None] * X[:, None, index, :]
 
-    def rank_one(self, freqs_hz: np.ndarray, nodes: _Nodes, loads, index: int,
-                 ohms: np.ndarray, henries: np.ndarray, blocks, solution) -> np.ndarray:
+    def rank_one(self, freqs_hz: np.ndarray, loads, index: int, ohms: np.ndarray,
+                 henries: np.ndarray, blocks, solved) -> np.ndarray:
         """|velocity| per newton (C, F) at the frequencies (F,) for C
         candidate loads ``ohms`` and ``henries`` (C,) at node ``index``,
         every other node keeping its load in ``loads``, the pair (ohms,
         henries) of arrays (m,), for ``blocks = structure(2 pi freqs_hz,
-        nodes)`` and the ``solution`` of the systems of ``loads`` there.
+        nodes)`` and ``solved``, the ``solution`` of ``loads`` there.
 
-        v0 and u solve the system A0 of ``loads`` for the two
-        right-hand sides [b, e_k] (k = index): they are columns 0 and k + 1
-        of ``solution``, and their residuals R0 and Ru are checked against
-        the bound of ``solve_voltages``. A candidate changes only the
-        admittance of node k, by delta = 1/z - 1/z0, so by Sherman-Morrison
-        its voltages are v = v0 - coef u, coef = delta v0_k / (1 + delta u_k),
-        and its displacement d0 + g^T v is D0 - coef G. Its residual is
+        v0 = A0^-1 b and u = A0^-1 e_k (k = index), with residuals R0 and
+        Ru, are columns 0 and k + 1 of X. A candidate changes node k's
+        admittance by delta = 1/z - 1/z0, so by Sherman-Morrison its
+        voltages are v = v0 - coef u, coef = delta v0_k / (1 + delta u_k),
+        its displacement d0 + g^T v is D0 - coef G, and its residual is
         exactly R0 - coef Ru + t e_k, t = delta v_k - coef (0 but for
-        rounding), so |R0| + |coef| |Ru| + |t| <= 1e-10 |b| is checked: a
-        NaN, a drifted ``solution`` or a degenerate update raises SolverError.
-        """
+        rounding). So |R0| + |coef| |Ru| + |t| <= 1e-10 |b| is checked: a
+        NaN or a degenerate update raises SolverError."""
         omega = 2.0 * np.pi * freqs_hz
-        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite raises in the checks
-            A, b = self.system(omega, nodes, *loads, blocks)
-            base = solution[..., [0, index + 1]]  # [v0 | u]
-            resid = A @ base - np.stack(np.broadcast_arrays(b, np.eye(b.shape[-1])[index]), -1)
-            r0, ru = np.sqrt(_squared_norm(resid, -2)).T[:, :, None]  # |R0|, |Ru| (F, 1)
-            limit = 1e-10 * np.sqrt(_squared_norm(b, -1))[:, None]
-            gv0, G = np.sum(base * blocks[3][..., None], axis=-2).T[:, :, None]
-            if not (np.all(r0 <= limit) and np.all(ru <= 1e-10)):
-                raise SolverError("circuit solve residual exceeds tolerance")
-        D0, (v0k, uk) = blocks[2][:, None] + gv0, base[:, index].T[:, :, None]
+        X, norms, gX = solved
+        (r0, ru), (v0k, uk), (gv0, G) = (x[:, [0, index + 1]].T[:, :, None]  # each (F, 1)
+                                         for x in (norms, X[:, index], gX))
+        D0 = blocks[2][:, None] + gv0
+        limit = 1e-10 * np.sqrt(_squared_norm(blocks[1], -1))[:, None]
         y0 = _admittance(loads[0][index], loads[1][index], omega)[:, None]
 
         parts = []
@@ -509,7 +505,7 @@ class _Kernel:
         del scratch  # before the grid-sized outputs, which a stack makes several of
         disp = np.concatenate([d for d, _ in parts], axis=1)
         volts = np.concatenate([v for _, v in parts], axis=1)
-        vel = 1j * omega * disp
+        vel = _times_jw(omega, disp.real, disp.imag)
         freqs_hz = freqs_hz.copy()
         return [FrfResult(freqs_hz, *x) for x in zip(disp, vel, volts)]
 
@@ -544,35 +540,40 @@ def solve_voltages(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     right-hand side is not below 1e-10 times its norm, which a NaN
     residual never is.
     """
+    return _solve(A, b)[0]
+
+
+def _solve(A: np.ndarray, b: np.ndarray, V=None):
+    """``solve_voltages``, or its residual guard alone on a given solution V:
+    the solution and the squared norms of its residuals, one per right-hand side."""
     columns = b.ndim == A.ndim
     B = b if columns else b[..., None]
     if B.shape[-2] == 0:
-        return np.zeros(b.shape, dtype=complex)
+        return np.zeros(b.shape, dtype=complex), np.zeros(B.shape[:-2] + B.shape[-1:])
     singular = "singular circuit system (topology/frequency degeneracy)"
-    if B.shape[-2] == 1:
-        if (A == 0).any():
-            raise SolverError(singular)
-        with np.errstate(all="ignore"):  # an inf or NaN fails the residual check
+    with np.errstate(all="ignore"):  # an inf or NaN fails the residual check
+        if V is None and B.shape[-2] == 1:
+            if (A == 0).any():
+                raise SolverError(singular)
             V = B / A
-            small = _small_residual(A * V - B, B, axis=-2)
-    else:
-        try:
-            V = np.linalg.solve(A, B)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(singular) from exc
-        small = _small_residual(A @ V - B, B, axis=-2)
-    if not small.all():
+        elif V is None:
+            try:
+                V = np.linalg.solve(A, B)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(singular) from exc
+        squared = _squared_norm(A * V - B if B.shape[-2] == 1 else A @ V - B, -2)
+    if not _small_residual(squared, B, -2).all():
         raise SolverError("circuit solve residual exceeds tolerance")
-    return V if columns else V[..., 0]
+    return (V if columns else V[..., 0]), squared
 
 
-def _small_residual(resid: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
-    """Whether |resid| <= 1e-10 * |b| along ``axis``, the bound of every
-    circuit solve; a NaN fails. Compared as squared norms, which need no
-    complex temporary: ``np.linalg.norm`` of a complex array makes two
-    of its size, enough to raise the descent job's peak memory. The
-    literal 1e-20 is the bound squared; 1e-10**2 rounds above it."""
-    return _squared_norm(resid, axis) <= 1e-20 * _squared_norm(b, axis)
+def _small_residual(squared: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Whether a residual of squared norm ``squared`` is <= 1e-10 * |b|
+    along ``axis``, the bound of every circuit solve; a NaN fails. Squared
+    norms need no complex temporary: ``np.linalg.norm`` of a complex array
+    makes two of its size, enough to raise the descent job's peak memory.
+    The literal 1e-20 is the bound squared; 1e-10**2 rounds above it."""
+    return squared <= 1e-20 * _squared_norm(b, axis)
 
 
 def _squared_norm(x: np.ndarray, axis: int) -> np.ndarray:

@@ -105,11 +105,13 @@ class ModalModel:
     def frequencies_hz(self) -> np.ndarray:
         return self.frequencies / (2.0 * np.pi)
 
-    def mode_shapes_at(self, x: float, y: float) -> np.ndarray:
-        """Values of every mass-normalized mode shape at one point."""
-        bx = basis.eval_matrix(self.basis.n_x, self.plate.length_a, [x])[0]
-        by = basis.eval_matrix(self.basis.n_y, self.plate.width_b, [y])[0]
-        return np.outer(bx, by).reshape(-1) @ self.mode_coeffs
+    def mode_shapes_at(self, x, y) -> np.ndarray:
+        """Values of every mass-normalized mode shape at one point, or at each
+        of P points (P, n_modes) of coordinate sequences ``x`` and ``y``."""
+        bx = basis.eval_matrix(self.basis.n_x, self.plate.length_a, x)
+        by = basis.eval_matrix(self.basis.n_y, self.plate.width_b, y)
+        values = np.array([np.outer(p, q).reshape(-1) @ self.mode_coeffs for p, q in zip(bx, by)])
+        return values if np.ndim(x) else values[0]
 
 
 # Largest model whose dense linear algebra runs on one OpenBLAS thread. On a
@@ -198,29 +200,23 @@ def _gauss(order: int):
     return 0.5 * (nodes - nodes[::-1]), weights * (2.0 / weights.sum())
 
 
-def _axis_cell_integrals(length: float, n: int, lo: float, hi: float, order: int):
-    """1D Gram matrices of the trial functions over one interval.
-
-    Returns (X0, X1, X2, X20) with X0 = int f_i f_k, X1 = int f_i' f_k',
-    X2 = int f_i'' f_k'', X20[i, k] = int f_i'' f_k. Composite
-    Gauss-Legendre: the interval is split into panels so the number of
-    panels across the whole axis scales with the mode count, keeping the
-    oscillatory integrands resolved to machine precision.
-    """
-    n_panels = max(1, math.ceil(n * (hi - lo) / length))
+def _axis_grams(length: float, n: int, intervals, order: int) -> list[tuple]:
+    """1D Gram matrices (X0, X1, X2, X20) of the trial functions over each
+    of ``intervals``, from one basis evaluation at all their points: X0 =
+    int f_i f_k, X1 = int f_i' f_k', X2 = int f_i'' f_k'', X20[i, k] = int
+    f_i'' f_k, by composite Gauss-Legendre on panels whose count across the
+    axis scales with the mode count, resolving the oscillatory integrands."""
     nodes, weights = _gauss(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
-    b0, b1, b2 = basis.eval_matrix(n, length, pts, (0, 1, 2))
-    w0 = b0 * wts[:, None]
-    X0 = w0.T @ b0
-    X1 = (b1 * wts[:, None]).T @ b1
-    X2 = (b2 * wts[:, None]).T @ b2
-    X20 = (b2 * wts[:, None]).T @ b0
-    return X0, X1, X2, X20
+    pts, wts = [], []
+    for lo, hi in intervals:
+        edges = np.linspace(lo, hi, max(1, math.ceil(n * (hi - lo) / length)) + 1)
+        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+        pts.append((mid[:, None] + half[:, None] * nodes[None, :]).ravel())
+        wts.append((half[:, None] * weights[None, :]).reshape(-1, 1))
+    values = basis.eval_matrix(n, length, np.concatenate(pts), (0, 1, 2))
+    cuts = np.cumsum([w.size for w in wts])[:-1]
+    return [((b0 * w).T @ b0, (b1 * w).T @ b1, (b2 * w).T @ b2, (b2 * w).T @ b0)
+            for w, (b0, b1, b2) in zip(wts, np.split(values, cuts, axis=1))]
 
 
 def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
@@ -264,10 +260,10 @@ def assemble_system(plate: PlateSpec, patches, spec: BasisSpec):
                         shift + r.D11p, nu * shift + r.D12p,
                         2.0 * (1.0 - nu) * shift + 4.0 * r.D66p))
 
-    xm, ym, xk, yk = [], [], [], []
-    for (x_lo, x_hi), (y_lo, y_hi), m, A11, A12, A66 in regions:
-        X0, X1, X2, X20 = _axis_cell_integrals(a, nx, x_lo, x_hi, spec.quadrature_order)
-        Y0, Y1, Y2, Y20 = _axis_cell_integrals(b, ny, y_lo, y_hi, spec.quadrature_order)
+    xm, ym, xk, yk = [], [], [], []  # the loop frees its Grams before the products
+    for (X0, X1, X2, X20), (Y0, Y1, Y2, Y20), (*_, m, A11, A12, A66) in zip(
+            _axis_grams(a, nx, [r[0] for r in regions], spec.quadrature_order),
+            _axis_grams(b, ny, [r[1] for r in regions], spec.quadrature_order), regions):
         xm.append(m * X0)
         ym.append(Y0)
         xk += [A11 * X2, A11 * X0, A12 * X20, A12 * X20.T, A66 * X1]

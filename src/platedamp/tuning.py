@@ -18,7 +18,7 @@ node only, from the kernel's rank-one update, one scalar per candidate
 and frequency. The descent computes what does not depend on the loads
 once: the band's structural blocks for all its sweeps, and in each cycle
 the solution X = A0^-1 [b | I] of its band systems, one array carried from
-sweep to sweep by one rank-one update per accepted law.
+sweep to sweep by one rank-one update per accepted law and checked once.
 
 The descent keeps a candidate only when it strictly beats the current
 objective, so it refines only the candidates that still can. A sweep
@@ -222,18 +222,18 @@ class VelocityObjective:
         return self._refine(nodes, ohms, henries, pts,
                             self._kernel.velocity(pts, nodes, ohms, henries))
 
-    def _sweep(self, nodes, loads, pts, blocks, solution, node: int, ohms, henries,
+    def _sweep(self, nodes, loads, pts, blocks, solved, node: int, ohms, henries,
                stop=math.inf):
         """Refined peaks and their frequencies of one coordinate sweep: the
         candidate loads ``ohms`` and ``henries`` (C,) at ``node``, every
         other node keeping its load in ``loads``, the pair (ohms, henries)
         of arrays (m,). The values at the band's points ``pts`` are rank-one
-        updates (``_Kernel.rank_one``) of the ``solution`` of the band
-        systems of ``loads``, for the structural ``blocks`` there; a
+        updates (``_Kernel.rank_one``) of the checked solution ``solved`` of
+        the band systems of ``loads``, for the structural ``blocks`` there; a
         candidate whose value reaches ``stop`` returns a lower bound
         (``_parabolic_search``). Gives what ``peaks_in_band`` gives for the
         explicit topologies, up to rounding."""
-        vals = self._kernel.rank_one(pts, nodes, loads, node, ohms, henries, blocks, solution)
+        vals = self._kernel.rank_one(pts, loads, node, ohms, henries, blocks, solved)
         rows = [np.repeat(x[None], ohms.size, axis=0) for x in loads]
         rows[0][:, node], rows[1][:, node] = ohms, henries
         return self._refine(nodes, *rows, pts, vals, stop)
@@ -329,8 +329,8 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
     optimum. Each coordinate sweep's band points are rank-one updates of
     the current loads' system. Each cycle solves that system at the band
     points once, for X = A0^-1 [b | I], and each accepted law carries X on
-    by one rank-one update (``_Kernel.carry``); every sweep checks the
-    columns [v0 | u] it takes of X (``_Kernel.rank_one``).
+    by one rank-one update (``_Kernel.carry``); ``_Kernel.solution`` checks
+    each X once, solved or carried, for the sweeps that read it.
 
     A sweep offers every grid resistance but the patch's current one,
     whose peak is the current objective and so never strictly improves
@@ -372,10 +372,10 @@ def optimize_per_patch(model: ModalModel, force: HarmonicForce, target, grid_hz,
                                     rs_grid[offer], np.zeros(offer.size), stop=best)[0]
             i_min = int(np.argmin(vals))
             if vals[i_min] < best:
-                best = float(vals[i_min])
-                at[patch_idx] = int(offer[i_min])
-                solved = kernel.carry(omega, loads, node, rs_grid[at[patch_idx]], 0.0, solved)
+                best, at[patch_idx] = float(vals[i_min]), int(offer[i_min])
+                carried = kernel.carry(omega, loads, node, rs_grid[at[patch_idx]], 0.0, solved[0])
                 loads[0][node] = rs_grid[at[patch_idx]]
+                solved = kernel.solution(omega, nodes, *loads, blocks, carried)
         if cycle_start - best < rel_tol * cycle_start:
             break
 

@@ -7,10 +7,12 @@ batched response kernel, a candidate-by-candidate peak search instead
 of the stacked sweep batches, a descent whose every coordinate sweep
 starts afresh instead of one that carries its base solve, a
 cell-by-cell mesh sum instead of the bare-plate-plus-patch-delta
-assembly, direct quadrature instead of closed forms,
-arbitrary-precision arithmetic for the beam functions, and the
-open-circuit modal eigenproblem for the effective coupling of each mode,
-with the classical resistive-shunt tuning and reduction ceiling.
+assembly, 1D Grams interval by interval, each from its own basis
+evaluation, instead of one evaluation per axis, direct quadrature
+instead of closed forms, arbitrary-precision arithmetic for the beam
+functions, and the open-circuit modal eigenproblem for the effective
+coupling of each mode, with the classical resistive-shunt tuning and
+reduction ceiling.
 """
 
 from typing import NamedTuple
@@ -366,17 +368,35 @@ def coupling_matrix_quadrature(model, order: int = 24) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def axis_cell_integrals(length, n, lo, hi, order):
+    """1D Gram matrices (X0, X1, X2, X20) of the trial functions over one
+    interval, from a basis evaluation at its own quadrature points only:
+    X0 = int f_i f_k, X1 = int f_i' f_k', X2 = int f_i'' f_k'' and
+    X20[i, k] = int f_i'' f_k, by the package's Gauss rule on
+    max(1, ceil(n (hi - lo) / length)) equal panels."""
+    from platedamp import basis
+    from platedamp.ritz import _gauss
+    nodes, weights = _gauss(order)
+    edges = np.linspace(lo, hi, max(1, int(np.ceil(n * (hi - lo) / length))) + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    wts = (half[:, None] * weights[None, :]).ravel()[:, None]
+    b0, b1, b2 = basis.eval_matrix(n, length, pts, (0, 1, 2))
+    return (b0 * wts).T @ b0, (b1 * wts).T @ b1, (b2 * wts).T @ b2, (b2 * wts).T @ b0
+
+
 def assemble_system_cell_mesh(plate, patches, spec):
     """Mass and stiffness matrices summed cell by cell over a patch-edge mesh.
 
     The plate is cut along every patch edge into rectangular cells; each
     cell takes the coefficients of the patch covering its midpoint (or
     of the bare plate) and adds its full Kronecker products of 1D Grams
-    into 4D accumulators. Shares only the 1D Gram quadrature with the
-    production region decomposition.
+    into 4D accumulators. Its 1D Grams come from ``axis_cell_integrals``,
+    which shares only the Gauss rule and the beam functions with the
+    package.
     """
     from platedamp.plate import rigidities, validate_layout
-    from platedamp.ritz import _axis_cell_integrals
     patches = tuple(patches)
     validate_layout(plate, patches)
     nx, ny = spec.n_x, spec.n_y
@@ -384,9 +404,9 @@ def assemble_system_cell_mesh(plate, patches, spec):
 
     x_breaks = np.array(sorted({0.0, a, *[e for p in patches for e in (p.x1, p.x2)]}))
     y_breaks = np.array(sorted({0.0, b, *[e for p in patches for e in (p.y1, p.y2)]}))
-    x_cells = [_axis_cell_integrals(a, nx, x_breaks[i], x_breaks[i + 1], spec.quadrature_order)
+    x_cells = [axis_cell_integrals(a, nx, x_breaks[i], x_breaks[i + 1], spec.quadrature_order)
                for i in range(len(x_breaks) - 1)]
-    y_cells = [_axis_cell_integrals(b, ny, y_breaks[j], y_breaks[j + 1], spec.quadrature_order)
+    y_cells = [axis_cell_integrals(b, ny, y_breaks[j], y_breaks[j + 1], spec.quadrature_order)
                for j in range(len(y_breaks) - 1)]
 
     rig = [rigidities(plate, p) for p in patches]

@@ -432,8 +432,7 @@ class TestScratchBuffers:
             solution = kernel.solution(2.0 * np.pi * pts, nodes, *loads, blocks)
             return (kernel.velocity(pts, nodes, ohms, henries),
                     kernel.velocity(np.array([[61.3], [74.9], [88.2]]), nodes, ohms, henries),
-                    kernel.rank_one(pts, nodes, loads, 0, ohms[:, 0], henries[:, 0], blocks,
-                                    solution),
+                    kernel.rank_one(pts, loads, 0, ohms[:, 0], henries[:, 0], blocks, solution),
                     *run_one(kernel, grid, topology))
 
         got = sweeps()

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from platedamp import (AssemblyError, BasisSpec, DomainError, PlateSpec,
-                       assemble_system, build_model, ritz)
+                       assemble_system, basis, build_model, ritz)
 
-from oracles import assemble_system_cell_mesh, fd_plate_frequencies_hz
+from oracles import assemble_system_cell_mesh, axis_cell_integrals, fd_plate_frequencies_hz
 
 
 def tiny_moduli(patch):
@@ -114,6 +114,22 @@ def assert_matches_cell_mesh(plate, patches, spec):
     assert np.max(np.abs(K - Ko)) <= 1e-12 * np.max(np.abs(Ko))
 
 
+def assert_one_evaluation_per_axis(plate, patches, spec):
+    """assemble_system evaluates the basis twice, once per axis, and gives
+    the bits of the assembly whose 1D Grams come interval by interval from
+    ``axis_cell_integrals``, each from its own basis evaluation."""
+    calls, eval_matrix = [], basis.eval_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basis, "eval_matrix", lambda *args: calls.append(args) or eval_matrix(*args))
+        M, K = assemble_system(plate, patches, spec)
+    assert len(calls) == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ritz, "_axis_grams", lambda length, n, intervals, order: [
+            axis_cell_integrals(length, n, lo, hi, order) for lo, hi in intervals])
+        Mi, Ki = assemble_system(plate, patches, spec)
+    assert np.array_equal(M, Mi) and np.array_equal(K, Ki)
+
+
 def patch_array(plate, material):
     """Twelve 60 mm patches, each jittered by up to 20 mm inside its cell of a 4x3 layout."""
     rng = np.random.default_rng(0)
@@ -140,6 +156,10 @@ class TestAssemblyOracle:
         spec = BasisSpec(20, 20, ref_config.basis.quadrature_order)
         assert_matches_cell_mesh(ref_config.plate, ref_config.patches, spec)
 
+    def test_one_basis_evaluation_per_axis_on_the_twelve_patch_array(self, ref_config):
+        patches = patch_array(ref_config.plate, ref_config.patches[0])
+        assert_one_evaluation_per_axis(ref_config.plate, patches, BasisSpec(12, 12, 10))
+
 
 GRID_CELLS = 3  # candidate footprint cells per axis; one patch per cell at most
 
@@ -161,21 +181,32 @@ def layouts(draw):
     return patches, order, spec
 
 
+def drawn_patches(plate, material, fractions):
+    """Patches of ``material`` at the footprint fractions and thicknesses of a drawn layout."""
+    a, b = plate.length_a, plate.width_b
+    return [dataclasses.replace(material, x1=fx1 * a, x2=fx2 * a, y1=fy1 * b, y2=fy2 * b,
+                                thickness_hp=hp) for fx1, fx2, fy1, fy2, hp in fractions]
+
+
 class TestAssemblyProperties:
     @settings(derandomize=True, deadline=None, max_examples=25, database=None)
     @given(layout=layouts())
     def test_random_layouts(self, layout, aluminum_plate, pzt_patch):
         fractions, order, spec = layout
-        a, b = aluminum_plate.length_a, aluminum_plate.width_b
-        patches = [dataclasses.replace(pzt_patch, x1=fx1 * a, x2=fx2 * a,
-                                       y1=fy1 * b, y2=fy2 * b, thickness_hp=hp)
-                   for fx1, fx2, fy1, fy2, hp in fractions]
+        patches = drawn_patches(aluminum_plate, pzt_patch, fractions)
         assert_matches_cell_mesh(aluminum_plate, patches, spec)
         M, K = assemble_system(aluminum_plate, patches, spec)
         Mp, Kp = assemble_system(aluminum_plate, [patches[i] for i in order], spec)
         assert np.array_equal(M, Mp)
         assert np.array_equal(K, Kp)
         np.linalg.cholesky(M)
+
+    @settings(derandomize=True, deadline=None, max_examples=25, database=None)
+    @given(layout=layouts())
+    def test_one_basis_evaluation_per_axis(self, layout, aluminum_plate, pzt_patch):
+        fractions, _, spec = layout
+        patches = drawn_patches(aluminum_plate, pzt_patch, fractions)
+        assert_one_evaluation_per_axis(aluminum_plate, patches, spec)
 
 
 class TestModes:

@@ -928,36 +928,37 @@ class TestCarriedDescent:
     def test_carried_solution_matches_a_fresh_solve(self, array_objective):
         """X carried over three accepted loads is the fresh solve of the
         final loads: the voltages v0 (column 0) and the inverse (columns
-        1..m), each within 1e-10 of its own largest entry."""
+        1..m), each within 1e-10 of its own largest entry, and it passes
+        the check of ``solution``."""
         kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
-        solution = kernel.solution(omega, nodes, *loads, blocks)
+        X = kernel.solution(omega, nodes, *loads, blocks)[0]
         for index, ohms in ((4, 7e3), (9, 2.5e5), (4, 1e2)):
-            solution = kernel.carry(omega, loads, index, ohms, 0.0, solution)
+            X = kernel.carry(omega, loads, index, ohms, 0.0, X)
             loads[0][index] = ohms
-        want = kernel.solution(omega, nodes, *loads, blocks)
-        assert solution.shape == want.shape == (pts.size, 12, 13)
+        want = kernel.solution(omega, nodes, *loads, blocks)[0]
+        assert X.shape == want.shape == (pts.size, 12, 13)
         for columns in (slice(0, 1), slice(1, None)):
-            got, fresh = solution[..., columns], want[..., columns]
+            got, fresh = X[..., columns], want[..., columns]
             assert np.max(np.abs(got - fresh)) <= 1e-10 * np.max(np.abs(fresh))
+        kernel.solution(omega, nodes, *loads, blocks, X)
 
     @pytest.mark.parametrize("load", ["singular", "nan"])
     def test_degenerate_carried_update_raises(self, array_objective, load):
         """A carried load that makes 1 + delta u_k vanish at one band point,
         so that the updated system is singular there, or a NaN load: the
-        next sweep's check of the carried pair raises SolverError."""
+        check of the carried X raises SolverError."""
         kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
-        solution = kernel.solution(omega, nodes, *loads, blocks)
+        X = kernel.solution(omega, nodes, *loads, blocks)[0]
         k, p = 4, pts.size // 2
         if load == "nan":
             ohms, henries = np.nan, 0.0
         else:
-            z = 1.0 / (1.0 / loads[0][k] - 1.0 / solution[p, k, k + 1])
+            z = 1.0 / (1.0 / loads[0][k] - 1.0 / X[p, k, k + 1])
             ohms, henries = z.real, z.imag / omega[p]
-        solution = kernel.carry(omega, loads, k, ohms, henries, solution)
+        X = kernel.carry(omega, loads, k, ohms, henries, X)
         loads[0][k], loads[1][k] = ohms, henries
         with pytest.raises(SolverError):
-            kernel.rank_one(pts, nodes, loads, 7, np.array([1e3, 1e4]), np.zeros(2), blocks,
-                            solution)
+            kernel.solution(omega, nodes, *loads, blocks, X)
 
     @pytest.mark.parametrize("patch", [0, 7])
     def test_grid_values_match_explicit_loads(self, array_objective, patch):
@@ -968,7 +969,7 @@ class TestCarriedDescent:
         k = int(nodes.patch_node[patch])
         ohms = np.concatenate([np.geomspace(100.0, 1e6, 8), np.geomspace(10.0, 1e4, 8)])
         henries = np.concatenate([np.zeros(8), np.geomspace(0.5, 100.0, 8)])
-        got = kernel.rank_one(pts, nodes, loads, k, ohms, henries, blocks,
+        got = kernel.rank_one(pts, loads, k, ohms, henries, blocks,
                               kernel.solution(omega, nodes, *loads, blocks))
         rows = np.repeat(loads[0][None], 16, axis=0), np.repeat(loads[1][None], 16, axis=0)
         rows[0][:, k], rows[1][:, k] = ohms, henries
@@ -983,33 +984,36 @@ class TestCarriedDescent:
         update raises SolverError, 1e-5 gives finite values, and a NaN
         load (``gap`` NaN) raises."""
         kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
-        solution = kernel.solution(omega, nodes, *loads, blocks)
+        solved = kernel.solution(omega, nodes, *loads, blocks)
         k, p = 4, pts.size // 2
         if np.isnan(gap):
             ohms, henries = np.nan, 0.0
         else:
-            z = 1.0 / (1.0 / loads[0][k] + (gap - 1.0) / solution[p, k, k + 1])
+            z = 1.0 / (1.0 / loads[0][k] + (gap - 1.0) / solved[0][p, k, k + 1])
             ohms, henries = z.real, z.imag / omega[p]
         candidates = np.array([1e3, ohms]), np.array([0.0, henries])
         if gap == 1e-5:
-            assert np.isfinite(kernel.rank_one(pts, nodes, loads, k, *candidates, blocks,
-                                               solution)).all()
+            assert np.isfinite(kernel.rank_one(pts, loads, k, *candidates, blocks,
+                                               solved)).all()
         else:
             with pytest.raises(SolverError):
-                kernel.rank_one(pts, nodes, loads, k, *candidates, blocks, solution)
+                kernel.rank_one(pts, loads, k, *candidates, blocks, solved)
 
     def test_pair_check_covers_a_column_no_candidate_uses(self, array_objective):
-        """A drifted column u of the carried X (column k of the inverse)
-        fails the pair check even when the only candidate keeps the node's
-        load, so that no candidate's residual could show the drift."""
+        """A 1e-6 drift in any column of a carried X, the voltages v0 or a
+        column of the inverse, fails the check of ``solution`` that each
+        carried X goes through, so also one that no candidate of the next
+        sweep would use; the X as carried passes it."""
         kernel, nodes, loads, pts, omega, blocks = self.band(array_objective)
-        solution = kernel.solution(omega, nodes, *loads, blocks)
-        k = 7
-        load = np.array([loads[0][k]]), np.array([loads[1][k]])
-        kernel.rank_one(pts, nodes, loads, k, *load, blocks, solution)
-        solution[..., k + 1] *= 1.0 + 1e-6
-        with pytest.raises(SolverError, match="residual"):
-            kernel.rank_one(pts, nodes, loads, k, *load, blocks, solution)
+        X = kernel.solution(omega, nodes, *loads, blocks)[0]
+        X = kernel.carry(omega, loads, 7, 3e3, 0.0, X)
+        loads[0][7] = 3e3
+        kernel.solution(omega, nodes, *loads, blocks, X)
+        for column in range(X.shape[-1]):
+            drifted = X.copy()
+            drifted[..., column] *= 1.0 + 1e-6
+            with pytest.raises(SolverError, match="residual"):
+                kernel.solution(omega, nodes, *loads, blocks, drifted)
 
     def test_every_sweep_checks_the_carried_pair(self, array_model, point_force,
                                                 target_point, ref_config, monkeypatch):
